@@ -226,7 +226,7 @@ def load_dataset(path):
     return DatasetSplit(header["name"], subj, role, idx, face, iris, seed=seed)
 
 
-def _sha256(path):
+def file_sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -240,7 +240,7 @@ def write_manifest(path, spec, distortion, dims, seed, files):
         "distortion": asdict(distortion),
         "dims": asdict(dims),
         "seed": seed,
-        "files": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in files.items()},
+        "files": {name: {"path": str(p), "sha256": file_sha256(p)} for name, p in files.items()},
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -297,7 +297,8 @@ def one_hot(class_idx, num_classes):
 
 
 def _batches(n, batch_size, rng):
-    """Endless shuffled minibatch index stream."""
+    """Endless shuffled minibatch index stream; a batch never exceeds ``n``."""
+    batch_size = min(batch_size, n)
     while True:
         order = rng.permutation(n)
         for i in range(0, n - batch_size + 1, batch_size):

@@ -231,10 +231,12 @@ class GroundTruthTable:
             f"n {self.n}",
             f"excluded {','.join(str(s) for s in self.excluded) if self.excluded else '-'}",
         ]
-        for subject in sorted(self.labels):
+        # one line per subject: label ('-' when excluded), support, failures, total
+        for subject in sorted(set(self.labels) | set(self.totals)):
+            label = _bits_to_hex(self.labels[subject]) if subject in self.labels else "-"
             lines.append(
-                f"{subject} {_bits_to_hex(self.labels[subject])} "
-                f"{self.support[subject]} {self.failures[subject]}"
+                f"{subject} {label} {self.support.get(subject, 0)} "
+                f"{self.failures.get(subject, 0)} {self.totals.get(subject, 0)}"
             )
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -252,11 +254,13 @@ class GroundTruthTable:
         for ln in lines[3:]:
             if not ln:
                 continue
-            subject_s, hex_s, support_s, fail_s = ln.split()
+            subject_s, hex_s, support_s, fail_s, total_s = ln.split()
             subject = int(subject_s)
-            table.labels[subject] = _hex_to_bits(hex_s, n)
-            table.support[subject] = int(support_s)
             table.failures[subject] = int(fail_s)
+            table.totals[subject] = int(total_s)
+            if hex_s != "-":
+                table.labels[subject] = _hex_to_bits(hex_s, n)
+                table.support[subject] = int(support_s)
         return table
 
 

@@ -18,7 +18,15 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bch import build_code, decode_hard, write_descriptor
-from .biodata import generate, save_dataset, load_dataset, write_manifest, verify_disjoint
+from .biodata import (
+    file_sha256,
+    generate,
+    load_dataset,
+    load_manifest,
+    save_dataset,
+    verify_disjoint,
+    write_manifest,
+)
 from .checkpoint import save_params, load_params
 from .config import ExperimentConfig
 from .evaluation import (
@@ -122,9 +130,40 @@ def _data_paths(run_dir):
     return {name: os.path.join(run_dir, f"data_{name}.txt") for name in ("train", "nnd", "test")}
 
 
+# the parsed splits of the current run, keyed by the sha256 of their file
+_parsed_splits = {}
+
+
+def _read_only(split):
+    for array in (split.subject, split.role, split.sample_index, split.face, split.iris):
+        array.flags.writeable = False
+    return split
+
+
 def _load_splits(cfg, run_dir):
-    paths = _data_paths(run_dir)
-    splits = {name: load_dataset(p) for name, p in paths.items()}
+    """The three data splits, each file first checked against the manifest.
+
+    A file is parsed once per process: its split is kept under the file's
+    digest, so a changed file is never served from memory.
+    """
+    manifest_path = os.path.join(run_dir, "data_manifest.json")
+    try:
+        recorded = load_manifest(manifest_path)["files"]
+    except (OSError, ValueError, KeyError) as exc:
+        raise PipelineError(f"cannot read the data manifest {manifest_path}: {exc}") from None
+    current = {}
+    splits = {}
+    for name, path in _data_paths(run_dir).items():
+        digest = file_sha256(path) if os.path.exists(path) else None
+        if digest is None or digest != recorded.get(name, {}).get("sha256"):
+            raise PipelineError(
+                f"data file {path} is missing or does not match its checksum in "
+                f"{manifest_path}; run 'generate-data --overwrite' to rebuild the data"
+            )
+        split = _parsed_splits.get(digest) or _read_only(load_dataset(path))
+        current[digest] = splits[name] = split
+    _parsed_splits.clear()
+    _parsed_splits.update(current)
     verify_disjoint(list(splits.values()))
     return splits
 
@@ -219,6 +258,7 @@ def stage_generate_data(cfg: ExperimentConfig, run_dir, overwrite=False):
             f"dataset files already exist (e.g. {existing[0]}); pass overwrite to replace them"
         )
     cfg.save(os.path.join(run_dir, "config.json"))
+    _parsed_splits.clear()
     splits = generate(cfg.split_spec(), cfg.distortion(), cfg.dims(), stage_seed(cfg, "data"))
     for split in splits:
         save_dataset(split, paths[split.name])

@@ -5,6 +5,10 @@ with a flooding schedule. The classical decoder and the trainable decoder
 share this exact code path (the trainable variant just supplies non-unit
 weights), so their outputs agree bit for bit when all weights equal one.
 
+The check-node product is one primitive, ``leave_one_out_prod``, whose
+forward and backward are prefix/suffix scans over each check's edges, so
+both cost time linear in the check degree.
+
 Conventions: positive LLR means bit 0 is more likely; channel LLRs are
 clamped to +/-30 on entry, check messages to +/-30 after the atanh, and the
 product fed to atanh to +/-(1 - 1e-12).
@@ -76,38 +80,48 @@ def _scatter_dense(graph, values):
     return dense.reshape((graph.r, graph.max_check_degree) + values.shape[1:])
 
 
-def _loo_from_dense(dense):
-    """Per-slot product of every other slot in the same row (axis 1)."""
+def _exclusive_scans(dense):
+    """Exclusive prefix and suffix products along each row (axis 1)."""
     left = np.ones_like(dense)
     np.cumprod(dense[:, :-1], axis=1, out=left[:, 1:])
     right = np.ones_like(dense)
     np.cumprod(dense[:, :0:-1], axis=1, out=right[:, -2::-1])
-    return left * right
+    return left, right
+
+
+def _loo_grad(dense, g_dense, left, right):
+    """Gradient of sum_i g_i prod_{l != i} t_l with respect to each t_j.
+
+    grad_j = A_j S_j + P_j B_j, where P/S are the exclusive prefix/suffix
+    products and A_{j+1} = A_j t_j + g_j P_j (B mirrors A from the right):
+    two linear scans, exact with zeros and free of division.
+    """
+    grad = np.empty_like(dense)
+    acc = np.zeros_like(dense[:, 0])
+    for j in range(dense.shape[1]):
+        grad[:, j] = acc * right[:, j]
+        acc = acc * dense[:, j] + g_dense[:, j] * left[:, j]
+    acc = np.zeros_like(dense[:, 0])
+    for j in range(dense.shape[1] - 1, -1, -1):
+        grad[:, j] += left[:, j] * acc
+        acc = acc * dense[:, j] + g_dense[:, j] * right[:, j]
+    return grad
 
 
 def leave_one_out_prod(graph: TannerGraph, t_edges: Tensor) -> Tensor:
     """For each edge, the product of the other edges on the same check.
 
-    Forward uses exclusive prefix/suffix products (exact even with zeros);
-    the backward recomputes pair-excluded products one slot at a time.
+    Forward and backward both use the exclusive prefix/suffix products, so
+    each is linear in the check degree and exact even with zeros.
     """
     dense = _scatter_dense(graph, t_edges.data)
-    loo_dense = _loo_from_dense(dense)
-    out = loo_dense.reshape((-1,) + t_edges.data.shape[1:])[graph.edge_slot_flat]
+    left, right = _exclusive_scans(dense)
+    out = (left * right).reshape((-1,) + t_edges.data.shape[1:])[graph.edge_slot_flat]
 
     def backward(g):
         g_dense = np.zeros_like(dense)
-        g_flat = g_dense.reshape((-1,) + g.shape[1:])
-        g_flat[graph.edge_slot_flat] = g
-        grad = np.zeros_like(dense)
-        for j in range(dense.shape[1]):
-            masked = dense.copy()
-            masked[:, j] = 1.0
-            loo_masked = _loo_from_dense(masked)
-            # sum_i g_i * prod_{l != i,j} t_l, excluding the i = j term
-            contrib = (g_dense * loo_masked).sum(axis=1)
-            contrib -= g_dense[:, j] * loo_dense[:, j]
-            grad[:, j] = contrib
+        g_dense.reshape((-1,) + g.shape[1:])[graph.edge_slot_flat] = g
+        grad = _loo_grad(dense, g_dense, left, right)
         return (grad.reshape((-1,) + g.shape[1:])[graph.edge_slot_flat],)
 
     return make_op(out, (t_edges,), backward)

@@ -247,6 +247,19 @@ def test_train_step1_learns_and_logs():
     assert json.dumps(log[-1])  # records serialise
 
 
+def test_train_step1_on_a_split_smaller_than_the_batch_finishes():
+    # 5 samples, batch_size 32: every minibatch is the whole (shuffled) split
+    spec = SplitSpec(train_subjects=5, nnd_subjects=1, test_subjects=1,
+                     samples_per_subject=1)
+    dims = DatasetDims(latent=6, face=10, iris=10)
+    train = generate(spec, DistortionModel(0.05, 0.05, 0.02, 0.02), dims, 0)[0]
+    model = MdhModel("bla", 10, 10, 5, 15, feature_dim=4, fusion_dim=12, hidden=(12,), seed=0)
+    cfg = MdhTrainConfig(phase_a_steps=5, batch_size=32, log_every=5, seed=0)
+    sched = ContinuationSchedule(bandwidths=(1.0,), patience=3, max_steps=5)
+    _, log = train_step1(model, train, LossWeights(), sched, cfg)
+    assert log[-1]["event"] == "summary"
+
+
 def test_train_step1_requires_positive_classification_weight():
     with pytest.raises(ValueError, match="classification weight"):
         train_step1(_tiny_model(), _tiny_dataset(), LossWeights(w_cls=0.0),

@@ -255,7 +255,7 @@ def test_ground_truth_all_failed_raises(bch63):
         make_ground_truth({1: np.stack(bad)}, bch63)
 
 
-def test_ground_truth_table_round_trip(tmp_path, hamming74):
+def test_ground_truth_table_round_trip(tmp_path, hamming74, bch63):
     cw = encode(hamming74, np.array([1, 1, 0, 0], dtype=np.uint8))
     table = make_ground_truth({4: np.stack([_acts_for(hamming74, cw)] * 3)}, hamming74)
     table.excluded.append(9)
@@ -265,6 +265,22 @@ def test_ground_truth_table_round_trip(tmp_path, hamming74):
     assert np.array_equal(loaded.labels[4], cw)
     assert loaded.support[4] == 3 and loaded.failures[4] == 0
     assert loaded.excluded == [9] and loaded.n == 7
+
+    # failure counts and totals, an excluded subject's included, survive too
+    rng = np.random.default_rng(9)
+    cw63 = encode(bch63, rng.integers(0, 2, 45).astype(np.uint8))
+    good = np.where(cw63 == 0, 0.9, -0.9)
+    bad = good.copy()
+    far = rng.choice(63, 25, replace=False)
+    bad[far] = -bad[far]
+    table = make_ground_truth({1: np.stack([good, good, bad]), 2: np.stack([bad, bad])}, bch63)
+    assert table.excluded == [2] and table.failure_rate == 3 / 5
+    table.save(path)
+    loaded = GroundTruthTable.load(path)
+    assert loaded.failure_rate == table.failure_rate
+    assert loaded.totals == {1: 3, 2: 2} and loaded.failures == {1: 1, 2: 2}
+    assert loaded.excluded == [2] and set(loaded.labels) == {1}
+    assert np.array_equal(loaded.labels[1], cw63) and loaded.support == {1: 2}
 
 
 def test_finetune_confident_labels_barely_move_weights(hamming74):

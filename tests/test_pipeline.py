@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hashdec import autodiff as ad
+from hashdec import pipeline
 from hashdec.bch import build_code
+from hashdec.biodata import load_dataset
 from hashdec.config import ConfigError, ExperimentConfig
 from hashdec.evaluation import read_metrics
 from hashdec.nnd import llr_from_activations
@@ -89,6 +91,52 @@ def test_fingerprint_mismatch_blocks_stage_reuse(tmp_path):
     other = tiny_config(seed=6)
     with pytest.raises(PipelineError, match="generate-data"):
         stage_train_mdh(other, str(tmp_path))
+
+
+def test_tampered_data_file_refused(tmp_path):
+    cfg = tiny_config()
+    run_dir = str(tmp_path)
+    stage_generate_data(cfg, run_dir)
+    path = os.path.join(run_dir, "data_nnd.txt")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[-1] = lines[-1].replace("0", "1", 1)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(PipelineError, match="data_nnd.txt"):
+        stage_train_mdh(cfg, run_dir)
+
+
+def test_regenerated_data_is_parsed_again(tmp_path):
+    run_dir = str(tmp_path)
+    stage_generate_data(tiny_config(), run_dir)
+    first = pipeline._load_splits(tiny_config(), run_dir)["train"]
+    assert pipeline._load_splits(tiny_config(), run_dir)["train"] is first
+    stage_generate_data(tiny_config(seed=6), run_dir, overwrite=True)
+    second = pipeline._load_splits(tiny_config(seed=6), run_dir)["train"]
+    assert second is not first and not np.array_equal(second.face, first.face)
+    assert second == load_dataset(os.path.join(run_dir, "data_train.txt"))
+
+
+def test_loaded_splits_are_read_only(tmp_path):
+    stage_generate_data(tiny_config(), str(tmp_path))
+    for split in pipeline._load_splits(tiny_config(), str(tmp_path)).values():
+        for array in (split.subject, split.role, split.sample_index, split.face, split.iris):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            split.face[0, 0] = 0.0
+
+
+def test_run_all_parses_each_data_file_once(tmp_path, monkeypatch):
+    parsed = []
+
+    def counting_load(path):
+        parsed.append(os.path.basename(path))
+        return load_dataset(path)
+
+    monkeypatch.setattr(pipeline, "load_dataset", counting_load)
+    run_all(tiny_config(), str(tmp_path), overwrite=True)
+    assert sorted(parsed) == ["data_nnd.txt", "data_test.txt", "data_train.txt"]
 
 
 def test_checkpoint_code_mismatch_refused(finished_run, tmp_path):

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from hashdec import autodiff as ad
+from hashdec.autodiff import GradientTape, Tensor, gradient_check
 from hashdec.bch import build_code, encode
 from hashdec.tanner import (
     TannerGraph,
@@ -11,6 +13,7 @@ from hashdec.tanner import (
     decode_bp,
     decode_bp_batch,
     from_parity_matrix,
+    leave_one_out_prod,
 )
 
 
@@ -55,6 +58,74 @@ def test_adjacency_consistent_with_edges(hamming_graph):
         assert v in g.check_neighbors[c]
         assert c in g.var_neighbors[v]
     assert sum(len(nb) for nb in g.check_neighbors) == g.num_edges
+
+
+# check degrees 4, 3 and 1: padding slots, and a check whose product is empty
+_UNEVEN_H = np.array([[1, 1, 1, 1, 0],
+                      [0, 1, 0, 1, 1],
+                      [0, 0, 1, 0, 0]])
+
+
+def _weighted_loo_sum(graph, coeffs):
+    return lambda t: ad.tensor_sum(ad.mul(leave_one_out_prod(graph, t), Tensor(coeffs)))
+
+
+def test_leave_one_out_prod_values_on_uneven_checks():
+    g = from_parity_matrix(_UNEVEN_H)
+    t = np.arange(2.0, 2.0 + g.num_edges)[:, None]
+    out = leave_one_out_prod(g, Tensor(t)).data[:, 0]
+    for e, (c, _) in enumerate(g.edges):
+        others = [t[f, 0] for f, (c2, _) in enumerate(g.edges) if c2 == c and f != e]
+        assert out[e] == math.prod(others)
+
+
+def test_leave_one_out_prod_gradient_matches_finite_differences():
+    g = from_parity_matrix(_UNEVEN_H)
+    rng = np.random.default_rng(3)
+    t = rng.uniform(-1, 1, (g.num_edges, 3))
+    on_check0 = np.nonzero(g.edge_check == 0)[0]
+    t[on_check0[1], 1] = 0.0          # column 1: one exact zero on check 0
+    t[on_check0[[0, 2]], 2] = 0.0     # column 2: two exact zeros on check 0
+    coeffs = rng.standard_normal(t.shape)
+    report = gradient_check(_weighted_loo_sum(g, coeffs), [Tensor(t)])
+    assert report.max_relative_error < 1e-6
+
+
+def _masked_slot_grad(graph, t, g):
+    """O(d^2) reference backward: mask each slot in turn and rerun both scans."""
+    d = graph.max_check_degree
+
+    def dense_of(values, fill):
+        out = np.full((graph.r * d,) + values.shape[1:], fill)
+        out[graph.edge_slot_flat] = values
+        return out.reshape((graph.r, d) + values.shape[1:])
+
+    def loo(dense):
+        left = np.ones_like(dense)
+        np.cumprod(dense[:, :-1], axis=1, out=left[:, 1:])
+        right = np.ones_like(dense)
+        np.cumprod(dense[:, :0:-1], axis=1, out=right[:, -2::-1])
+        return left * right
+
+    dense, g_dense = dense_of(t, 1.0), dense_of(g, 0.0)
+    loo_dense = loo(dense)
+    grad = np.zeros_like(dense)
+    for j in range(d):
+        masked = dense.copy()
+        masked[:, j] = 1.0
+        grad[:, j] = (g_dense * loo(masked)).sum(axis=1) - g_dense[:, j] * loo_dense[:, j]
+    return grad.reshape((-1,) + t.shape[1:])[graph.edge_slot_flat]
+
+
+def test_leave_one_out_prod_backward_matches_masked_slot_reference():
+    g = TannerGraph(build_code(6, 3).parity_check_matrix)  # BCH(63,45)
+    rng = np.random.default_rng(4)
+    t = rng.uniform(-1, 1, (g.num_edges, 3))
+    t[np.nonzero(g.edge_check == 2)[0][:2], 0] = 0.0
+    upstream = rng.standard_normal(t.shape)
+    x = Tensor(t, requires_grad=True)
+    GradientTape(ad.tensor_sum(ad.mul(leave_one_out_prod(g, x), Tensor(upstream)))).backward()
+    assert np.max(np.abs(x.grad - _masked_slot_grad(g, t, upstream))) < 1e-12
 
 
 def test_strong_positive_llrs_decode_to_zero_word():
