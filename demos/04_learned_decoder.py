@@ -6,12 +6,12 @@ Run:  python3 demos/04_learned_decoder.py   (about a minute)
 import numpy as np
 
 from hashdec.bch import build_code
-from hashdec.nnd import NndTrainConfig, build_nnd, pretrain_awgn, sigma_from_snr_db
+from hashdec.nnd import NndModel, NndTrainConfig, pretrain_awgn, sigma_from_snr_db
 from hashdec.tanner import TannerGraph, decode_bp_batch
 
 code = build_code(6, 3)
 graph = TannerGraph(code.parity_check_matrix)
-model = build_nnd(code, iterations=5)
+model = NndModel(code, iterations=5)
 print(f"decoder for BCH(63,45): {model.iterations} unrolled iterations, "
       f"{sum(t.data.size for t in model.parameters().values())} learnable weights")
 

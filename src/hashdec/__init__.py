@@ -46,10 +46,7 @@ from .mdh import (
     LossWeights,
     MdhModel,
     MdhTrainConfig,
-    fuse_bla,
-    fuse_fca,
     intermediate_binary_code,
-    mdh_forward,
     total_loss,
     train_step1,
 )
@@ -57,13 +54,11 @@ from .nnd import (
     GroundTruthTable,
     NndModel,
     NndTrainConfig,
-    build_nnd,
     finetune_biometric,
     llr_from_activations,
     make_ground_truth,
-    nnd_forward,
     pretrain_awgn,
 )
-from .tanner import TannerGraph, awgn_llr, decode_bp, from_parity_matrix
+from .tanner import TannerGraph, awgn_llr, decode_bp
 
 __version__ = "0.1.0"

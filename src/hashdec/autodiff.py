@@ -134,26 +134,31 @@ class GradientTape:
                 f"backward pass needs a scalar result, got shape {result.data.shape}"
             )
         self.result = result
-        self.order = self._toposort(result)
+        self.order, self.leaves = self._toposort(result)
 
     @staticmethod
     def _toposort(result):
-        order, seen = [], set()
+        """Nodes in topological order, and the leaves that need a gradient."""
+        order, leaves, seen = [], [], set()
         stack = [(result, False)]
         while stack:
             t, expanded = stack.pop()
             if expanded:
                 order.append(t)
                 continue
-            if id(t) in seen or t.node is None:
+            if id(t) in seen:
                 continue
             seen.add(id(t))
+            if t.node is None:
+                if t.requires_grad:
+                    leaves.append(t)
+                continue
             stack.append((t, True))
             for parent in t.node.inputs:
-                if parent.node is not None and id(parent) not in seen:
+                if id(parent) not in seen:
                     stack.append((parent, False))
         order.reverse()
-        return order
+        return order, leaves
 
     def backward(self):
         grads = {id(self.result): np.ones_like(self.result.data)}
@@ -169,27 +174,11 @@ class GradientTape:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
-        # leaves: anything requiring grad that was never produced by a node
         self.result.grad = np.ones_like(self.result.data)
-        for t in self._leaves():
+        for t in self.leaves:
             t.grad = grads.get(id(t))
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
-
-    def _leaves(self):
-        leaves, seen = [], set()
-        stack = [self.result]
-        while stack:
-            t = stack.pop()
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            if t.node is None:
-                if t.requires_grad:
-                    leaves.append(t)
-            else:
-                stack.extend(t.node.inputs)
-        return leaves
 
 
 def _unbroadcast(grad, shape):

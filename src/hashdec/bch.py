@@ -152,9 +152,6 @@ class BchCode:
     def __repr__(self):
         return f"BchCode(n={self.n}, k={self.k}, t={self.t})"
 
-    def is_codeword(self, bits):
-        return not np.any(syndromes(self, bits))
-
     def all_codewords(self):
         """Every codeword as a (2^k, n) uint8 array; only for small k."""
         if self.k > BRUTE_FORCE_MAX_K:
@@ -291,14 +288,16 @@ def brute_force_ml_decode(code_or_codewords, received):
     return cws[int(np.argmin(dists))].copy()
 
 
+def bits_to_hex(bits):
+    """Hex mask of a bit vector: bit j of the mask is entry j."""
+    value = 0
+    for j in np.nonzero(np.asarray(bits))[0]:
+        value |= 1 << int(j)
+    return hex(value)
+
+
 def write_descriptor(code: BchCode, path):
     """Write a human-auditable description of the code to a text file."""
-    def bits_to_hex(bits):
-        value = 0
-        for j in np.nonzero(np.asarray(bits))[0]:
-            value |= 1 << int(j)
-        return hex(value)
-
     lines = [
         "# BCH code descriptor (bit j of a hex mask = coefficient of x^j)",
         f"m {code.m}",

@@ -99,11 +99,6 @@ class DatasetSplit:
     def by_role(self, role):
         return self.select(self.role == role)
 
-    def grouped(self, field="face"):
-        """Dict subject -> (num_samples, dim) array for one field."""
-        data = getattr(self, field)
-        return {int(s): data[self.subject == s] for s in self.subject_ids}
-
     def __eq__(self, other):
         return (
             self.name == other.name

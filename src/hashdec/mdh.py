@@ -13,7 +13,7 @@ balance term that penalises per-sample mean activation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,33 +129,6 @@ class FusionLayer:
         return {f"{prefix}/w": self.w, f"{prefix}/b": self.b}
 
 
-def _as_batch(x):
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    if t.data.ndim == 1:
-        return ad.reshape(t, (1, t.data.shape[0])), True
-    return t, False
-
-
-def fuse_fca(face_feat, iris_feat, layer: FusionLayer):
-    """Concatenate the two feature vectors and apply the FC map with tanh."""
-    if layer.mode != "fca":
-        raise ValueError(f"fuse_fca called on a layer in mode '{layer.mode}'")
-    f, squeeze = _as_batch(face_feat)
-    i, _ = _as_batch(iris_feat)
-    out = layer.forward(f, i)
-    return ad.reshape(out, (layer.out_dim,)) if squeeze else out
-
-
-def fuse_bla(face_feat, iris_feat, layer: FusionLayer):
-    """Flattened outer product of the feature vectors through the FC map."""
-    if layer.mode != "bla":
-        raise ValueError(f"fuse_bla called on a layer in mode '{layer.mode}'")
-    f, squeeze = _as_batch(face_feat)
-    i, _ = _as_batch(iris_feat)
-    out = layer.forward(f, i)
-    return ad.reshape(out, (layer.out_dim,)) if squeeze else out
-
-
 class HashingLayer:
     """FC map to the code length, activated by tanh(beta * x)."""
 
@@ -241,10 +214,6 @@ class MdhModel:
         if self.has_head:
             logits = ad.add(ad.matmul(acts, self.head_w), self.head_b)
         return acts, logits
-
-
-def mdh_forward(model: MdhModel, face, iris):
-    return model.forward(face, iris)
 
 
 def intermediate_binary_code(model: MdhModel, face, iris):

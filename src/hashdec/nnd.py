@@ -20,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, TrainingError
-from .bch import BchCode, decode_hard
-from .tanner import TannerGraph, bp_forward, awgn_llr, LLR_CLAMP
+from .bch import BchCode, bits_to_hex, decode_hard
+from .tanner import TannerGraph, bp_forward, LLR_CLAMP
 
 
 def sigma_from_snr_db(snr_db, rate):
@@ -110,15 +110,6 @@ class NndModel:
         with ad.no_grad():
             probs = self.forward(np.atleast_2d(np.asarray(llr_batch, dtype=np.float64)))
         return (probs.data > 0.5).astype(np.uint8)
-
-
-def build_nnd(code: BchCode, iterations=5):
-    """Fresh decoder with every learnable weight at one (classical BP)."""
-    return NndModel(code, iterations)
-
-
-def nnd_forward(model: NndModel, llr):
-    return model.forward(llr)
 
 
 @dataclass
@@ -216,7 +207,6 @@ class GroundTruthTable:
     support: dict = field(default_factory=dict)         # subject -> modal count
     failures: dict = field(default_factory=dict)        # subject -> failed samples
     totals: dict = field(default_factory=dict)          # subject -> sample count
-    distinct: dict = field(default_factory=dict)        # subject -> {hex: count}
     excluded: list = field(default_factory=list)        # subjects with no decode
 
     @property
@@ -233,7 +223,7 @@ class GroundTruthTable:
         ]
         # one line per subject: label ('-' when excluded), support, failures, total
         for subject in sorted(set(self.labels) | set(self.totals)):
-            label = _bits_to_hex(self.labels[subject]) if subject in self.labels else "-"
+            label = bits_to_hex(self.labels[subject]) if subject in self.labels else "-"
             lines.append(
                 f"{subject} {label} {self.support.get(subject, 0)} "
                 f"{self.failures.get(subject, 0)} {self.totals.get(subject, 0)}"
@@ -262,13 +252,6 @@ class GroundTruthTable:
                 table.labels[subject] = _hex_to_bits(hex_s, n)
                 table.support[subject] = int(support_s)
         return table
-
-
-def _bits_to_hex(bits):
-    value = 0
-    for j in np.nonzero(np.asarray(bits))[0]:
-        value |= 1 << int(j)
-    return hex(value)
 
 
 def _hex_to_bits(hex_s, n):
@@ -316,9 +299,6 @@ def make_ground_truth(outputs_by_subject, code: BchCode):
         best = min(counts, key=lambda cw: (-counts[cw], cw))
         table.labels[subject] = np.array(best, dtype=np.uint8)
         table.support[subject] = counts[best]
-        table.distinct[subject] = {
-            _bits_to_hex(np.array(cw, dtype=np.uint8)): cnt for cw, cnt in counts.items()
-        }
     if not table.labels:
         raise RuntimeError("ground-truth generation failed for every subject")
     return table

@@ -39,7 +39,7 @@ from .evaluation import (
     write_metrics,
     write_roc_csv,
 )
-from .mdh import MdhModel, train_step1, evaluate_hashing
+from .mdh import MdhModel, train_step1
 from .nnd import (
     GroundTruthTable,
     NndModel,
@@ -172,64 +172,71 @@ def _load_splits(cfg, run_dir):
 # model checkpoints
 # ---------------------------------------------------------------------------
 
-def _mdh_meta(cfg: ExperimentConfig, model: MdhModel):
-    return {
-        "kind": "mdh",
-        "fingerprint": cfg.fingerprint(),
-        "code_m": cfg.code_m,
-        "code_t": cfg.code_t,
-        "fusion_mode": model.mode,
-        "face_dim": cfg.face_dim,
-        "iris_dim": cfg.iris_dim,
-        "num_classes": model.num_classes,
-        "code_bits": model.code_bits,
-        "feature_dim": cfg.feature_dim,
-        "fusion_dim": cfg.fusion_dim,
-        "encoder_hidden": list(cfg.encoder_hidden),
-        "beta": model.hashing.beta,
-        "has_head": model.has_head,
-    }
+def _by_prefix(mdh, nnd):
+    """Models keyed by parameter-name prefix; only a two-model file prefixes."""
+    if mdh is not None and nnd is not None:
+        return {"mdh/": mdh, "nnd/": nnd}
+    return {"": mdh if nnd is None else nnd}
 
 
-def save_mdh(path, cfg, model):
-    save_params(path, model.parameters(), _mdh_meta(cfg, model))
+def save_models(path, cfg: ExperimentConfig, kind, mdh=None, nnd=None):
+    """Write the hashing network and/or the decoder to one checkpoint.
 
-
-def load_mdh(path, cfg: ExperimentConfig):
-    params, meta = load_params(path)
-    _check_compat(meta, cfg)
-    model = MdhModel(
-        meta["fusion_mode"], meta["face_dim"], meta["iris_dim"], meta["num_classes"],
-        meta["code_bits"], meta["feature_dim"], meta["fusion_dim"],
-        tuple(meta["encoder_hidden"]),
-    )
-    model.hashing.beta = meta["beta"]
-    if not meta["has_head"]:
-        model.discard_head()
-    for name, tensor in model.parameters().items():
-        tensor.data = params[name].copy()
-    return model
-
-
-def save_nnd(path, cfg, model: NndModel, kind):
+    The metadata names what the file holds: the MDH's architecture keys,
+    the NND's ``iterations``, or both. Parameter names carry ``mdh/`` and
+    ``nnd/`` prefixes only when the file holds both models.
+    """
     meta = {
         "kind": kind,
         "fingerprint": cfg.fingerprint(),
         "code_m": cfg.code_m,
         "code_t": cfg.code_t,
         "fusion_mode": cfg.fusion_mode,
-        "iterations": model.iterations,
     }
-    save_params(path, model.parameters(), meta)
+    if mdh is not None:
+        meta.update({
+            "face_dim": cfg.face_dim,
+            "iris_dim": cfg.iris_dim,
+            "num_classes": mdh.num_classes,
+            "code_bits": mdh.code_bits,
+            "feature_dim": cfg.feature_dim,
+            "fusion_dim": cfg.fusion_dim,
+            "encoder_hidden": list(cfg.encoder_hidden),
+            "beta": mdh.hashing.beta,
+            "has_head": mdh.has_head,
+        })
+    if nnd is not None:
+        meta["iterations"] = nnd.iterations
+    models = _by_prefix(mdh, nnd)
+    if len(models) == 2:
+        meta["llr_scale"] = cfg.llr_scale
+    params = {prefix + name: tensor for prefix, model in models.items()
+              for name, tensor in model.parameters().items()}
+    save_params(path, params, meta)
 
 
-def load_nnd(path, cfg: ExperimentConfig, code):
+def load_models(path, cfg: ExperimentConfig, code):
+    """The (mdh, nnd) pair a checkpoint holds, ``None`` for a model it lacks."""
     params, meta = load_params(path)
     _check_compat(meta, cfg)
-    model = NndModel(code, meta["iterations"])
-    for name, tensor in model.parameters().items():
-        tensor.data = params[name].copy()
-    return model
+    mdh = nnd = None
+    if "code_bits" in meta:
+        mdh = MdhModel(
+            meta["fusion_mode"], meta["face_dim"], meta["iris_dim"], meta["num_classes"],
+            meta["code_bits"], meta["feature_dim"], meta["fusion_dim"],
+            tuple(meta["encoder_hidden"]),
+        )
+        mdh.hashing.beta = meta["beta"]
+        if not meta["has_head"]:
+            mdh.discard_head()
+    if "iterations" in meta:
+        nnd = NndModel(code, meta["iterations"])
+    if mdh is None and nnd is None:
+        raise PipelineError(f"checkpoint {path} holds neither a hashing network nor a decoder")
+    for prefix, model in _by_prefix(mdh, nnd).items():
+        for name, tensor in model.parameters().items():
+            tensor.data = params[prefix + name].copy()
+    return mdh, nnd
 
 
 def _check_compat(meta, cfg: ExperimentConfig):
@@ -286,7 +293,7 @@ def stage_train_mdh(cfg: ExperimentConfig, run_dir):
     with open(os.path.join(run_dir, "mdh_log.jsonl"), "w") as fh:
         for record in log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    save_mdh(os.path.join(run_dir, "mdh.ckpt"), cfg, model)
+    save_models(os.path.join(run_dir, "mdh.ckpt"), cfg, "mdh", mdh=model)
     _mark(run_dir, cfg, "mdh")
     return log[-1]
 
@@ -303,8 +310,8 @@ def _activations(model: MdhModel, split, batch=512):
 def stage_ground_truth(cfg: ExperimentConfig, run_dir):
     _require(run_dir, cfg, "mdh")
     splits = _load_splits(cfg, run_dir)
-    model = load_mdh(os.path.join(run_dir, "mdh.ckpt"), cfg)
     code = build_code(cfg.code_m, cfg.code_t)
+    model, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
     nnd_split = splits["nnd"]
     acts = _activations(model, nnd_split)
     by_subject = {int(s): acts[nnd_split.subject == s] for s in nnd_split.subject_ids}
@@ -328,12 +335,12 @@ def stage_train_nnd(cfg: ExperimentConfig, run_dir):
     splits = _load_splits(cfg, run_dir)
     table = GroundTruthTable.load(os.path.join(run_dir, "ground_truth.txt"))
     code = build_code(cfg.code_m, cfg.code_t)
-    mdh = load_mdh(os.path.join(run_dir, "mdh.ckpt"), cfg)
+    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
 
     model = NndModel(code, cfg.nnd_iterations)
     model, curve = pretrain_awgn(model, cfg.nnd_train_config(stage_seed(cfg, "nnd_pre")))
     _log_event(run_dir, f"nnd_pretrain val_curve_first={curve[0]!r} val_curve_best={min(curve)!r}")
-    save_nnd(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, model, "nnd_pretrained")
+    save_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, "nnd_pretrained", nnd=model)
 
     nnd_split = splits["nnd"]
     enroll = nnd_split.by_role("enroll")
@@ -352,7 +359,7 @@ def stage_train_nnd(cfg: ExperimentConfig, run_dir):
         model, inputs, table, cfg.nnd_train_config(stage_seed(cfg, "nnd_ft"),
                                                    steps=cfg.nnd_finetune_steps),
     )
-    save_nnd(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, model, "nnd_finetuned")
+    save_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, "nnd_finetuned", nnd=model)
     _mark(run_dir, cfg, "nnd")
     return {"pretrain_curve": curve, "scale_sweep": sweep, "best_scale": best_scale}
 
@@ -371,9 +378,9 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
     splits = _load_splits(cfg, run_dir)
     table = GroundTruthTable.load(os.path.join(run_dir, "ground_truth.txt"))
     code = build_code(cfg.code_m, cfg.code_t)
-    mdh = load_mdh(os.path.join(run_dir, "mdh.ckpt"), cfg)
+    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
     mdh.discard_head()
-    nndm = load_nnd(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, code)
+    _, nndm = load_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, code)
 
     nnd_split = splits["nnd"]
     labeled = np.isin(nnd_split.subject, sorted(table.labels))
@@ -424,31 +431,9 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
         tensor.data = best[name]
     _log_event(run_dir, f"joint val_loss_initial={initial_val!r} val_loss_best={best_val!r}")
 
-    combined = {f"mdh/{k}": v for k, v in mdh.parameters().items()}
-    combined.update({f"nnd/{k}": v for k, v in nndm.parameters().items()})
-    meta = _mdh_meta(cfg, mdh)
-    meta.update({"kind": "mdhnd", "iterations": nndm.iterations, "llr_scale": cfg.llr_scale})
-    save_params(os.path.join(run_dir, "mdhnd.ckpt"), combined, meta)
+    save_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, "mdhnd", mdh=mdh, nnd=nndm)
     _mark(run_dir, cfg, "joint")
     return {"val_loss_initial": initial_val, "val_loss_best": best_val}
-
-
-def load_mdhnd(run_dir, cfg: ExperimentConfig, code):
-    params, meta = load_params(os.path.join(run_dir, "mdhnd.ckpt"))
-    _check_compat(meta, cfg)
-    mdh = MdhModel(
-        meta["fusion_mode"], meta["face_dim"], meta["iris_dim"], meta["num_classes"],
-        meta["code_bits"], meta["feature_dim"], meta["fusion_dim"],
-        tuple(meta["encoder_hidden"]),
-    )
-    mdh.hashing.beta = meta["beta"]
-    mdh.discard_head()
-    for name, tensor in mdh.parameters().items():
-        tensor.data = params[f"mdh/{name}"].copy()
-    nndm = NndModel(code, meta["iterations"])
-    for name, tensor in nndm.parameters().items():
-        tensor.data = params[f"nnd/{name}"].copy()
-    return mdh, nndm
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +446,8 @@ def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):
         raise PipelineError(f"unknown variant '{variant}'; expected one of {VARIANTS}")
     _require(run_dir, cfg, *_VARIANT_NEEDS[variant])
     code = build_code(cfg.code_m, cfg.code_t)
-    if variant == "mdhnd":
-        mdh, nndm = load_mdhnd(run_dir, cfg, code)
-    else:
-        mdh = load_mdh(os.path.join(run_dir, "mdh.ckpt"), cfg)
-        nndm = None
+    ckpt = "mdhnd.ckpt" if variant == "mdhnd" else "mdh.ckpt"
+    mdh, nndm = load_models(os.path.join(run_dir, ckpt), cfg, code)
     acts = _activations(mdh, split)
     if variant == "mdh":
         return hard_limit(acts)
@@ -478,7 +460,7 @@ def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):
                 out[i] = res.codeword
         return out  # failures keep the raw intermediate code
     if variant == "nnd":
-        nndm = load_nnd(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, code)
+        _, nndm = load_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, code)
     llrs = llr_from_activations(acts, cfg.llr_scale)
     out = np.empty((llrs.shape[0], code.n), dtype=np.uint8)
     for i in range(0, llrs.shape[0], 512):
@@ -554,7 +536,7 @@ def stage_bench(cfg: ExperimentConfig, run_dir, repetitions=200):
     _require(run_dir, cfg, *_VARIANT_NEEDS["mdhnd"])
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
-    mdh, nndm = load_mdhnd(run_dir, cfg, code)
+    mdh, nndm = load_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, code)
     split = splits["test"]
     codes = variant_codes(cfg, run_dir, "mdhnd", split)
     templates, ids = enrollment_templates(codes, split.subject, split.role)

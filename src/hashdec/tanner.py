@@ -1,9 +1,11 @@
 """Sum-product belief propagation on the Tanner graph of a parity-check matrix.
 
 The message-passing core operates on autodiff tensors shaped (edges, batch)
-with a flooding schedule. The classical decoder and the trainable decoder
-share this exact code path (the trainable variant just supplies non-unit
-weights), so their outputs agree bit for bit when all weights equal one.
+with a flooding schedule. One round, ``_bp_round``, sends variable-to-check
+then check-to-variable messages. ``bp_forward`` unrolls it, with or without
+the trainable decoder's per-layer weights, and the classical ``decode_bp``
+runs it with an early-exit test between rounds. A weight of one changes no
+bit, so the two decoders agree bit for bit when every weight equals one.
 
 The check-node product is one primitive, ``leave_one_out_prod``, whose
 forward and backward are prefix/suffix scans over each check's edges, so
@@ -63,11 +65,6 @@ class TannerGraph:
             slot[e] = seen[c]
             seen[c] += 1
         self.edge_slot_flat = self.edge_check * self.max_check_degree + slot
-
-
-def from_parity_matrix(H):
-    """Build the Tanner graph with one edge per nonzero entry of H."""
-    return TannerGraph(H)
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +128,29 @@ def leave_one_out_prod(graph: TannerGraph, t_edges: Tensor) -> Tensor:
 # message updates (shared by plain BP and the trainable decoder)
 # ---------------------------------------------------------------------------
 
-def _check_to_var(graph, v_msgs: Tensor) -> Tensor:
-    """2 atanh(prod tanh(m/2)) over the other edges of each check."""
-    t = ad.scaled_tanh(v_msgs, 0.5)
-    prod = ad.clip(leave_one_out_prod(graph, t), -ATANH_CLAMP, ATANH_CLAMP)
-    return ad.clip(2.0 * ad.atanh(prod), -LLR_CLAMP, LLR_CLAMP)
+def _var_to_check(graph, llr, c_msgs, w_edge, w_ch):
+    """Channel term plus the sum of the other incoming check messages.
 
-
-def _var_to_check(graph, c_msgs, llr, w_edge=None, w_ch=None):
-    """Channel term plus the sum of the other incoming check messages."""
+    In the first round, ``c_msgs`` is None and the channel term goes alone.
+    """
     wllr = llr if w_ch is None else ad.mul(w_ch, llr)
+    if c_msgs is None:
+        return ad.clip(ad.take(wllr, graph.edge_var), -LLR_CLAMP, LLR_CLAMP)
     wc = c_msgs if w_edge is None else ad.mul(w_edge, c_msgs)
     per_var = ad.add(wllr, ad.segment_sum(wc, graph.edge_var, graph.n))
     return ad.clip(ad.sub(ad.take(per_var, graph.edge_var), wc), -LLR_CLAMP, LLR_CLAMP)
+
+
+def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
+    """One flooding round: variable-to-check, then check-to-variable messages.
+
+    A check answers 2 atanh(prod tanh(m/2)) over its other edges. The
+    variable-to-check step is a call of its own so that, without gradients,
+    its intermediates are freed before the check-node product runs.
+    """
+    t = ad.scaled_tanh(_var_to_check(graph, llr, c_msgs, w_edge, w_ch), 0.5)
+    prod = ad.clip(leave_one_out_prod(graph, t), -ATANH_CLAMP, ATANH_CLAMP)
+    return ad.clip(2.0 * ad.atanh(prod), -LLR_CLAMP, LLR_CLAMP)
 
 
 def _marginalize(graph, c_msgs, llr, w_edge=None, w_ch=None):
@@ -167,12 +174,7 @@ def bp_forward(graph, llr, iterations, edge_weights=None, channel_weights=None,
     for it in range(iterations):
         we = edge_weights[it] if edge_weights is not None else None
         wc = channel_weights[it] if channel_weights is not None else None
-        if c_msgs is None:
-            wllr = llr if wc is None else ad.mul(wc, llr)
-            v_msgs = ad.clip(ad.take(wllr, graph.edge_var), -LLR_CLAMP, LLR_CLAMP)
-        else:
-            v_msgs = _var_to_check(graph, c_msgs, llr, we, wc)
-        c_msgs = _check_to_var(graph, v_msgs)
+        c_msgs = _bp_round(graph, llr, c_msgs, we, wc)
     return _marginalize(graph, c_msgs, llr, out_edge_weights, out_channel_weights)
 
 
@@ -197,34 +199,27 @@ def _hard_decision(posterior):
 def decode_bp(graph: TannerGraph, llr, iterations=5, early_exit=True):
     """Classical sum-product decode of one received word.
 
-    Hard decision: bit = 1 iff the posterior LLR is negative. With
-    ``early_exit`` the loop stops as soon as the hard decision satisfies
-    every check; the result reports how many iterations ran.
+    Runs the rounds of ``bp_forward`` without weights. Hard decision: bit = 1
+    iff the posterior LLR is negative. With ``early_exit`` the posterior is
+    formed after every round and the loop stops as soon as its hard decision
+    satisfies every check; the result reports how many rounds ran.
     """
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (graph.n,):
         raise ValueError(f"llr length {llr.shape} != n = {graph.n}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if not early_exit:
-        with ad.no_grad():
-            post = bp_forward(graph, Tensor(llr[:, None]), iterations).data[:, 0]
-        return BpResult(post, _hard_decision(post), iterations, _satisfies(graph, post))
-
-    col = Tensor(llr[:, None])
     with ad.no_grad():
-        clamped = ad.clip(col, -LLR_CLAMP, LLR_CLAMP)
+        col = ad.clip(Tensor(llr[:, None]), -LLR_CLAMP, LLR_CLAMP)
         c_msgs = None
-        for it in range(iterations):
-            if c_msgs is None:
-                v_msgs = ad.clip(ad.take(clamped, graph.edge_var), -LLR_CLAMP, LLR_CLAMP)
-            else:
-                v_msgs = _var_to_check(graph, c_msgs, clamped)
-            c_msgs = _check_to_var(graph, v_msgs)
-            post = _marginalize(graph, c_msgs, clamped).data[:, 0]
-            if _satisfies(graph, post):
-                return BpResult(post, _hard_decision(post), it + 1, True)
-    return BpResult(post, _hard_decision(post), iterations, False)
+        for it in range(1, iterations + 1):
+            c_msgs = _bp_round(graph, col, c_msgs, None, None)
+            if early_exit or it == iterations:
+                post = _marginalize(graph, c_msgs, col).data[:, 0]
+                converged = _satisfies(graph, post)
+                if converged and early_exit:
+                    break
+    return BpResult(post, _hard_decision(post), it, converged)
 
 
 def _satisfies(graph, posterior):

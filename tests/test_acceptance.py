@@ -19,7 +19,7 @@ from hashdec.bch import brute_force_ml_decode, build_code, decode_hard, encode
 from hashdec.config import ExperimentConfig
 from hashdec.evaluation import read_metrics, roc_and_eer, score_protocol
 from hashdec.mdh import LossWeights, MdhModel, total_loss
-from hashdec.nnd import NndTrainConfig, build_nnd, pretrain_awgn, sigma_from_snr_db
+from hashdec.nnd import NndModel, NndTrainConfig, pretrain_awgn, sigma_from_snr_db
 from hashdec.pipeline import run_all, stage_bench
 from hashdec.tanner import TannerGraph, decode_bp_batch
 
@@ -134,7 +134,7 @@ def test_criterion_3_untrained_decoder_equals_bp():
     t0 = time.time()
     code = build_code(6, 3)
     graph = TannerGraph(code.parity_check_matrix)
-    model = build_nnd(code, iterations=5)
+    model = NndModel(code, iterations=5)
     rng = np.random.default_rng(3)
     for sigma in (0.5, 0.8):
         msgs = rng.integers(0, 2, (1000, code.k)).astype(np.uint8)
@@ -145,7 +145,7 @@ def test_criterion_3_untrained_decoder_equals_bp():
         assert np.array_equal(model.decode(llrs), hard_bp)
     ham = build_code(3, 1)
     hgraph = TannerGraph(ham.parity_check_matrix)
-    hmodel = build_nnd(ham, iterations=5)
+    hmodel = NndModel(ham, iterations=5)
     grid = np.array(np.meshgrid(*[[-8.0, -0.5, 0.5, 8.0]] * 7)).reshape(7, -1).T
     hard_bp, _ = decode_bp_batch(hgraph, grid, iterations=5)
     assert np.array_equal(hmodel.decode(grid), hard_bp)
@@ -208,7 +208,7 @@ def test_criterion_4_gradient_suite():
 
     # decoder loss w.r.t. every weight class
     ham = build_code(3, 1)
-    nnd_model = build_nnd(ham, iterations=3)
+    nnd_model = NndModel(ham, iterations=3)
     llr = rng.uniform(-3, 3, (4, 7))
     targets = rng.integers(0, 2, (4, 7)).astype(float)
 
@@ -245,10 +245,11 @@ def test_benchmark_operating_point(benchmark_runs):
     from hashdec.biodata import load_dataset
     from hashdec.evaluation import pairwise_hamming
     from hashdec.mdh import intermediate_binary_code
-    from hashdec.pipeline import load_mdh
+    from hashdec.pipeline import load_models
 
     cfg, run_dir, _ = benchmark_runs[("multi", SEEDS[0])]
-    model = load_mdh(os.path.join(run_dir, "mdh.ckpt"), cfg)
+    model, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg,
+                           build_code(cfg.code_m, cfg.code_t))
     test = load_dataset(os.path.join(run_dir, "data_test.txt"))
     probe = test.select(test.role == "probe")
     codes = intermediate_binary_code(model, probe.face, probe.iris)
@@ -292,7 +293,7 @@ def test_criterion_7_pretraining_benefit():
     graph = TannerGraph(code.parity_check_matrix)
     snrs = (2.0, 4.0, 6.0)
     cfg = NndTrainConfig(snr_range_db=snrs, batch_size=64, steps=300, seed=7)
-    model, _ = pretrain_awgn(build_nnd(code, iterations=5), cfg)
+    model, _ = pretrain_awgn(NndModel(code, iterations=5), cfg)
     rate = code.k / code.n
     rng = np.random.default_rng(8)
     words = 100_000
@@ -376,7 +377,7 @@ def _latency_for_code(m, t, repetitions=100):
     mdh = MdhModel("bla", 64, 64, 8, code.n, feature_dim=16, fusion_dim=128,
                    hidden=(128, 64), seed=0)
     mdh.discard_head()
-    nndm = build_nnd(code, iterations=5)
+    nndm = NndModel(code, iterations=5)
     rng = np.random.default_rng(m)
     queries = [(rng.standard_normal(64), rng.standard_normal(64),
                 rng.integers(0, 2, code.n).astype(np.uint8)) for _ in range(8)]

@@ -251,6 +251,20 @@ def test_tape_backward_bitwise_deterministic():
     assert np.array_equal(gx, x.grad) and np.array_equal(gw, w.grad)
 
 
+def test_tape_on_a_leaf_result_gives_gradient_one():
+    x = Tensor(np.array(3.0), requires_grad=True)
+    GradientTape(x).backward()
+    assert np.array_equal(x.grad, np.ones(()))
+
+
+def test_tape_sums_the_gradients_of_a_leaf_used_twice():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    a, b = Tensor(np.array([3.0, 5.0])), Tensor(np.array([7.0, 11.0]))
+    GradientTape(ad.tensor_sum(ad.add(ad.mul(a, x), ad.mul(x, b)))).backward()
+    assert np.array_equal(x.grad, a.data + b.data)
+    assert a.grad is None  # constants get no gradient
+
+
 def test_primitive_gradients_against_finite_differences():
     # every differentiable primitive on random inputs in [-2, 2]
     rng = np.random.default_rng(8)

@@ -12,10 +12,7 @@ from hashdec.mdh import (
     LossWeights,
     MdhModel,
     MdhTrainConfig,
-    fuse_bla,
-    fuse_fca,
     intermediate_binary_code,
-    mdh_forward,
     total_loss,
     train_step1,
 )
@@ -30,41 +27,40 @@ def _identity_fusion(mode, d):
     return layer
 
 
+def _row(*values):
+    return Tensor(np.array([values], dtype=np.float64))
+
+
 def test_fuse_fca_definition():
     layer = _identity_fusion("fca", 2)
-    out = fuse_fca(np.array([1.0, 2.0]), np.array([3.0, 4.0]), layer)
-    assert np.allclose(out.data, np.tanh([1.0, 2.0, 3.0, 4.0]))
+    out = layer.forward(_row(1.0, 2.0), _row(3.0, 4.0))
+    assert np.allclose(out.data, np.tanh([[1.0, 2.0, 3.0, 4.0]]))
 
 
 def test_fuse_fca_zero_inputs_zero_bias():
     layer = _identity_fusion("fca", 3)
-    out = fuse_fca(np.zeros(3), np.zeros(3), layer)
-    assert np.array_equal(out.data, np.zeros(6))
+    out = layer.forward(_row(0, 0, 0), _row(0, 0, 0))
+    assert np.array_equal(out.data, np.zeros((1, 6)))
 
 
 def test_fuse_bla_outer_product_arithmetic():
     layer = _identity_fusion("bla", 2)
-    out = fuse_bla(np.array([1.0, 2.0]), np.array([3.0, 4.0]), layer)
-    assert np.allclose(out.data, np.tanh([3.0, 4.0, 6.0, 8.0]))
+    out = layer.forward(_row(1.0, 2.0), _row(3.0, 4.0))
+    assert np.allclose(out.data, np.tanh([[3.0, 4.0, 6.0, 8.0]]))
 
 
 def test_fuse_bla_zero_modality_blocks_interaction():
     rng = np.random.default_rng(1)
     layer = FusionLayer(rng, "bla", 3, 5)
-    zero_face = np.zeros(3)
-    out1 = fuse_bla(zero_face, rng.standard_normal(3), layer)
-    out2 = fuse_bla(zero_face, rng.standard_normal(3), layer)
+    zero_face = _row(0, 0, 0)
+    out1 = layer.forward(zero_face, _row(*rng.standard_normal(3)))
+    out2 = layer.forward(zero_face, _row(*rng.standard_normal(3)))
     # bilinear interaction vanishes: output is bias-only however iris varies
     assert np.allclose(out1.data, out2.data)
-    assert np.allclose(out1.data, np.tanh(layer.b.data[0]))
+    assert np.allclose(out1.data, np.tanh(layer.b.data))
 
 
 def test_fusion_mode_mismatch_errors():
-    layer = _identity_fusion("fca", 2)
-    with pytest.raises(ValueError, match="mode 'fca'"):
-        fuse_bla(np.zeros(2), np.zeros(2), layer)
-    with pytest.raises(ValueError, match="mode 'bla'"):
-        fuse_fca(np.zeros(2), np.zeros(2), _identity_fusion("bla", 2))
     with pytest.raises(ValueError, match="unknown fusion mode"):
         FusionLayer(np.random.default_rng(0), "cca", 2, 4)
 
@@ -89,7 +85,7 @@ def test_forward_zero_weights_uniform_logits():
                      fusion_dim=5, hidden=(4,), seed=0)
     for t in model.parameters().values():
         t.data = np.zeros_like(t.data)
-    acts, logits = mdh_forward(model, np.ones((2, 6)), np.ones((2, 6)))
+    acts, logits = model.forward(np.ones((2, 6)), np.ones((2, 6)))
     assert np.array_equal(acts.data, np.zeros((2, 7)))
     assert np.allclose(logits.data, 0.0)
 
@@ -97,7 +93,7 @@ def test_forward_zero_weights_uniform_logits():
 def test_forward_output_width_matches_code():
     model = MdhModel("bla", 8, 8, num_classes=5, code_bits=63, feature_dim=4,
                      fusion_dim=16, hidden=(8,), seed=1)
-    acts, logits = mdh_forward(model, np.zeros((3, 8)), np.zeros((3, 8)))
+    acts, logits = model.forward(np.zeros((3, 8)), np.zeros((3, 8)))
     assert acts.data.shape == (3, 63)
     assert logits.data.shape == (3, 5)
     assert np.all(np.abs(acts.data) < 1.0)
@@ -106,7 +102,7 @@ def test_forward_output_width_matches_code():
 def test_forward_dimension_mismatch():
     model = MdhModel("fca", 6, 6, 4, 7, 3, 5, (4,), seed=0)
     with pytest.raises(ValueError):
-        mdh_forward(model, np.ones((2, 5)), np.ones((2, 6)))
+        model.forward(np.ones((2, 5)), np.ones((2, 6)))
 
 
 def _loss_parts(acts_matrix, weights=LossWeights(l2=0.0)):

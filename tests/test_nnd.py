@@ -8,13 +8,11 @@ from hashdec.nnd import (
     GroundTruthTable,
     NndModel,
     NndTrainConfig,
-    build_nnd,
     codeword_error_rate,
     finetune_biometric,
     hard_limit,
     llr_from_activations,
     make_ground_truth,
-    nnd_forward,
     pretrain_awgn,
     sigma_from_snr_db,
     sweep_llr_scale,
@@ -33,13 +31,13 @@ def bch63():
 
 
 def test_build_initialises_weights_at_one(hamming74):
-    model = build_nnd(hamming74, iterations=3)
+    model = NndModel(hamming74, iterations=3)
     for name, t in model.parameters().items():
         assert np.all(t.data == 1.0), name
 
 
 def test_single_iteration_structure(hamming74):
-    model = build_nnd(hamming74, iterations=1)
+    model = NndModel(hamming74, iterations=1)
     names = set(model.parameters())
     # one variable layer (channel weights only) plus the marginalization
     assert names == {"layer0/channel", "out/edge", "out/channel"}
@@ -48,14 +46,14 @@ def test_single_iteration_structure(hamming74):
 
 
 def test_edge_weight_count_matches_graph(hamming74):
-    model = build_nnd(hamming74, iterations=4)
+    model = NndModel(hamming74, iterations=4)
     for i in range(1, 4):
         assert model.edge_weights[i].data.shape == (12, 1)
 
 
 def test_untrained_model_equals_classical_bp(bch63):
     graph = TannerGraph(bch63.parity_check_matrix)
-    model = build_nnd(bch63, iterations=5)
+    model = NndModel(bch63, iterations=5)
     rng = np.random.default_rng(0)
     for sigma in (0.5, 0.8):
         msgs = rng.integers(0, 2, (200, bch63.k)).astype(np.uint8)
@@ -67,14 +65,14 @@ def test_untrained_model_equals_classical_bp(bch63):
 
 def test_untrained_model_equals_bp_on_llr_grid(hamming74):
     graph = TannerGraph(hamming74.parity_check_matrix)
-    model = build_nnd(hamming74, iterations=5)
+    model = NndModel(hamming74, iterations=5)
     grid = np.array(np.meshgrid(*[[-2.0, 0.5]] * 7)).reshape(7, -1).T
     hard_bp, _ = decode_bp_batch(graph, grid, iterations=5)
     assert np.array_equal(model.decode(grid), hard_bp)
 
 
 def test_forward_outputs_strictly_inside_unit_interval(bch63):
-    model = build_nnd(bch63, iterations=5)
+    model = NndModel(bch63, iterations=5)
     rng = np.random.default_rng(1)
     probs = model.forward(rng.uniform(-30, 30, (16, 63))).data
     assert np.all(probs > 0.0) and np.all(probs < 1.0)
@@ -83,26 +81,26 @@ def test_forward_outputs_strictly_inside_unit_interval(bch63):
 
 
 def test_forward_validates_width(bch63):
-    model = build_nnd(bch63, iterations=2)
+    model = NndModel(bch63, iterations=2)
     with pytest.raises(ValueError, match="n = 63"):
         model.forward(np.zeros((2, 62)))
 
 
 def test_loss_gradients_match_finite_differences(hamming74):
-    model = build_nnd(hamming74, iterations=3)
+    model = NndModel(hamming74, iterations=3)
     rng = np.random.default_rng(2)
     llr = rng.uniform(-3, 3, (4, 7))
     targets = rng.integers(0, 2, (4, 7)).astype(float)
 
     def f(*weights):
-        return ad.binary_cross_entropy(nnd_forward(model, llr), Tensor(targets))
+        return ad.binary_cross_entropy(model.forward(llr), Tensor(targets))
 
     report = gradient_check(f, list(model.parameters().values()))
     assert report.max_relative_error < 1e-4
 
 
 def test_gradient_flows_into_llr_input(hamming74):
-    model = build_nnd(hamming74, iterations=2)
+    model = NndModel(hamming74, iterations=2)
     rng = np.random.default_rng(3)
     llr = Tensor(rng.uniform(-2, 2, (3, 7)), requires_grad=True)
     loss = ad.binary_cross_entropy(model.forward(llr), Tensor(np.zeros((3, 7))))
@@ -111,7 +109,7 @@ def test_gradient_flows_into_llr_input(hamming74):
 
 
 def test_pretrain_zero_steps_is_identity(bch63):
-    model = build_nnd(bch63, iterations=5)
+    model = NndModel(bch63, iterations=5)
     before = model.get_weights()
     model, curve = pretrain_awgn(model, NndTrainConfig(steps=0, val_words=64, seed=5))
     assert all(np.array_equal(before[k], v) for k, v in model.get_weights().items())
@@ -120,7 +118,7 @@ def test_pretrain_zero_steps_is_identity(bch63):
 
 def test_pretrain_initial_loss_equals_classical_bp_loss(bch63):
     cfg = NndTrainConfig(snr_range_db=(2.0, 4.0), steps=0, val_words=128, seed=6)
-    model = build_nnd(bch63, iterations=5)
+    model = NndModel(bch63, iterations=5)
     _, curve = pretrain_awgn(model, cfg)
     # recompute by hand: same validation words through plain BP posteriors
     rng = np.random.default_rng(cfg.seed + 1)
@@ -140,7 +138,7 @@ def test_pretrain_initial_loss_equals_classical_bp_loss(bch63):
 
 def test_pretrain_requires_snrs(bch63):
     with pytest.raises(ValueError, match="snr_range_db"):
-        pretrain_awgn(build_nnd(bch63, 2), NndTrainConfig(snr_range_db=(), steps=1))
+        pretrain_awgn(NndModel(bch63, 2), NndTrainConfig(snr_range_db=(), steps=1))
 
 
 def test_training_divergence_raises(hamming74):
@@ -149,7 +147,7 @@ def test_training_divergence_raises(hamming74):
     # value and the divergence guard must trip after 100 such steps
     from hashdec.nnd import _train_loop
 
-    model = build_nnd(hamming74, iterations=2)
+    model = NndModel(hamming74, iterations=2)
     easy_llr = np.full((4, 7), 20.0)
     easy_targets = np.zeros((4, 7))
     hard_targets = np.ones((4, 7))
@@ -173,7 +171,7 @@ def test_llr_from_activations():
 
 
 def test_llr_sign_convention_decodes_zero(bch63):
-    model = build_nnd(bch63, iterations=5)
+    model = NndModel(bch63, iterations=5)
     bits = model.decode(llr_from_activations(np.ones((1, 63)), 8.0))
     assert not np.any(bits)
 
@@ -284,7 +282,7 @@ def test_ground_truth_table_round_trip(tmp_path, hamming74, bch63):
 
 
 def test_finetune_confident_labels_barely_move_weights(hamming74):
-    model = build_nnd(hamming74, iterations=2)
+    model = NndModel(hamming74, iterations=2)
     cw = encode(hamming74, np.array([1, 0, 1, 0], dtype=np.uint8))
     table = make_ground_truth({1: np.stack([_acts_for(hamming74, cw, 0.999)] * 6)}, hamming74)
     inputs = {1: llr_from_activations(np.stack([_acts_for(hamming74, cw, 0.999)] * 6), 20.0)}
@@ -296,7 +294,7 @@ def test_finetune_confident_labels_barely_move_weights(hamming74):
 
 
 def test_finetune_requires_labels_and_data(hamming74):
-    model = build_nnd(hamming74, iterations=2)
+    model = NndModel(hamming74, iterations=2)
     table = GroundTruthTable(n=7)
     with pytest.raises(ValueError, match="no ground-truth label"):
         finetune_biometric(model, {1: np.zeros((2, 7))}, table, NndTrainConfig(steps=1))
@@ -311,7 +309,7 @@ def test_codeword_error_rate():
 
 
 def test_sweep_llr_scale_logs_and_returns_best(tmp_path, hamming74):
-    model = build_nnd(hamming74, iterations=3)
+    model = NndModel(hamming74, iterations=3)
     cw = encode(hamming74, np.array([0, 1, 1, 0], dtype=np.uint8))
     table = make_ground_truth({1: np.stack([_acts_for(hamming74, cw)] * 2)}, hamming74)
     acts = {1: np.stack([_acts_for(hamming74, cw, 0.8)] * 2)}

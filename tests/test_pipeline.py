@@ -8,15 +8,16 @@ from hashdec import autodiff as ad
 from hashdec import pipeline
 from hashdec.bch import build_code
 from hashdec.biodata import load_dataset
+from hashdec.checkpoint import load_params, save_params
 from hashdec.config import ConfigError, ExperimentConfig
 from hashdec.evaluation import read_metrics
-from hashdec.nnd import llr_from_activations
+from hashdec.mdh import MdhModel
+from hashdec.nnd import NndModel, llr_from_activations
 from hashdec.pipeline import (
     PipelineError,
-    load_mdh,
-    load_mdhnd,
-    load_nnd,
+    load_models,
     run_all,
+    save_models,
     stage_bench,
     stage_evaluate,
     stage_generate_data,
@@ -143,10 +144,77 @@ def test_checkpoint_code_mismatch_refused(finished_run, tmp_path):
     cfg, run_dir, _ = finished_run
     other = tiny_config(code_m=3, code_t=1)
     with pytest.raises(PipelineError, match="code"):
-        load_mdh(os.path.join(run_dir, "mdh.ckpt"), other)
+        load_models(os.path.join(run_dir, "mdh.ckpt"), other, build_code(3, 1))
     other_mode = tiny_config(fusion_mode="fca")
     with pytest.raises(PipelineError, match="fusion mode"):
-        load_mdh(os.path.join(run_dir, "mdh.ckpt"), other_mode)
+        load_models(os.path.join(run_dir, "mdh.ckpt"), other_mode,
+                    build_code(cfg.code_m, cfg.code_t))
+
+
+@pytest.mark.parametrize("kind, with_mdh, with_nnd, has_head", [
+    ("mdh", True, False, True),
+    ("nnd_pretrained", False, True, None),
+    ("nnd_finetuned", False, True, None),
+    ("mdhnd", True, True, False),
+])
+def test_checkpoint_round_trip(tmp_path, kind, with_mdh, with_nnd, has_head):
+    cfg = tiny_config()
+    code = build_code(cfg.code_m, cfg.code_t)
+    rng = np.random.default_rng(3)
+    mdh = nnd = None
+    if with_mdh:
+        mdh = MdhModel(cfg.fusion_mode, cfg.face_dim, cfg.iris_dim, cfg.train_subjects, code.n,
+                       cfg.feature_dim, cfg.fusion_dim, cfg.encoder_hidden, seed=7)
+        mdh.hashing.beta = 16.0
+        if not has_head:
+            mdh.discard_head()
+    if with_nnd:
+        nnd = NndModel(code, cfg.nnd_iterations - 1)
+    models = [m for m in (mdh, nnd) if m is not None]
+    for model in models:
+        for tensor in model.parameters().values():
+            tensor.data = rng.standard_normal(tensor.data.shape)
+    path = str(tmp_path / f"{kind}.ckpt")
+    save_models(path, cfg, kind, mdh=mdh, nnd=nnd)
+    mdh_back, nnd_back = load_models(path, cfg, code)
+    assert (mdh_back is None) == (mdh is None) and (nnd_back is None) == (nnd is None)
+    for model, back in zip(models, [m for m in (mdh_back, nnd_back) if m is not None]):
+        restored = back.parameters()
+        assert set(restored) == set(model.parameters())
+        for name, tensor in model.parameters().items():
+            assert np.array_equal(restored[name].data, tensor.data), name
+    if mdh is not None:
+        assert mdh_back.hashing.beta == 16.0 and mdh_back.has_head == has_head
+    if nnd is not None:
+        assert nnd_back.iterations == cfg.nnd_iterations - 1
+
+
+def test_checkpoint_names_and_bytes_survive_a_resave(finished_run, tmp_path):
+    cfg, run_dir, _ = finished_run
+    code = build_code(cfg.code_m, cfg.code_t)
+    paths = {kind: os.path.join(run_dir, f"{kind}.ckpt")
+             for kind in ("mdh", "nnd_pretrained", "nnd_finetuned", "mdhnd")}
+    mdh, _ = load_models(paths["mdh"], cfg, code)
+    assert set(load_params(paths["mdh"])[0]) == set(mdh.parameters())
+    joint_mdh, joint_nnd = load_models(paths["mdhnd"], cfg, code)
+    assert set(load_params(paths["mdhnd"])[0]) == (
+        {f"mdh/{name}" for name in joint_mdh.parameters()}
+        | {f"nnd/{name}" for name in joint_nnd.parameters()}
+    )
+    for kind, path in paths.items():
+        mdh, nnd = load_models(path, cfg, code)
+        copy = str(tmp_path / f"{kind}.ckpt")
+        save_models(copy, cfg, kind, mdh=mdh, nnd=nnd)
+        with open(path, "rb") as original, open(copy, "rb") as resaved:
+            assert original.read() == resaved.read(), kind
+
+
+def test_checkpoint_without_a_model_refused(tmp_path):
+    cfg = tiny_config()
+    path = str(tmp_path / "empty.ckpt")
+    save_params(path, {}, {"code_m": cfg.code_m, "code_t": cfg.code_t})
+    with pytest.raises(PipelineError, match="neither"):
+        load_models(path, cfg, build_code(cfg.code_m, cfg.code_t))
 
 
 def test_run_all_markers_and_artifacts(finished_run):
@@ -220,9 +288,9 @@ def test_joint_zero_steps_is_composition_identity(tmp_path):
     stage_train_nnd(cfg, run_dir)
     stage_joint_optimize(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
-    mdh_j, nnd_j = load_mdhnd(run_dir, cfg, code)
-    mdh_0 = load_mdh(os.path.join(run_dir, "mdh.ckpt"), cfg)
-    nnd_0 = load_nnd(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, code)
+    mdh_j, nnd_j = load_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, code)
+    mdh_0, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
+    _, nnd_0 = load_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, code)
     rng = np.random.default_rng(0)
     face = rng.standard_normal((4, cfg.face_dim))
     iris = rng.standard_normal((4, cfg.iris_dim))

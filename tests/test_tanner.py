@@ -12,7 +12,6 @@ from hashdec.tanner import (
     awgn_llr,
     decode_bp,
     decode_bp_batch,
-    from_parity_matrix,
     leave_one_out_prod,
 )
 
@@ -29,7 +28,7 @@ def hamming_graph(hamming74):
 
 def test_edge_count_matches_nonzero_pattern():
     h = np.array([[1, 1, 0], [0, 1, 1]])
-    g = from_parity_matrix(h)
+    g = TannerGraph(h)
     assert g.num_edges == int(h.sum())
     assert sorted(g.edges) == [(0, 0), (0, 1), (1, 1), (1, 2)]
 
@@ -40,16 +39,16 @@ def test_hamming_h_has_12_edges(hamming_graph):
 
 
 def test_single_check_star_graph():
-    g = from_parity_matrix(np.ones((1, 4), dtype=int))
+    g = TannerGraph(np.ones((1, 4), dtype=int))
     assert g.num_edges == 4
     assert g.r == 1 and g.n == 4
 
 
 def test_zero_row_and_column_rejected():
     with pytest.raises(ValueError, match="row 1"):
-        from_parity_matrix(np.array([[1, 1], [0, 0]]))
+        TannerGraph(np.array([[1, 1], [0, 0]]))
     with pytest.raises(ValueError, match="column 2"):
-        from_parity_matrix(np.array([[1, 1, 0], [1, 1, 0]]))
+        TannerGraph(np.array([[1, 1, 0], [1, 1, 0]]))
 
 
 def test_adjacency_consistent_with_edges(hamming_graph):
@@ -71,7 +70,7 @@ def _weighted_loo_sum(graph, coeffs):
 
 
 def test_leave_one_out_prod_values_on_uneven_checks():
-    g = from_parity_matrix(_UNEVEN_H)
+    g = TannerGraph(_UNEVEN_H)
     t = np.arange(2.0, 2.0 + g.num_edges)[:, None]
     out = leave_one_out_prod(g, Tensor(t)).data[:, 0]
     for e, (c, _) in enumerate(g.edges):
@@ -80,7 +79,7 @@ def test_leave_one_out_prod_values_on_uneven_checks():
 
 
 def test_leave_one_out_prod_gradient_matches_finite_differences():
-    g = from_parity_matrix(_UNEVEN_H)
+    g = TannerGraph(_UNEVEN_H)
     rng = np.random.default_rng(3)
     t = rng.uniform(-1, 1, (g.num_edges, 3))
     on_check0 = np.nonzero(g.edge_check == 0)[0]
@@ -137,7 +136,7 @@ def test_strong_positive_llrs_decode_to_zero_word():
 
 
 def test_single_parity_check_hand_update():
-    g = from_parity_matrix(np.ones((1, 3), dtype=int))
+    g = TannerGraph(np.ones((1, 3), dtype=int))
     llr = np.array([2.0, 2.0, -1.0])
     res = decode_bp(g, llr, iterations=1, early_exit=False)
     # check message to bit 3: sign(+), magnitude 2 atanh(tanh(1)^2)
@@ -189,7 +188,7 @@ def test_exact_posteriors_on_cycle_free_graphs():
         h = np.zeros((n - 1, n), dtype=int)
         h[:, 0] = 1
         h[np.arange(n - 1), np.arange(1, n)] = 1
-        g = from_parity_matrix(h)
+        g = TannerGraph(h)
         llr = rng.uniform(-2, 2, n)
         res = decode_bp(g, llr, iterations=10, early_exit=False)
         expected = _enumeration_posteriors([np.zeros(n), np.ones(n)], llr)
@@ -197,7 +196,7 @@ def test_exact_posteriors_on_cycle_free_graphs():
     # single parity check: all even-weight words
     n = 4
     cws = [np.array(c) for c in itertools.product([0, 1], repeat=n) if sum(c) % 2 == 0]
-    g = from_parity_matrix(np.ones((1, n), dtype=int))
+    g = TannerGraph(np.ones((1, n), dtype=int))
     llr = rng.uniform(-2, 2, n)
     res = decode_bp(g, llr, iterations=3, early_exit=False)
     assert np.allclose(res.soft, _enumeration_posteriors(cws, llr), atol=1e-9)
@@ -208,6 +207,18 @@ def test_early_exit_reports_iterations(hamming_graph):
     assert res.converged and res.iterations_run == 1
     res2 = decode_bp(hamming_graph, np.full(7, 15.0), iterations=5, early_exit=False)
     assert res2.iterations_run == 5 and np.array_equal(res2.hard, res.hard)
+
+
+def test_early_exit_equals_batch_decode_at_rounds_run(hamming_graph):
+    rng = np.random.default_rng(11)
+    rounds = set()
+    for _ in range(40):
+        llr = awgn_llr(np.zeros(7, dtype=np.uint8), 0.9, rng)
+        res = decode_bp(hamming_graph, llr, iterations=6)
+        hard, soft = decode_bp_batch(hamming_graph, llr[None, :], iterations=res.iterations_run)
+        assert np.array_equal(res.soft, soft[0]) and np.array_equal(res.hard, hard[0])
+        rounds.add(res.iterations_run)
+    assert len(rounds) > 1  # some words stop early, some run longer
 
 
 def test_awgn_llr_noiseless_limit():
