@@ -6,7 +6,8 @@ reverse topological order of everything reachable from a result tensor, so a
 backward pass visits each node exactly once. Only the primitives this project
 actually trains through are implemented (dense matmul, bias-style broadcast
 arithmetic, tanh/sigmoid, the two cross-entropy losses, outer products, and
-the gather/segment ops the message-passing decoder needs).
+the gather/segment ops the message-passing decoder needs). Primitives are
+plain functions; ``Tensor`` has no operator overloads.
 """
 
 from __future__ import annotations
@@ -59,47 +60,8 @@ class Tensor:
         self.grad = None
         self.node = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
-
-    def backward(self):
-        GradientTape(self).backward()
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; every overload routes through the module-level primitives
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
 
 def _wrap(x):
@@ -313,10 +275,6 @@ def scaled_tanh(x, beta=1.0):
     return make_op(t, (x,), lambda g: (g * beta * (1.0 - t * t),))
 
 
-def tanh(x):
-    return scaled_tanh(x, 1.0)
-
-
 _SIGMOID_LO = 1e-300
 _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
 
@@ -519,9 +477,6 @@ class Adam:
 class GradientCheckReport:
     max_relative_error: float
     per_input: list
-
-    def passed(self, tolerance):
-        return self.max_relative_error < tolerance
 
 
 def gradient_check(fn, inputs, step=1e-5):

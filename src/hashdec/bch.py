@@ -141,7 +141,6 @@ class BchCode:
             elems = field.exp_table[(i * np.arange(n)) % field.order]
             for b in range(m):
                 raw[(i - 1) * m + b] = (elems >> b) & 1
-        self.parity_check_raw = raw
         self.parity_check_matrix = _rref_gf2(raw)
         if self.parity_check_matrix.shape[0] != n - k:
             raise AssertionError(

@@ -100,6 +100,12 @@ class ExperimentConfig:
             raise ConfigError("gt_max_failure_rate must lie in (0, 1]")
         for name in ("bandwidths", "encoder_hidden", "nnd_snr_range_db", "far_targets"):
             setattr(self, name, tuple(getattr(self, name)))
+        if not self.llr_scale > 0:
+            raise ConfigError(f"llr_scale must be positive, got {self.llr_scale}")
+        if self.nnd_iterations < 1:
+            raise ConfigError(f"nnd_iterations must be >= 1, got {self.nnd_iterations}")
+        if not all(0.0 < far < 1.0 for far in self.far_targets):
+            raise ConfigError(f"far_targets must lie in (0, 1), got {self.far_targets}")
         # constructing these validates their invariants (ranges, overlap, order)
         self.split_spec()
         self.distortion()

@@ -85,7 +85,7 @@ class ModalityEncoder:
         for i, (w, b) in enumerate(self.layers):
             h = ad.add(ad.matmul(h, w), b)
             if i < len(self.layers) - 1:
-                h = ad.tanh(h)
+                h = ad.scaled_tanh(h, 1.0)
         return h
 
     def parameters(self, prefix):
@@ -123,7 +123,7 @@ class FusionLayer:
             joined = face_feat
         else:
             joined = iris_feat
-        return ad.tanh(ad.add(ad.matmul(joined, self.w), self.b))
+        return ad.scaled_tanh(ad.add(ad.matmul(joined, self.w), self.b), 1.0)
 
     def parameters(self, prefix="fusion"):
         return {f"{prefix}/w": self.w, f"{prefix}/b": self.b}

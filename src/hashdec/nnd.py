@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, TrainingError
 from .bch import BchCode, bits_to_hex, decode_hard
-from .tanner import TannerGraph, bp_forward, LLR_CLAMP
+from .tanner import TannerGraph, bp_forward, hard_decision, LLR_CLAMP
 
 
 def sigma_from_snr_db(snr_db, rate):
@@ -69,28 +69,12 @@ class NndModel:
         params["out/channel"] = self.out_channel_weights
         return params
 
-    def get_weights(self):
-        return {k: v.data.copy() for k, v in self.parameters().items()}
-
-    def set_weights(self, weights):
-        for k, v in self.parameters().items():
-            v.data = weights[k].copy()
-
-    def forward(self, llr):
-        """Bit probabilities for a batch of channel LLRs.
-
-        ``llr`` is a Tensor or array shaped (B, n) or (n,); the result is the
-        matching-shape Tensor of P(bit = 1) = sigmoid(-posterior), strictly
-        inside (0, 1).
-        """
-        squeeze = False
+    def posterior(self, llr):
+        """Posterior LLRs (B, n) for a (B, n) Tensor or array; positive favours bit 0."""
         if not isinstance(llr, Tensor):
             llr = Tensor(np.asarray(llr, dtype=np.float64))
-        if llr.data.ndim == 1:
-            llr = ad.reshape(llr, (1, llr.data.shape[0]))
-            squeeze = True
-        if llr.data.shape[1] != self.graph.n:
-            raise ValueError(f"llr width {llr.data.shape[1]} != n = {self.graph.n}")
+        if llr.data.ndim != 2 or llr.data.shape[1] != self.graph.n:
+            raise ValueError(f"llr shape {llr.data.shape} is not (B, n) with n = {self.graph.n}")
         post = bp_forward(
             self.graph,
             ad.transpose(llr),
@@ -100,16 +84,17 @@ class NndModel:
             out_edge_weights=self.out_edge_weights,
             out_channel_weights=self.out_channel_weights,
         )
-        probs = ad.sigmoid(ad.neg(ad.transpose(post)))
-        if squeeze:
-            probs = ad.reshape(probs, (self.graph.n,))
-        return probs
+        return ad.transpose(post)
+
+    def forward(self, llr):
+        """Bit probabilities P(bit = 1) = sigmoid(-posterior), strictly inside (0, 1)."""
+        return ad.sigmoid(ad.neg(self.posterior(llr)))
 
     def decode(self, llr_batch):
-        """Hard decisions for a (B, n) batch, without recording gradients."""
+        """``tanner.hard_decision`` of a (B, n) batch's posterior, recording no graph."""
         with ad.no_grad():
-            probs = self.forward(np.atleast_2d(np.asarray(llr_batch, dtype=np.float64)))
-        return (probs.data > 0.5).astype(np.uint8)
+            post = self.posterior(np.atleast_2d(np.asarray(llr_batch, dtype=np.float64)))
+        return hard_decision(post.data)
 
 
 @dataclass
@@ -136,7 +121,7 @@ def _train_loop(model, cfg, sample_batch, val_inputs, val_targets):
     """Adam on the bitwise cross-entropy; keeps the best-validation weights."""
     params = model.parameters()
     opt = ad.Adam(params, step_size=cfg.step_size)
-    best = model.get_weights()
+    best = {name: t.data.copy() for name, t in params.items()}
     with ad.no_grad():
         best_val = float(ad.binary_cross_entropy(model.forward(val_inputs), Tensor(val_targets)).data)
     curve = [best_val]
@@ -164,8 +149,9 @@ def _train_loop(model, cfg, sample_batch, val_inputs, val_targets):
             curve.append(val)
             if val < best_val:
                 best_val = val
-                best = model.get_weights()
-    model.set_weights(best)
+                best = {name: t.data.copy() for name, t in params.items()}
+    for name, tensor in params.items():
+        tensor.data = best[name]
     return curve
 
 

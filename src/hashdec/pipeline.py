@@ -51,7 +51,6 @@ from .nnd import (
     sweep_llr_scale,
 )
 
-STAGE_ORDER = ("data", "mdh", "ground_truth", "nnd", "joint")
 STAGE_COMMAND = {
     "data": "generate-data",
     "mdh": "train-mdh",
@@ -366,8 +365,7 @@ def stage_train_nnd(cfg: ExperimentConfig, run_dir):
 
 def _composed_loss(mdh, nndm, face, iris, targets, scale):
     acts, _ = mdh.forward(face, iris)
-    llr = ad.clip(ad.mul(Tensor(scale), acts), -30.0, 30.0)
-    probs = nndm.forward(llr)
+    probs = nndm.forward(ad.mul(Tensor(scale), acts))
     return ad.binary_cross_entropy(probs, Tensor(targets))
 
 
@@ -448,21 +446,25 @@ def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):
     code = build_code(cfg.code_m, cfg.code_t)
     ckpt = "mdhnd.ckpt" if variant == "mdhnd" else "mdh.ckpt"
     mdh, nndm = load_models(os.path.join(run_dir, ckpt), cfg, code)
-    acts = _activations(mdh, split)
-    if variant == "mdh":
-        return hard_limit(acts)
-    if variant == "ext":
-        codes = hard_limit(acts)
-        out = codes.copy()
-        for i in range(codes.shape[0]):
-            res = decode_hard(code, codes[i])
-            if res.success:
-                out[i] = res.codeword
-        return out  # failures keep the raw intermediate code
     if variant == "nnd":
         _, nndm = load_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, code)
-    llrs = llr_from_activations(acts, cfg.llr_scale)
-    out = np.empty((llrs.shape[0], code.n), dtype=np.uint8)
+    if variant in ("nnd", "mdhnd"):
+        return _decoded_codes(cfg, mdh, nndm, split)
+    codes = hard_limit(_activations(mdh, split))
+    if variant == "mdh":
+        return codes
+    out = codes.copy()
+    for i in range(codes.shape[0]):
+        res = decode_hard(code, codes[i])
+        if res.success:
+            out[i] = res.codeword
+    return out  # failures keep the raw intermediate code
+
+
+def _decoded_codes(cfg: ExperimentConfig, mdh, nndm, split):
+    """The decoder's bits for every sample of a split: MDH -> LLRs -> NND."""
+    llrs = llr_from_activations(_activations(mdh, split), cfg.llr_scale)
+    out = np.empty(llrs.shape, dtype=np.uint8)
     for i in range(0, llrs.shape[0], 512):
         out[i : i + 512] = nndm.decode(llrs[i : i + 512])
     return out
@@ -538,7 +540,7 @@ def stage_bench(cfg: ExperimentConfig, run_dir, repetitions=200):
     code = build_code(cfg.code_m, cfg.code_t)
     mdh, nndm = load_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, code)
     split = splits["test"]
-    codes = variant_codes(cfg, run_dir, "mdhnd", split)
+    codes = _decoded_codes(cfg, mdh, nndm, split)
     templates, ids = enrollment_templates(codes, split.subject, split.role)
     template_of = dict(zip(ids.tolist(), templates))
     probe_mask = np.nonzero(split.role == "probe")[0]

@@ -5,7 +5,8 @@ with a flooding schedule. One round, ``_bp_round``, sends variable-to-check
 then check-to-variable messages. ``bp_forward`` unrolls it, with or without
 the trainable decoder's per-layer weights, and the classical ``decode_bp``
 runs it with an early-exit test between rounds. A weight of one changes no
-bit, so the two decoders agree bit for bit when every weight equals one.
+bit and every decoder, the trainable one too, takes bits from the posterior
+by ``hard_decision``, so they agree bit for bit when every weight is one.
 
 The check-node product is one primitive, ``leave_one_out_prod``, whose
 forward and backward are prefix/suffix scans over each check's edges, so
@@ -51,9 +52,6 @@ class TannerGraph:
         self.edge_check = checks.astype(np.int64)
         self.edge_var = vars_.astype(np.int64)
         self.num_edges = self.edge_check.size
-        self.edges = list(zip(self.edge_check.tolist(), self.edge_var.tolist()))
-        self.check_neighbors = [np.nonzero(H[c])[0] for c in range(self.r)]
-        self.var_neighbors = [np.nonzero(H[:, v])[0] for v in range(self.n)]
 
         # dense (check, slot) layout used for leave-one-out products
         degrees = H.sum(axis=1).astype(np.int64)
@@ -150,7 +148,7 @@ def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
     """
     t = ad.scaled_tanh(_var_to_check(graph, llr, c_msgs, w_edge, w_ch), 0.5)
     prod = ad.clip(leave_one_out_prod(graph, t), -ATANH_CLAMP, ATANH_CLAMP)
-    return ad.clip(2.0 * ad.atanh(prod), -LLR_CLAMP, LLR_CLAMP)
+    return ad.clip(ad.mul(2.0, ad.atanh(prod)), -LLR_CLAMP, LLR_CLAMP)
 
 
 def _marginalize(graph, c_msgs, llr, w_edge=None, w_ch=None):
@@ -192,7 +190,8 @@ class BpResult:
         self.converged = converged
 
 
-def _hard_decision(posterior):
+def hard_decision(posterior):
+    """The one hard-decision rule: bit 1 iff the posterior LLR is negative."""
     return (posterior < 0).astype(np.uint8)
 
 
@@ -219,11 +218,11 @@ def decode_bp(graph: TannerGraph, llr, iterations=5, early_exit=True):
                 converged = _satisfies(graph, post)
                 if converged and early_exit:
                     break
-    return BpResult(post, _hard_decision(post), it, converged)
+    return BpResult(post, hard_decision(post), it, converged)
 
 
 def _satisfies(graph, posterior):
-    hard = _hard_decision(posterior)
+    hard = hard_decision(posterior)
     return not np.any((graph.H @ hard) % 2)
 
 
@@ -232,7 +231,7 @@ def decode_bp_batch(graph: TannerGraph, llr_batch, iterations=5):
     llr_batch = np.asarray(llr_batch, dtype=np.float64)
     with ad.no_grad():
         post = bp_forward(graph, Tensor(llr_batch.T.copy()), iterations).data
-    return _hard_decision(post.T), post.T
+    return hard_decision(post.T), post.T
 
 
 def awgn_llr(transmitted_bits, sigma, rng):

@@ -225,7 +225,7 @@ def test_gradient_check_composed_network():
     labels = np.eye(3)[rng.integers(0, 3, 2)]
 
     def f(x, t1, t2):
-        h = ad.tanh(matmul(x, t1))
+        h = ad.scaled_tanh(matmul(x, t1), 1.0)
         return softmax_cross_entropy(matmul(h, t2), Tensor(labels))
 
     report = gradient_check(f, [Tensor(rng.standard_normal((2, 4))), Tensor(w1), Tensor(w2)])
@@ -244,7 +244,7 @@ def test_tape_backward_bitwise_deterministic():
     rng = np.random.default_rng(7)
     x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-    tape = GradientTape(ad.tensor_sum(ad.tanh(matmul(x, w))))
+    tape = GradientTape(ad.tensor_sum(ad.scaled_tanh(matmul(x, w), 1.0)))
     tape.backward()
     gx, gw = x.grad.copy(), w.grad.copy()
     tape.backward()

@@ -67,6 +67,8 @@ def test_untrained_model_equals_bp_on_llr_grid(hamming74):
     graph = TannerGraph(hamming74.parity_check_matrix)
     model = NndModel(hamming74, iterations=5)
     grid = np.array(np.meshgrid(*[[-2.0, 0.5]] * 7)).reshape(7, -1).T
+    # a posterior just below zero is bit 1 for both decoders
+    grid = np.vstack([grid, [-1e-17, 0, 0, 0, 0, 0, 0]])
     hard_bp, _ = decode_bp_batch(graph, grid, iterations=5)
     assert np.array_equal(model.decode(grid), hard_bp)
 
@@ -84,6 +86,8 @@ def test_forward_validates_width(bch63):
     model = NndModel(bch63, iterations=2)
     with pytest.raises(ValueError, match="n = 63"):
         model.forward(np.zeros((2, 62)))
+    with pytest.raises(ValueError, match=r"shape \(63,\)"):
+        model.forward(np.zeros(63))
 
 
 def test_loss_gradients_match_finite_differences(hamming74):
@@ -110,9 +114,9 @@ def test_gradient_flows_into_llr_input(hamming74):
 
 def test_pretrain_zero_steps_is_identity(bch63):
     model = NndModel(bch63, iterations=5)
-    before = model.get_weights()
+    before = {k: t.data.copy() for k, t in model.parameters().items()}
     model, curve = pretrain_awgn(model, NndTrainConfig(steps=0, val_words=64, seed=5))
-    assert all(np.array_equal(before[k], v) for k, v in model.get_weights().items())
+    assert all(np.array_equal(before[k], t.data) for k, t in model.parameters().items())
     assert len(curve) == 1
 
 
@@ -286,10 +290,10 @@ def test_finetune_confident_labels_barely_move_weights(hamming74):
     cw = encode(hamming74, np.array([1, 0, 1, 0], dtype=np.uint8))
     table = make_ground_truth({1: np.stack([_acts_for(hamming74, cw, 0.999)] * 6)}, hamming74)
     inputs = {1: llr_from_activations(np.stack([_acts_for(hamming74, cw, 0.999)] * 6), 20.0)}
-    before = model.get_weights()
+    before = {k: t.data.copy() for k, t in model.parameters().items()}
     model = finetune_biometric(model, inputs, table,
                                NndTrainConfig(steps=30, batch_size=4, seed=11))
-    drift = max(np.max(np.abs(before[k] - v)) for k, v in model.get_weights().items())
+    drift = max(np.max(np.abs(before[k] - t.data)) for k, t in model.parameters().items())
     assert drift < 1e-3
 
 

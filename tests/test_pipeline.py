@@ -328,9 +328,17 @@ def test_ground_truth_gate_blocks_pipeline(tmp_path):
         stage_ground_truth(cfg, run_dir)
 
 
-def test_bench_report(finished_run):
+def test_bench_report(finished_run, monkeypatch):
     cfg, run_dir, _ = finished_run
+    read = []
+
+    def counting_load(path):
+        read.append(os.path.basename(path))
+        return load_params(path)
+
+    monkeypatch.setattr(pipeline, "load_params", counting_load)
     stats = stage_bench(cfg, run_dir, repetitions=20)
+    assert read == ["mdhnd.ckpt"]
     assert stats.repetitions == 20 and stats.mean_ms > 0
     report = read_metrics(os.path.join(run_dir, "bench_mdhnd.txt"))
     assert report["latency_repetitions"] == 20
@@ -372,3 +380,10 @@ def test_config_round_trip_and_validation(tmp_path):
         tiny_config(fusion_mode="cca")
     with pytest.raises(ValueError):
         tiny_config(bandwidths=(2.0, 4.0))
+    with pytest.raises(ConfigError, match="llr_scale"):
+        tiny_config(llr_scale=0.0)
+    with pytest.raises(ConfigError, match="nnd_iterations"):
+        tiny_config(nnd_iterations=0)
+    for far in (0.0, 1.0):
+        with pytest.raises(ConfigError, match="far_targets"):
+            tiny_config(far_targets=(0.01, far))
