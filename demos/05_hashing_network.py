@@ -7,6 +7,7 @@ Run:  python3 demos/05_hashing_network.py
 
 import numpy as np
 
+from hashdec import autodiff as ad
 from hashdec.biodata import DatasetDims, DistortionModel, SplitSpec, generate
 from hashdec.evaluation import pairwise_hamming
 from hashdec.mdh import (
@@ -14,9 +15,9 @@ from hashdec.mdh import (
     LossWeights,
     MdhModel,
     MdhTrainConfig,
-    intermediate_binary_code,
     train_step1,
 )
+from hashdec.nnd import hard_limit
 
 spec = SplitSpec(train_subjects=40, nnd_subjects=10, test_subjects=10, samples_per_subject=10)
 dims = DatasetDims()
@@ -39,7 +40,9 @@ print(f"per-bit mean balance   : {summary['balance_per_bit_mean']:.3f}")
 print(f"per-sample balance     : {summary['balance_per_sample_max']:.3f}")
 
 print("\n== binary codes for unseen subjects ==")
-codes = intermediate_binary_code(model, test.face, test.iris)
+with ad.no_grad():
+    acts, _ = model.forward(test.face, test.iris)
+codes = hard_limit(acts.data)
 intra, inter = [], []
 subjects = test.subject
 for i in range(0, test.num_samples, 3):

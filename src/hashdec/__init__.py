@@ -46,7 +46,6 @@ from .mdh import (
     LossWeights,
     MdhModel,
     MdhTrainConfig,
-    intermediate_binary_code,
     total_loss,
     train_step1,
 )
@@ -59,6 +58,6 @@ from .nnd import (
     make_ground_truth,
     pretrain_awgn,
 )
-from .tanner import TannerGraph, awgn_llr, decode_bp
+from .tanner import TannerGraph, awgn_llr, decode_bp_batch
 
 __version__ = "0.1.0"

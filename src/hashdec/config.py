@@ -20,6 +20,15 @@ class ConfigError(ValueError):
     """Raised for structurally invalid configurations."""
 
 
+def _like(value, default):
+    """Same type as the default; an int is a float, a bool no int, a list a tuple."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_like(v, default[0]) for v in value)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
 @dataclass
 class ExperimentConfig:
     # error-correcting code (length n = 2^code_m - 1; hashing width J = n)
@@ -92,14 +101,18 @@ class ExperimentConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _like(value, f.default):
+                raise ConfigError(f"{f.name}: {value!r} is not of its default's type ({f.default!r})")
+            if isinstance(f.default, tuple):
+                setattr(self, f.name, tuple(value))
         if self.fusion_mode not in ("fca", "bla", "face", "iris"):
             raise ConfigError(f"unknown fusion_mode '{self.fusion_mode}'")
         if self.score_on not in ("codeword", "message"):
             raise ConfigError(f"score_on must be 'codeword' or 'message', got '{self.score_on}'")
         if not 0.0 < self.gt_max_failure_rate <= 1.0:
             raise ConfigError("gt_max_failure_rate must lie in (0, 1]")
-        for name in ("bandwidths", "encoder_hidden", "nnd_snr_range_db", "far_targets"):
-            setattr(self, name, tuple(getattr(self, name)))
         if not self.llr_scale > 0:
             raise ConfigError(f"llr_scale must be positive, got {self.llr_scale}")
         if self.nnd_iterations < 1:

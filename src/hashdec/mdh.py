@@ -216,13 +216,6 @@ class MdhModel:
         return acts, logits
 
 
-def intermediate_binary_code(model: MdhModel, face, iris):
-    """Sign-binarised hash activations: bit = 0 if activation > 0 else 1."""
-    with ad.no_grad():
-        acts, _ = model.forward(face, iris)
-    return (acts.data <= 0).astype(np.uint8)
-
-
 def total_loss(logits, activations, labels_onehot, weight_tensors, weights: LossWeights):
     """Composite training objective; returns (loss tensor, component floats).
 

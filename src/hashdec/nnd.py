@@ -7,6 +7,9 @@ input at the final marginalization, followed by a sigmoid so outputs are
 bit probabilities. All weights initialise to one, so an untrained decoder
 reproduces classical BP exactly; training starts from that baseline.
 
+``train_loop`` is the one training loop: pretraining and fine-tuning run it on
+the decoder's cross-entropy, the pipeline's joint optimisation on MDH + NND.
+
 Also hosts the ground-truth machinery: hard-limiting hash activations,
 decoding them with the conventional hard-decision decoder, and a per-subject
 plurality vote over the successfully decoded codewords.
@@ -117,20 +120,24 @@ class NndTrainConfig:
             raise ValueError("steps must be >= 0")
 
 
-def _train_loop(model, cfg, sample_batch, val_inputs, val_targets):
-    """Adam on the bitwise cross-entropy; keeps the best-validation weights."""
-    params = model.parameters()
-    opt = ad.Adam(params, step_size=cfg.step_size)
+def train_loop(params, loss, sample_batch, val_batch, steps, step_size, val_every):
+    """Adam on a scalar ``loss(inputs, targets)`` over ``params``, a name -> Tensor dict.
+
+    ``sample_batch(step)`` and ``val_batch`` are (inputs, targets) pairs. The
+    parameters end at the lowest validation loss, taken before the first step,
+    every ``val_every`` steps and after the last; returns those losses. A loss
+    above 10x the first step's for 100 steps in a row raises ``TrainingError``.
+    """
+    opt = ad.Adam(params, step_size=step_size)
     best = {name: t.data.copy() for name, t in params.items()}
     with ad.no_grad():
-        best_val = float(ad.binary_cross_entropy(model.forward(val_inputs), Tensor(val_targets)).data)
+        best_val = float(loss(*val_batch).data)
     curve = [best_val]
     initial = None
     bad_streak = 0
-    for step in range(cfg.steps):
-        llr, targets = sample_batch(step)
-        loss = ad.binary_cross_entropy(model.forward(llr), Tensor(targets))
-        value = float(loss.data)
+    for step in range(steps):
+        batch_loss = loss(*sample_batch(step))
+        value = float(batch_loss.data)
         if initial is None:
             initial = max(value, 1e-12)
         if value > 10.0 * initial:
@@ -141,11 +148,11 @@ def _train_loop(model, cfg, sample_batch, val_inputs, val_targets):
                 )
         else:
             bad_streak = 0
-        ad.GradientTape(loss).backward()
+        ad.GradientTape(batch_loss).backward()
         opt.step()
-        if (step + 1) % cfg.val_every == 0 or step == cfg.steps - 1:
+        if (step + 1) % val_every == 0 or step == steps - 1:
             with ad.no_grad():
-                val = float(ad.binary_cross_entropy(model.forward(val_inputs), Tensor(val_targets)).data)
+                val = float(loss(*val_batch).data)
             curve.append(val)
             if val < best_val:
                 best_val = val
@@ -153,6 +160,13 @@ def _train_loop(model, cfg, sample_batch, val_inputs, val_targets):
     for name, tensor in params.items():
         tensor.data = best[name]
     return curve
+
+
+def _fit_decoder(model, cfg, sample_batch, val_batch):
+    """``train_loop`` on the decoder's bitwise cross-entropy, with ``cfg``'s settings."""
+    loss = lambda llr, targets: ad.binary_cross_entropy(model.forward(llr), Tensor(targets))
+    return train_loop(model.parameters(), loss, sample_batch, val_batch,
+                      cfg.steps, cfg.step_size, cfg.val_every)
 
 
 def pretrain_awgn(model: NndModel, cfg: NndTrainConfig):
@@ -180,7 +194,7 @@ def pretrain_awgn(model: NndModel, cfg: NndTrainConfig):
     def sample_batch(step):
         return sample_llrs(cfg.batch_size, rng), np.zeros((cfg.batch_size, n))
 
-    curve = _train_loop(model, cfg, sample_batch, val_inputs, val_targets)
+    curve = _fit_decoder(model, cfg, sample_batch, (val_inputs, val_targets))
     return model, curve
 
 
@@ -290,26 +304,17 @@ def make_ground_truth(outputs_by_subject, code: BchCode):
     return table
 
 
-def finetune_biometric(model: NndModel, inputs_by_subject, labels: GroundTruthTable,
-                       cfg: NndTrainConfig):
-    """Fine-tune the decoder on biometric LLRs against the voted codewords.
+def finetune_biometric(model: NndModel, inputs, targets, cfg: NndTrainConfig):
+    """Fine-tune the decoder on biometric LLRs against their voted codewords.
 
-    ``inputs_by_subject`` maps subject id -> (num_samples, n) LLR array; every
-    subject must appear in the label table. Returns the model carrying the
-    best-validation weights.
+    ``inputs`` holds one (N, n) row of LLRs per sample and ``targets`` its
+    label codeword. Returns the model carrying the best-validation weights.
     """
-    pairs_in, pairs_out = [], []
-    for subject in sorted(inputs_by_subject):
-        if subject not in labels.labels:
-            raise ValueError(f"subject {subject} has no ground-truth label")
-        target = labels.labels[subject].astype(np.float64)
-        for row in np.atleast_2d(np.asarray(inputs_by_subject[subject], dtype=np.float64)):
-            pairs_in.append(row)
-            pairs_out.append(target)
-    if not pairs_in:
-        raise ValueError("fine-tuning requires a nonempty training set")
-    inputs = np.asarray(pairs_in)
-    targets = np.asarray(pairs_out)
+    inputs = np.asarray(inputs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[0] == 0 or targets.shape != inputs.shape:
+        raise ValueError(f"fine-tuning needs nonempty (N, n) inputs and targets of one shape, "
+                         f"got {inputs.shape} and {targets.shape}")
 
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(inputs.shape[0])
@@ -323,7 +328,7 @@ def finetune_biometric(model: NndModel, inputs_by_subject, labels: GroundTruthTa
         take = rng.integers(0, tr_in.shape[0], size=min(cfg.batch_size, tr_in.shape[0]))
         return tr_in[take], tr_out[take]
 
-    _train_loop(model, cfg, sample_batch, inputs[val_idx], targets[val_idx])
+    _fit_decoder(model, cfg, sample_batch, (inputs[val_idx], targets[val_idx]))
     return model
 
 
@@ -334,25 +339,17 @@ def codeword_error_rate(decoder_bits, labels_bits):
     return float(np.mean(np.any(decoder_bits != labels_bits, axis=1)))
 
 
-def sweep_llr_scale(model: NndModel, activations_by_subject, labels: GroundTruthTable,
+def sweep_llr_scale(model: NndModel, activations, targets,
                     scales=(2.0, 4.0, 8.0, 16.0), log_path=None):
     """Measure codeword error rate as a function of the LLR gain.
 
-    Returns a list of (scale, cer) pairs plus the argmin scale; optionally
-    appends one line per scale to a log file.
+    ``activations`` holds one (N, n) row of hash activations per sample and
+    ``targets`` its label codeword. Returns a list of (scale, cer) pairs plus
+    the argmin scale; optionally appends one line per scale to a log file.
     """
-    rows, targets = [], []
-    for subject, acts in sorted(activations_by_subject.items()):
-        if subject not in labels.labels:
-            continue
-        for row in np.atleast_2d(np.asarray(acts, dtype=np.float64)):
-            rows.append(row)
-            targets.append(labels.labels[subject])
-    rows = np.asarray(rows)
-    targets = np.asarray(targets)
     results = []
     for scale in scales:
-        bits = model.decode(llr_from_activations(rows, scale))
+        bits = model.decode(llr_from_activations(activations, scale))
         results.append((float(scale), codeword_error_rate(bits, targets)))
     best = min(results, key=lambda r: (r[1], r[0]))[0]
     if log_path is not None:

@@ -5,6 +5,9 @@ Each stage records a marker in ``state.json`` keyed to the config
 fingerprint; a stage refuses to run until its predecessors' markers are
 present, and markers from a different fingerprint are ignored. All
 randomness derives from the single config seed, fanned out per stage.
+
+Decoder fine-tuning and joint optimisation run ``nnd.train_loop`` on the same
+rows, the labeled samples of the NND split (``_labeled_samples``).
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .nnd import (
     make_ground_truth,
     pretrain_awgn,
     sweep_llr_scale,
+    train_loop,
 )
 
 STAGE_COMMAND = {
@@ -341,32 +345,36 @@ def stage_train_nnd(cfg: ExperimentConfig, run_dir):
     _log_event(run_dir, f"nnd_pretrain val_curve_first={curve[0]!r} val_curve_best={min(curve)!r}")
     save_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, "nnd_pretrained", nnd=model)
 
-    nnd_split = splits["nnd"]
-    enroll = nnd_split.by_role("enroll")
-    acts = _activations(mdh, enroll)
-    inputs = {}
-    for s in enroll.subject_ids:
-        if int(s) in table.labels:
-            inputs[int(s)] = llr_from_activations(acts[enroll.subject == s], cfg.llr_scale)
-    if not inputs:
+    enroll = splits["nnd"].by_role("enroll")
+    labeled, targets = _labeled_samples(enroll, table)
+    if not labeled.any():
         raise PipelineError("no labeled subjects available for fine-tuning")
+    acts = _activations(mdh, enroll)[labeled]
     sweep, best_scale = sweep_llr_scale(
-        model, {s: acts[enroll.subject == s] for s in inputs}, table,
-        log_path=os.path.join(run_dir, "experiment.log"),
+        model, acts, targets, log_path=os.path.join(run_dir, "experiment.log"),
     )
     model = finetune_biometric(
-        model, inputs, table, cfg.nnd_train_config(stage_seed(cfg, "nnd_ft"),
-                                                   steps=cfg.nnd_finetune_steps),
+        model, llr_from_activations(acts, cfg.llr_scale), targets,
+        cfg.nnd_train_config(stage_seed(cfg, "nnd_ft"), steps=cfg.nnd_finetune_steps),
     )
     save_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, "nnd_finetuned", nnd=model)
     _mark(run_dir, cfg, "nnd")
     return {"pretrain_curve": curve, "scale_sweep": sweep, "best_scale": best_scale}
 
 
-def _composed_loss(mdh, nndm, face, iris, targets, scale):
-    acts, _ = mdh.forward(face, iris)
-    probs = nndm.forward(ad.mul(Tensor(scale), acts))
-    return ad.binary_cross_entropy(probs, Tensor(targets))
+def _labeled_samples(split, table: GroundTruthTable):
+    """The rows of a split whose subject has a label, and those labels as floats."""
+    mask = np.isin(split.subject, sorted(table.labels))
+    targets = np.array([table.labels[int(s)] for s in split.subject[mask]], dtype=np.float64)
+    return mask, targets.reshape(-1, table.n)
+
+
+def _composed_loss(mdh, nndm, scale):
+    """``loss((face, iris), targets)``: BCE of the NND on the MDH's scaled activations."""
+    def loss(inputs, targets):
+        acts, _ = mdh.forward(*inputs)
+        return ad.binary_cross_entropy(nndm.forward(ad.mul(Tensor(scale), acts)), Tensor(targets))
+    return loss
 
 
 def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
@@ -380,53 +388,40 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
     mdh.discard_head()
     _, nndm = load_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, code)
 
-    nnd_split = splits["nnd"]
-    labeled = np.isin(nnd_split.subject, sorted(table.labels))
-    train_mask = labeled & (nnd_split.role == "enroll")
-    val_mask = labeled & (nnd_split.role == "probe")
+    enroll, probe = (splits["nnd"].by_role(role) for role in ("enroll", "probe"))
+    train_mask, tr_y = _labeled_samples(enroll, table)
+    val_mask, va_y = _labeled_samples(probe, table)
     if not train_mask.any():
         raise PipelineError("joint optimisation has no labeled training samples")
-    targets_of = lambda mask: np.stack(
-        [table.labels[int(s)] for s in nnd_split.subject[mask]]
-    ).astype(np.float64)
-    tr_face, tr_iris, tr_y = nnd_split.face[train_mask], nnd_split.iris[train_mask], targets_of(train_mask)
-    va_face, va_iris, va_y = nnd_split.face[val_mask], nnd_split.iris[val_mask], targets_of(val_mask)
-    if va_face.shape[0] == 0:
-        va_face, va_iris, va_y = tr_face, tr_iris, tr_y
+    tr_face, tr_iris = enroll.face[train_mask], enroll.iris[train_mask]
+    val_batch = ((probe.face[val_mask], probe.iris[val_mask]), va_y)
+    if not val_mask.any():
+        val_batch = ((tr_face, tr_iris), tr_y)
 
     params = {}
     if not cfg.joint_freeze_mdh:
         params.update({f"mdh/{k}": v for k, v in mdh.parameters().items()})
     if not cfg.joint_freeze_nnd:
         params.update({f"nnd/{k}": v for k, v in nndm.parameters().items()})
-    opt = ad.Adam(params, step_size=cfg.joint_step_size)
+    loss = _composed_loss(mdh, nndm, cfg.llr_scale)
+
+    def batch_from(rng):
+        idx = rng.integers(0, tr_y.shape[0], size=min(cfg.joint_batch_size, tr_y.shape[0]))
+        return (tr_face[idx], tr_iris[idx]), tr_y[idx]
+
+    if cfg.joint_steps and not cfg.joint_freeze_mdh:
+        # the encoders' gradient on the first batch, drawn from a twin stream
+        first = batch_from(np.random.default_rng(stage_seed(cfg, "joint")))
+        ad.GradientTape(loss(*first)).backward()
+        enc_norm = float(np.sqrt(sum(
+            float((t.grad ** 2).sum()) for n, t in mdh.parameters().items()
+            if "face_enc" in n or "iris_enc" in n
+        )))
+        _log_event(run_dir, f"joint encoder_grad_norm_step1={enc_norm!r}")
     rng = np.random.default_rng(stage_seed(cfg, "joint"))
-
-    def val_loss():
-        with ad.no_grad():
-            return float(_composed_loss(mdh, nndm, va_face, va_iris, va_y, cfg.llr_scale).data)
-
-    best = {name: t.data.copy() for name, t in params.items()}
-    best_val = val_loss()
-    initial_val = best_val
-    for step in range(cfg.joint_steps):
-        idx = rng.integers(0, tr_face.shape[0], size=min(cfg.joint_batch_size, tr_face.shape[0]))
-        loss = _composed_loss(mdh, nndm, tr_face[idx], tr_iris[idx], tr_y[idx], cfg.llr_scale)
-        ad.GradientTape(loss).backward()
-        if step == 0 and not cfg.joint_freeze_mdh:
-            enc_norm = float(np.sqrt(sum(
-                float((t.grad ** 2).sum()) for n, t in params.items()
-                if n.startswith("mdh/") and ("face_enc" in n or "iris_enc" in n)
-            )))
-            _log_event(run_dir, f"joint encoder_grad_norm_step1={enc_norm!r}")
-        opt.step()
-        if (step + 1) % 10 == 0 or step == cfg.joint_steps - 1:
-            val = val_loss()
-            if val < best_val:
-                best_val = val
-                best = {name: t.data.copy() for name, t in params.items()}
-    for name, tensor in params.items():
-        tensor.data = best[name]
+    curve = train_loop(params, loss, lambda step: batch_from(rng), val_batch, cfg.joint_steps,
+                       cfg.joint_step_size, 10)
+    initial_val, best_val = curve[0], min(curve)
     _log_event(run_dir, f"joint val_loss_initial={initial_val!r} val_loss_best={best_val!r}")
 
     save_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, "mdhnd", mdh=mdh, nnd=nndm)

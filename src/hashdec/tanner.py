@@ -3,10 +3,10 @@
 The message-passing core operates on autodiff tensors shaped (edges, batch)
 with a flooding schedule. One round, ``_bp_round``, sends variable-to-check
 then check-to-variable messages. ``bp_forward`` unrolls it, with or without
-the trainable decoder's per-layer weights, and the classical ``decode_bp``
-runs it with an early-exit test between rounds. A weight of one changes no
-bit and every decoder, the trainable one too, takes bits from the posterior
-by ``hard_decision``, so they agree bit for bit when every weight is one.
+the trainable decoder's per-layer weights; the classical ``decode_bp_batch``
+is ``bp_forward`` without weights over a (B, n) batch. A weight of one
+changes no bit and both decoders take bits from the posterior by
+``hard_decision``, so they agree bit for bit when every weight is one.
 
 The check-node product is one primitive, ``leave_one_out_prod``, whose
 forward and backward are prefix/suffix scans over each check's edges, so
@@ -151,7 +151,7 @@ def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
     return ad.clip(ad.mul(2.0, ad.atanh(prod)), -LLR_CLAMP, LLR_CLAMP)
 
 
-def _marginalize(graph, c_msgs, llr, w_edge=None, w_ch=None):
+def _marginalize(graph, c_msgs, llr, w_edge, w_ch):
     wllr = llr if w_ch is None else ad.mul(w_ch, llr)
     wc = c_msgs if w_edge is None else ad.mul(w_edge, c_msgs)
     return ad.add(wllr, ad.segment_sum(wc, graph.edge_var, graph.n))
@@ -180,55 +180,19 @@ def bp_forward(graph, llr, iterations, edge_weights=None, channel_weights=None,
 # classical decoder and the AWGN channel
 # ---------------------------------------------------------------------------
 
-class BpResult:
-    """Posterior LLRs plus the hard decision and convergence report."""
-
-    def __init__(self, soft, hard, iterations_run, converged):
-        self.soft = soft
-        self.hard = hard
-        self.iterations_run = iterations_run
-        self.converged = converged
-
-
 def hard_decision(posterior):
     """The one hard-decision rule: bit 1 iff the posterior LLR is negative."""
     return (posterior < 0).astype(np.uint8)
 
 
-def decode_bp(graph: TannerGraph, llr, iterations=5, early_exit=True):
-    """Classical sum-product decode of one received word.
-
-    Runs the rounds of ``bp_forward`` without weights. Hard decision: bit = 1
-    iff the posterior LLR is negative. With ``early_exit`` the posterior is
-    formed after every round and the loop stops as soon as its hard decision
-    satisfies every check; the result reports how many rounds ran.
-    """
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (graph.n,):
-        raise ValueError(f"llr length {llr.shape} != n = {graph.n}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    with ad.no_grad():
-        col = ad.clip(Tensor(llr[:, None]), -LLR_CLAMP, LLR_CLAMP)
-        c_msgs = None
-        for it in range(1, iterations + 1):
-            c_msgs = _bp_round(graph, col, c_msgs, None, None)
-            if early_exit or it == iterations:
-                post = _marginalize(graph, c_msgs, col).data[:, 0]
-                converged = _satisfies(graph, post)
-                if converged and early_exit:
-                    break
-    return BpResult(post, hard_decision(post), it, converged)
-
-
-def _satisfies(graph, posterior):
-    hard = hard_decision(posterior)
-    return not np.any((graph.H @ hard) % 2)
-
-
 def decode_bp_batch(graph: TannerGraph, llr_batch, iterations=5):
-    """Vectorised classical BP over a (B, n) batch; no early exit."""
+    """Classical BP, ``bp_forward`` without weights, over a (B, n) batch.
+
+    Returns the hard decision and the posterior LLRs, both (B, n).
+    """
     llr_batch = np.asarray(llr_batch, dtype=np.float64)
+    if llr_batch.ndim != 2 or llr_batch.shape[1] != graph.n:
+        raise ValueError(f"llr shape {llr_batch.shape} is not (B, n) with n = {graph.n}")
     with ad.no_grad():
         post = bp_forward(graph, Tensor(llr_batch.T.copy()), iterations).data
     return hard_decision(post.T), post.T

@@ -244,7 +244,7 @@ def test_benchmark_operating_point(benchmark_runs):
     of pairs within t, 87% within 2t)."""
     from hashdec.biodata import load_dataset
     from hashdec.evaluation import pairwise_hamming
-    from hashdec.mdh import intermediate_binary_code
+    from hashdec.nnd import hard_limit
     from hashdec.pipeline import load_models
 
     cfg, run_dir, _ = benchmark_runs[("multi", SEEDS[0])]
@@ -252,7 +252,9 @@ def test_benchmark_operating_point(benchmark_runs):
                            build_code(cfg.code_m, cfg.code_t))
     test = load_dataset(os.path.join(run_dir, "data_test.txt"))
     probe = test.select(test.role == "probe")
-    codes = intermediate_binary_code(model, probe.face, probe.iris)
+    with ad.no_grad():
+        acts, _ = model.forward(probe.face, probe.iris)
+    codes = hard_limit(acts.data)
     dists = []
     for s in np.unique(probe.subject):
         c = codes[probe.subject == s]

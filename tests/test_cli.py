@@ -73,6 +73,13 @@ def test_bad_config_is_categorised(tmp_path, capsys):
     rc = main(["generate-data", "--config", str(bad), "--run-dir", str(tmp_path / "r")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error[config]:")
+    # a mistyped value is refused when the config loads, before anything is written
+    for text in ('{"code_m": "6"}', '{"far_targets": null}', '{"seed": 1.5}'):
+        bad.write_text(text)
+        rc = main(["run-all", "--config", str(bad), "--run-dir", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error[config]:")
+        assert not (tmp_path / "r").exists()
 
 
 def test_overwrite_flag_via_cli(tmp_path, cfg_file, capsys):

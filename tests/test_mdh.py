@@ -12,7 +12,6 @@ from hashdec.mdh import (
     LossWeights,
     MdhModel,
     MdhTrainConfig,
-    intermediate_binary_code,
     total_loss,
     train_step1,
 )
@@ -202,14 +201,6 @@ def test_schedule_validation():
         ContinuationSchedule(bandwidths=(1.0, 4.0, 4.0))
     with pytest.raises(ValueError, match="non-negative"):
         LossWeights(w_cls=-1.0)
-
-
-def test_intermediate_binary_code_boundary():
-    model = MdhModel("fca", 4, 4, 3, 5, 2, 4, (3,), seed=3)
-    for t in model.parameters().values():
-        t.data = np.zeros_like(t.data)
-    # zero activations sit exactly on the boundary: bit 1 by convention
-    assert np.all(intermediate_binary_code(model, np.ones((2, 4)), np.ones((2, 4))) == 1)
 
 
 def _tiny_dataset(seed=0):

@@ -16,6 +16,7 @@ from hashdec.nnd import (
     pretrain_awgn,
     sigma_from_snr_db,
     sweep_llr_scale,
+    train_loop,
 )
 from hashdec.tanner import TannerGraph, awgn_llr, decode_bp_batch
 
@@ -149,8 +150,6 @@ def test_training_divergence_raises(hamming74):
     # feed one easy batch (small initial loss), then batches whose targets
     # contradict confident inputs: the loss stays far above 10x the initial
     # value and the divergence guard must trip after 100 such steps
-    from hashdec.nnd import _train_loop
-
     model = NndModel(hamming74, iterations=2)
     easy_llr = np.full((4, 7), 20.0)
     easy_targets = np.zeros((4, 7))
@@ -161,9 +160,12 @@ def test_training_divergence_raises(hamming74):
             return easy_llr, easy_targets
         return easy_llr, hard_targets
 
-    cfg = NndTrainConfig(steps=150, step_size=1e-9, batch_size=4, val_words=4, seed=7)
+    def loss(llr, targets):
+        return ad.binary_cross_entropy(model.forward(llr), Tensor(targets))
+
     with pytest.raises(TrainingError, match="diverged"):
-        _train_loop(model, cfg, sample_batch, easy_llr, easy_targets)
+        train_loop(model.parameters(), loss, sample_batch, (easy_llr, easy_targets),
+                   steps=150, step_size=1e-9, val_every=25)
 
 
 def test_llr_from_activations():
@@ -288,10 +290,10 @@ def test_ground_truth_table_round_trip(tmp_path, hamming74, bch63):
 def test_finetune_confident_labels_barely_move_weights(hamming74):
     model = NndModel(hamming74, iterations=2)
     cw = encode(hamming74, np.array([1, 0, 1, 0], dtype=np.uint8))
-    table = make_ground_truth({1: np.stack([_acts_for(hamming74, cw, 0.999)] * 6)}, hamming74)
-    inputs = {1: llr_from_activations(np.stack([_acts_for(hamming74, cw, 0.999)] * 6), 20.0)}
+    inputs = llr_from_activations(np.stack([_acts_for(hamming74, cw, 0.999)] * 6), 20.0)
+    targets = np.tile(cw.astype(np.float64), (6, 1))
     before = {k: t.data.copy() for k, t in model.parameters().items()}
-    model = finetune_biometric(model, inputs, table,
+    model = finetune_biometric(model, inputs, targets,
                                NndTrainConfig(steps=30, batch_size=4, seed=11))
     drift = max(np.max(np.abs(before[k] - t.data)) for k, t in model.parameters().items())
     assert drift < 1e-3
@@ -299,11 +301,14 @@ def test_finetune_confident_labels_barely_move_weights(hamming74):
 
 def test_finetune_requires_labels_and_data(hamming74):
     model = NndModel(hamming74, iterations=2)
-    table = GroundTruthTable(n=7)
-    with pytest.raises(ValueError, match="no ground-truth label"):
-        finetune_biometric(model, {1: np.zeros((2, 7))}, table, NndTrainConfig(steps=1))
-    with pytest.raises(ValueError, match="nonempty"):
-        finetune_biometric(model, {}, table, NndTrainConfig(steps=1))
+    before = {k: t.data.copy() for k, t in model.parameters().items()}
+    cases = [(np.zeros((0, 7)), np.zeros((0, 7))), (np.zeros(7), np.zeros(7)),
+             (np.zeros((2, 6)), np.zeros((2, 6)))]
+    cases += [(np.zeros((2, 7)), t) for t in (np.zeros((3, 7)), np.zeros((2, 6)), np.zeros(14))]
+    for inputs, targets in cases:
+        with pytest.raises(ValueError, match="shape"):
+            finetune_biometric(model, inputs, targets, NndTrainConfig(steps=1))
+    assert all(np.array_equal(before[k], t.data) for k, t in model.parameters().items())
 
 
 def test_codeword_error_rate():
@@ -315,10 +320,10 @@ def test_codeword_error_rate():
 def test_sweep_llr_scale_logs_and_returns_best(tmp_path, hamming74):
     model = NndModel(hamming74, iterations=3)
     cw = encode(hamming74, np.array([0, 1, 1, 0], dtype=np.uint8))
-    table = make_ground_truth({1: np.stack([_acts_for(hamming74, cw)] * 2)}, hamming74)
-    acts = {1: np.stack([_acts_for(hamming74, cw, 0.8)] * 2)}
+    acts = np.stack([_acts_for(hamming74, cw, 0.8)] * 2)
     log = tmp_path / "exp.log"
-    results, best = sweep_llr_scale(model, acts, table, scales=(2.0, 4.0), log_path=log)
+    targets = np.tile(cw.astype(np.float64), (2, 1))
+    results, best = sweep_llr_scale(model, acts, targets, scales=(2.0, 4.0), log_path=log)
     assert len(results) == 2 and best in (2.0, 4.0)
     text = log.read_text()
     assert "llr_scale_sweep" in text and "best=" in text

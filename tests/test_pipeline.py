@@ -311,6 +311,30 @@ def test_joint_frozen_everything_rejected(finished_run):
         stage_joint_optimize(frozen, run_dir)
 
 
+@pytest.mark.parametrize("frozen", ["mdh", "nnd"])
+def test_joint_freeze_keeps_the_frozen_model_bit_identical(tmp_path, frozen):
+    cfg = tiny_config(**{f"joint_freeze_{frozen}": True})
+    run_dir = str(tmp_path)
+    for stage in (stage_generate_data, stage_train_mdh, stage_ground_truth, stage_train_nnd,
+                  stage_joint_optimize):
+        stage(cfg, run_dir)
+    code = build_code(cfg.code_m, cfg.code_t)
+    mdh_j, nnd_j = load_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, code)
+    mdh_0, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
+    _, nnd_0 = load_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, code)
+
+    def unchanged(joint, start):
+        before = start.parameters()
+        return {k: np.array_equal(t.data, before[k].data) for k, t in joint.parameters().items()}
+
+    same = {"mdh": unchanged(mdh_j, mdh_0), "nnd": unchanged(nnd_j, nnd_0)}
+    free = "nnd" if frozen == "mdh" else "mdh"
+    assert all(same[frozen].values())
+    assert not any(same[free].values()), same[free]
+    log = open(os.path.join(run_dir, "experiment.log")).read()
+    assert ("encoder_grad_norm_step1=" in log) == (frozen == "nnd")
+
+
 def test_joint_logs_encoder_gradient_norm(finished_run):
     _, run_dir, _ = finished_run
     log = open(os.path.join(run_dir, "experiment.log")).read()
@@ -387,3 +411,10 @@ def test_config_round_trip_and_validation(tmp_path):
     for far in (0.0, 1.0):
         with pytest.raises(ConfigError, match="far_targets"):
             tiny_config(far_targets=(0.01, far))
+    # every field has its default's type; an int is a float, a bool is no int
+    for field, value in (("code_m", "6"), ("far_targets", None), ("seed", 1.5),
+                         ("code_t", True), ("joint_freeze_mdh", 1), ("encoder_hidden", (16, 0.5)),
+                         ("bandwidths", 8.0)):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_dict({field: value})
+    assert tiny_config(llr_scale=4, far_targets=[0.01]).far_targets == (0.01,)

@@ -10,7 +10,6 @@ from hashdec.bch import build_code, encode
 from hashdec.tanner import (
     TannerGraph,
     awgn_llr,
-    decode_bp,
     decode_bp_batch,
     leave_one_out_prod,
 )
@@ -124,18 +123,18 @@ def test_strong_positive_llrs_decode_to_zero_word():
     for m, t in ((3, 1), (6, 3)):
         code = build_code(m, t)
         g = TannerGraph(code.parity_check_matrix)
-        res = decode_bp(g, np.full(code.n, 20.0), iterations=1)
-        assert res.converged and not np.any(res.hard)
+        hard, _ = decode_bp_batch(g, np.full((1, code.n), 20.0), iterations=1)
+        assert not np.any(hard)
 
 
 def test_single_parity_check_hand_update():
     g = TannerGraph(np.ones((1, 3), dtype=int))
     llr = np.array([2.0, 2.0, -1.0])
-    res = decode_bp(g, llr, iterations=1, early_exit=False)
+    hard, soft = decode_bp_batch(g, llr[None, :], iterations=1)
     # check message to bit 3: sign(+), magnitude 2 atanh(tanh(1)^2)
     msg = 2.0 * math.atanh(math.tanh(1.0) * math.tanh(1.0))
-    assert res.soft[2] == pytest.approx(-1.0 + msg, abs=1e-12)
-    assert res.hard[2] == 0  # pulled toward bit 0
+    assert soft[0, 2] == pytest.approx(-1.0 + msg, abs=1e-12)
+    assert hard[0, 2] == 0  # pulled toward bit 0
 
 
 def test_codeword_fixed_point(hamming74, hamming_graph):
@@ -143,8 +142,8 @@ def test_codeword_fixed_point(hamming74, hamming_graph):
     for _ in range(20):
         cw = encode(hamming74, rng.integers(0, 2, 4).astype(np.uint8))
         llr = np.where(cw == 0, 12.0, -12.0)
-        res = decode_bp(hamming_graph, llr, iterations=5, early_exit=False)
-        assert np.array_equal(res.hard, cw)
+        hard, _ = decode_bp_batch(hamming_graph, llr[None, :], iterations=5)
+        assert np.array_equal(hard[0], cw)
 
 
 def test_negation_symmetry_with_all_ones_complement(hamming74, hamming_graph):
@@ -154,10 +153,10 @@ def test_negation_symmetry_with_all_ones_complement(hamming74, hamming_graph):
     rng = np.random.default_rng(1)
     for _ in range(20):
         llr = awgn_llr(np.zeros(7, dtype=np.uint8), 0.8, rng)
-        a = decode_bp(hamming_graph, llr, iterations=5, early_exit=False)
-        b = decode_bp(hamming_graph, -llr, iterations=5, early_exit=False)
-        assert np.array_equal(b.hard, a.hard ^ 1)
-        assert np.allclose(b.soft, -a.soft, atol=1e-9)
+        a_hard, a_soft = decode_bp_batch(hamming_graph, llr[None, :], iterations=5)
+        b_hard, b_soft = decode_bp_batch(hamming_graph, -llr[None, :], iterations=5)
+        assert np.array_equal(b_hard, a_hard ^ 1)
+        assert np.allclose(b_soft, -a_soft, atol=1e-9)
 
 
 def _enumeration_posteriors(codewords, llr):
@@ -183,35 +182,16 @@ def test_exact_posteriors_on_cycle_free_graphs():
         h[np.arange(n - 1), np.arange(1, n)] = 1
         g = TannerGraph(h)
         llr = rng.uniform(-2, 2, n)
-        res = decode_bp(g, llr, iterations=10, early_exit=False)
+        _, soft = decode_bp_batch(g, llr[None, :], iterations=10)
         expected = _enumeration_posteriors([np.zeros(n), np.ones(n)], llr)
-        assert np.allclose(res.soft, expected, atol=1e-9)
+        assert np.allclose(soft[0], expected, atol=1e-9)
     # single parity check: all even-weight words
     n = 4
     cws = [np.array(c) for c in itertools.product([0, 1], repeat=n) if sum(c) % 2 == 0]
     g = TannerGraph(np.ones((1, n), dtype=int))
     llr = rng.uniform(-2, 2, n)
-    res = decode_bp(g, llr, iterations=3, early_exit=False)
-    assert np.allclose(res.soft, _enumeration_posteriors(cws, llr), atol=1e-9)
-
-
-def test_early_exit_reports_iterations(hamming_graph):
-    res = decode_bp(hamming_graph, np.full(7, 15.0), iterations=5, early_exit=True)
-    assert res.converged and res.iterations_run == 1
-    res2 = decode_bp(hamming_graph, np.full(7, 15.0), iterations=5, early_exit=False)
-    assert res2.iterations_run == 5 and np.array_equal(res2.hard, res.hard)
-
-
-def test_early_exit_equals_batch_decode_at_rounds_run(hamming_graph):
-    rng = np.random.default_rng(11)
-    rounds = set()
-    for _ in range(40):
-        llr = awgn_llr(np.zeros(7, dtype=np.uint8), 0.9, rng)
-        res = decode_bp(hamming_graph, llr, iterations=6)
-        hard, soft = decode_bp_batch(hamming_graph, llr[None, :], iterations=res.iterations_run)
-        assert np.array_equal(res.soft, soft[0]) and np.array_equal(res.hard, hard[0])
-        rounds.add(res.iterations_run)
-    assert len(rounds) > 1  # some words stop early, some run longer
+    _, soft = decode_bp_batch(g, llr[None, :], iterations=3)
+    assert np.allclose(soft[0], _enumeration_posteriors(cws, llr), atol=1e-9)
 
 
 def test_awgn_llr_noiseless_limit():
@@ -245,9 +225,9 @@ def test_batch_decode_matches_single(hamming_graph):
     llrs = rng.uniform(-4, 4, (16, 7))
     hard_b, soft_b = decode_bp_batch(hamming_graph, llrs, iterations=4)
     for i in range(16):
-        res = decode_bp(hamming_graph, llrs[i], iterations=4, early_exit=False)
-        assert np.array_equal(hard_b[i], res.hard)
-        assert np.array_equal(soft_b[i], res.soft)
+        hard, soft = decode_bp_batch(hamming_graph, llrs[i : i + 1], iterations=4)
+        assert np.array_equal(hard_b[i], hard[0])
+        assert np.array_equal(soft_b[i], soft[0])
 
 
 def test_coded_ber_beats_uncoded_at_moderate_noise(hamming74, hamming_graph):
@@ -282,7 +262,8 @@ def test_bp_close_to_ml_block_error(hamming74, hamming_graph):
 
 
 def test_llr_length_and_iteration_validation(hamming_graph):
-    with pytest.raises(ValueError, match="n = 7"):
-        decode_bp(hamming_graph, np.zeros(6), iterations=3)
+    for shape in ((1, 6), (1, 8), (7,), (1, 1, 7)):
+        with pytest.raises(ValueError, match="n = 7"):
+            decode_bp_batch(hamming_graph, np.zeros(shape), iterations=3)
     with pytest.raises(ValueError, match="iterations"):
-        decode_bp(hamming_graph, np.zeros(7), iterations=0)
+        decode_bp_batch(hamming_graph, np.zeros((1, 7)), iterations=0)
