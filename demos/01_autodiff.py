@@ -6,7 +6,7 @@ Run:  python3 demos/01_autodiff.py
 import numpy as np
 
 from hashdec import autodiff as ad
-from hashdec.autodiff import Adam, AdamState, GradientTape, Tensor, adam_step
+from hashdec.autodiff import AdamState, GradientTape, Tensor, adam_step
 
 print("== tensors and gradients ==")
 rng = np.random.default_rng(0)
@@ -37,7 +37,8 @@ print("\n== Adam on a quadratic bowl ==")
 p = Tensor(np.array([5.0]), requires_grad=True)
 state = AdamState(step_size=0.1)
 for step in range(500):
-    adam_step({"p": p}, {"p": 2.0 * p.data}, state)
+    p.grad = 2.0 * p.data
+    adam_step({"p": p}, state)
     if step % 100 == 99:
         print(f"  step {step + 1:3d}: x = {p.data[0]: .6f}")
 print("converged to the minimum of f(x) = x^2")

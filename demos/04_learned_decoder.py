@@ -6,7 +6,8 @@ Run:  python3 demos/04_learned_decoder.py   (about a minute)
 import numpy as np
 
 from hashdec.bch import build_code
-from hashdec.nnd import NndModel, NndTrainConfig, pretrain_awgn, sigma_from_snr_db
+from hashdec.config import ExperimentConfig
+from hashdec.nnd import NndModel, pretrain_awgn, sigma_from_snr_db
 from hashdec.tanner import TannerGraph, decode_bp_batch
 
 code = build_code(6, 3)
@@ -23,14 +24,14 @@ same = np.array_equal(model.decode(llrs), hard_bp)
 print(f"hard decisions identical on 500 noisy words: {same}")
 
 print("\n== pretraining on channel noise (all-zeros codeword database) ==")
-cfg = NndTrainConfig(snr_range_db=(2.0, 4.0, 6.0), batch_size=64, steps=300, seed=1)
-model, curve = pretrain_awgn(model, cfg)
+cfg = ExperimentConfig(nnd_snr_range_db=(2.0, 4.0, 6.0), nnd_batch_size=64, nnd_pretrain_steps=300)
+model, curve = pretrain_awgn(model, cfg, seed=1)
 print(f"validation loss: {curve[0]:.5f} (classical BP) -> {min(curve):.5f} (best)")
 
 print("\n== paired BER comparison, 20000 words per noise level ==")
 rate = code.k / code.n
 print(f"{'Eb/N0 dB':>9} {'plain BP':>10} {'trained':>10}")
-for snr in cfg.snr_range_db:
+for snr in cfg.nnd_snr_range_db:
     sigma = sigma_from_snr_db(snr, rate)
     llrs = 2.0 * (1.0 + sigma * rng.standard_normal((20_000, 63))) / sigma**2
     hard_bp, _ = decode_bp_batch(graph, llrs, iterations=5)

@@ -9,14 +9,9 @@ import numpy as np
 
 from hashdec import autodiff as ad
 from hashdec.biodata import DatasetDims, DistortionModel, SplitSpec, generate
+from hashdec.config import ExperimentConfig
 from hashdec.evaluation import pairwise_hamming
-from hashdec.mdh import (
-    ContinuationSchedule,
-    LossWeights,
-    MdhModel,
-    MdhTrainConfig,
-    train_step1,
-)
+from hashdec.mdh import MdhModel, train_step1
 from hashdec.nnd import hard_limit
 
 spec = SplitSpec(train_subjects=40, nnd_subjects=10, test_subjects=10, samples_per_subject=10)
@@ -26,10 +21,10 @@ print(f"benchmark: {spec.train_subjects} training subjects x {spec.samples_per_s
       f"{dims.face}-dim face / {dims.iris}-dim iris vectors")
 
 model = MdhModel("bla", dims.face, dims.iris, spec.train_subjects, code_bits=63, seed=3)
-schedule = ContinuationSchedule(max_steps=250)
-print(f"continuation ladder on the hashing tanh bandwidth: {schedule.bandwidths}")
+cfg = ExperimentConfig(stage_max_steps=250)
+print(f"continuation ladder on the hashing tanh bandwidth: {cfg.bandwidths}")
 
-model, log = train_step1(model, train, LossWeights(), schedule, MdhTrainConfig(seed=3))
+model, log = train_step1(model, train, cfg, seed=3)
 stages = [r for r in log if r.get("event") == "stage_done"]
 print(f"\nran {len(stages)} bandwidth stages across phases "
       f"{sorted({r['phase'] for r in stages})}")

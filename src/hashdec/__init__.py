@@ -8,13 +8,12 @@ Subpackages:
   mdh         two-encoder fusion + hashing network and its training protocol
   biodata     synthetic two-modality benchmark generator and file formats
   evaluation  Hamming scoring, ROC/EER, identification, latency
-  config      experiment configuration schema
+  config      the one settings record, validated when it loads
   pipeline    staged orchestration over a run directory
   cli         command-line entry point
 """
 
 from .autodiff import (
-    Adam,
     AdamState,
     GradientTape,
     Tensor,
@@ -41,18 +40,10 @@ from .evaluation import (
     score_protocol,
 )
 from .gf2m import GaloisField, build_field
-from .mdh import (
-    ContinuationSchedule,
-    LossWeights,
-    MdhModel,
-    MdhTrainConfig,
-    total_loss,
-    train_step1,
-)
+from .mdh import MdhModel, total_loss, train_step1
 from .nnd import (
     GroundTruthTable,
     NndModel,
-    NndTrainConfig,
     finetune_biometric,
     llr_from_activations,
     make_ground_truth,

@@ -423,18 +423,21 @@ class AdamState:
             raise ValueError("Adam step size and epsilon must be positive")
 
 
-def adam_step(params, grads, state):
+def adam_step(params, state):
     """One Adam update with bias correction.
 
-    ``params`` maps names to Tensors, ``grads`` maps the same names to
-    gradient arrays. Parameter data is updated in place; the incremented
-    state is returned alongside the params.
+    ``params`` maps names to Tensors whose ``grad`` a backward pass has
+    filled; a parameter without one is refused before anything moves.
+    Parameter data is updated in place and ``state`` advances one step.
     """
+    for name, p in params.items():
+        if p.grad is None:
+            raise TrainingError(f"parameter '{name}' has no gradient; run backward first")
     state.timestep += 1
     t = state.timestep
     b1, b2 = state.beta1, state.beta2
     for name, p in params.items():
-        g = grads[name]
+        g = p.grad
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter '{name}'")
         m = state.first_moment.get(name)
@@ -450,23 +453,6 @@ def adam_step(params, grads, state):
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         p.data -= state.step_size * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return params, state
-
-
-class Adam:
-    """Convenience wrapper: holds named parameters and applies adam_step."""
-
-    def __init__(self, params, step_size=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.params = dict(params)
-        self.state = AdamState(step_size, beta1, beta2, epsilon)
-
-    def step(self):
-        grads = {}
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise TrainingError(f"parameter '{name}' has no gradient; run backward first")
-            grads[name] = p.grad
-        adam_step(self.params, grads, self.state)
 
 
 # ---------------------------------------------------------------------------

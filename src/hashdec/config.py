@@ -1,8 +1,11 @@
 """Experiment configuration: one flat, documented, JSON-serialisable record.
 
 Every field has a default; a config file only needs the fields it overrides.
-The fingerprint is a stable hash of the complete resolved config and gates
-checkpoint reuse across stages.
+The record is the only home of every setting: the training functions of
+``mdh`` and ``nnd`` read their fields from it, and ``__post_init__`` refuses a
+mistyped or out-of-range value before any stage runs. The fingerprint is a
+stable hash of the complete resolved config and gates checkpoint reuse
+across stages.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import json
 from dataclasses import dataclass, asdict, fields
 
 from .biodata import SplitSpec, DistortionModel, DatasetDims
-from .mdh import LossWeights, ContinuationSchedule, MdhTrainConfig
-from .nnd import NndTrainConfig
 
 
 class ConfigError(ValueError):
@@ -27,6 +28,19 @@ def _like(value, default):
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_like(v, default[0]) for v in value)
     return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+# (fields, test, rule) of the numeric ranges a config must keep
+_RANGES = (
+    (("w_quant", "w_ent", "l2"), lambda v: v >= 0, "loss weights must be non-negative"),
+    (("w_cls",), lambda v: v > 0, "classification weight must be positive during hashing training"),
+    (("phase_a_steps", "patience", "stage_max_steps", "nnd_pretrain_steps",
+      "nnd_finetune_steps", "joint_steps"), lambda v: v >= 0, "must be >= 0"),
+    (("batch_size", "nnd_batch_size", "joint_batch_size", "nnd_iterations"),
+     lambda v: v >= 1, "must be >= 1"),
+    (("lr", "phase_c_lr_factor", "nnd_step_size", "joint_step_size", "llr_scale"),
+     lambda v: v > 0, "must be positive"),
+)
 
 
 @dataclass
@@ -113,17 +127,27 @@ class ExperimentConfig:
             raise ConfigError(f"score_on must be 'codeword' or 'message', got '{self.score_on}'")
         if not 0.0 < self.gt_max_failure_rate <= 1.0:
             raise ConfigError("gt_max_failure_rate must lie in (0, 1]")
-        if not self.llr_scale > 0:
-            raise ConfigError(f"llr_scale must be positive, got {self.llr_scale}")
-        if self.nnd_iterations < 1:
-            raise ConfigError(f"nnd_iterations must be >= 1, got {self.nnd_iterations}")
         if not all(0.0 < far < 1.0 for far in self.far_targets):
             raise ConfigError(f"far_targets must lie in (0, 1), got {self.far_targets}")
+        bw = self.bandwidths
+        if not bw or bw[0] != 1.0:
+            raise ConfigError(f"bandwidths: continuation schedule must start at bandwidth 1, "
+                              f"got {bw}")
+        if any(b2 <= b1 for b1, b2 in zip(bw, bw[1:])):
+            raise ConfigError(f"bandwidths: continuation bandwidths must be strictly increasing, "
+                              f"got {bw}")
+        for names, ok, rule in _RANGES:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ConfigError(f"{name}: {rule}, got {getattr(self, name)!r}")
+        if not self.nnd_snr_range_db:
+            raise ConfigError("nnd_snr_range_db must be nonempty for AWGN pretraining")
+        if self.joint_freeze_mdh and self.joint_freeze_nnd:
+            raise ConfigError("joint_freeze_mdh and joint_freeze_nnd: joint optimisation "
+                              "with every component frozen is vacuous")
         # constructing these validates their invariants (ranges, overlap, order)
         self.split_spec()
         self.distortion()
-        self.loss_weights()
-        self.schedule()
 
     # -- component views -----------------------------------------------------
     def split_spec(self):
@@ -136,26 +160,6 @@ class ExperimentConfig:
 
     def dims(self):
         return DatasetDims(self.latent_dim, self.face_dim, self.iris_dim)
-
-    def loss_weights(self):
-        return LossWeights(self.w_cls, self.w_quant, self.w_ent, self.l2)
-
-    def schedule(self):
-        return ContinuationSchedule(self.bandwidths, self.eps_loss,
-                                    self.patience, self.stage_max_steps)
-
-    def mdh_train_config(self, seed):
-        return MdhTrainConfig(self.lr, self.batch_size, self.phase_a_steps,
-                              self.phase_c_lr_factor, seed=seed)
-
-    def nnd_train_config(self, seed, steps=None):
-        return NndTrainConfig(
-            snr_range_db=self.nnd_snr_range_db,
-            batch_size=self.nnd_batch_size,
-            steps=self.nnd_pretrain_steps if steps is None else steps,
-            step_size=self.nnd_step_size,
-            seed=seed,
-        )
 
     def code_name(self):
         n = (1 << self.code_m) - 1

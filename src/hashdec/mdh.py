@@ -8,61 +8,20 @@ the beta ladder runs inside each phase that touches the hashing layer.
 
 The training objective combines classification cross-entropy (with L2 weight
 decay), a quantization term that rewards saturated activations, and a
-balance term that penalises per-sample mean activation.
+balance term that penalises per-sample mean activation. Loss weights, the
+ladder and the optimiser settings are read from the ``ExperimentConfig``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, TrainingError
+from .config import ExperimentConfig
 
 FUSION_MODES = ("fca", "bla", "face", "iris")
-
-
-@dataclass
-class LossWeights:
-    """Multipliers for the three loss terms and the L2 penalty inside the first."""
-
-    w_cls: float = 1.0
-    w_quant: float = 0.1
-    w_ent: float = 0.1
-    l2: float = 1e-4
-
-    def __post_init__(self):
-        if min(self.w_cls, self.w_quant, self.w_ent, self.l2) < 0:
-            raise ValueError("loss weights must be non-negative")
-
-
-@dataclass
-class ContinuationSchedule:
-    """Strictly increasing tanh bandwidths, advanced when a stage converges."""
-
-    bandwidths: tuple = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    eps_loss: float = 1e-4
-    patience: int = 200
-    max_steps: int = 400
-
-    def __post_init__(self):
-        bw = tuple(float(b) for b in self.bandwidths)
-        if not bw or bw[0] != 1.0:
-            raise ValueError("continuation schedule must start at bandwidth 1")
-        if any(b2 <= b1 for b1, b2 in zip(bw, bw[1:])):
-            raise ValueError("continuation bandwidths must be strictly increasing")
-        self.bandwidths = bw
-
-
-@dataclass
-class MdhTrainConfig:
-    lr: float = 1e-3
-    batch_size: int = 32
-    phase_a_steps: int = 300
-    phase_c_lr_factor: float = 0.1
-    log_every: int = 50
-    seed: int = 0
+LOG_EVERY = 50  # training steps between two logged loss records
 
 
 def _init_linear(rng, fan_in, fan_out):
@@ -216,25 +175,27 @@ class MdhModel:
         return acts, logits
 
 
-def total_loss(logits, activations, labels_onehot, weight_tensors, weights: LossWeights):
+def total_loss(logits, activations, labels_onehot, weight_tensors, cfg: ExperimentConfig):
     """Composite training objective; returns (loss tensor, component floats).
+
+    The weights are ``cfg``'s ``w_cls``, ``w_quant``, ``w_ent`` and ``l2``.
 
     Classification term: mean cross-entropy plus l2 * sum of squared weights.
     Quantization term: -(1/J) * sum_n ||o_n||^2 (more negative = more saturated).
     Balance term: sum_n (mean_j o_nj)^2.
     """
     e1 = ad.softmax_cross_entropy(logits, labels_onehot)
-    if weights.l2 > 0:
+    if cfg.l2 > 0:
         reg = None
         for w in weight_tensors:
             reg = ad.sum_sq(w) if reg is None else ad.add(reg, ad.sum_sq(w))
-        e1 = ad.add(e1, ad.mul(Tensor(weights.l2), reg))
+        e1 = ad.add(e1, ad.mul(Tensor(cfg.l2), reg))
     j = activations.data.shape[1]
     e2 = ad.mul(Tensor(-1.0 / j), ad.tensor_sum(ad.square(activations)))
     e3 = ad.tensor_sum(ad.square(ad.mean(activations, axis=1)))
     total = ad.add(
-        ad.add(ad.mul(Tensor(weights.w_cls), e1), ad.mul(Tensor(weights.w_quant), e2)),
-        ad.mul(Tensor(weights.w_ent), e3),
+        ad.add(ad.mul(Tensor(cfg.w_cls), e1), ad.mul(Tensor(cfg.w_quant), e2)),
+        ad.mul(Tensor(cfg.w_ent), e3),
     )
     components = {
         "e1": float(e1.data),
@@ -267,37 +228,35 @@ def _batches(n, batch_size, rng):
             yield order[i : i + batch_size]
 
 
-def _run_stage(step_fn, schedule: ContinuationSchedule, log, phase, beta):
-    """Run one beta stage until the loss stops improving or the cap hits.
+def _run_stage(step_fn, cfg: ExperimentConfig, log, phase, beta):
+    """Run one beta stage until the loss stops improving or ``stage_max_steps`` hits.
 
     Returns True if the stage converged inside the step cap.
     """
     best = np.inf
     best_step = 0
-    for step in range(schedule.max_steps):
+    for step in range(cfg.stage_max_steps):
         loss = step_fn(step)
-        if loss < best - schedule.eps_loss:
+        if loss < best - cfg.eps_loss:
             best, best_step = loss, step
-        if step - best_step >= schedule.patience:
+        if step - best_step >= cfg.patience:
             log.append({"event": "stage_done", "phase": phase, "beta": beta,
                         "steps": step + 1, "converged": True, "best_loss": best})
             return True
     log.append({"event": "stage_done", "phase": phase, "beta": beta,
-                "steps": schedule.max_steps, "converged": False, "best_loss": best,
+                "steps": cfg.stage_max_steps, "converged": False, "best_loss": best,
                 "warning": "stage hit its step cap before converging"})
     return False
 
 
-def train_step1(model: MdhModel, dataset, weights: LossWeights,
-                schedule: ContinuationSchedule, cfg: MdhTrainConfig):
+def train_step1(model: MdhModel, dataset, cfg: ExperimentConfig, seed):
     """Three-phase supervised training of the hashing network.
 
-    ``dataset`` needs .face, .iris and .subject arrays. Returns (model, log)
-    where the log is a list of structured records (one per logging step or
-    stage event) ending in a summary with accuracy/saturation/balance.
+    ``dataset`` needs .face, .iris and .subject arrays; ``seed`` starts the
+    minibatch stream. Returns (model, log) where the log is a list of
+    structured records (one per logging step or stage event) ending in a
+    summary with accuracy/saturation/balance.
     """
-    if weights.w_cls <= 0:
-        raise ValueError("classification weight must be positive during hashing training")
     face = np.asarray(dataset.face, dtype=np.float64)
     iris = np.asarray(dataset.iris, dtype=np.float64)
     subjects = np.asarray(dataset.subject)
@@ -307,7 +266,7 @@ def train_step1(model: MdhModel, dataset, weights: LossWeights,
     if m != model.num_classes:
         raise ValueError(f"dataset has {m} subjects but the model head expects {model.num_classes}")
     n = face.shape[0]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     log = []
 
     # Phase A: per-modality encoder pretraining with throwaway softmax heads
@@ -317,7 +276,7 @@ def train_step1(model: MdhModel, dataset, weights: LossWeights,
             continue
         head_w, head_b = _init_linear(rng, encoder.feature_dim, m)
         params = {**encoder.parameters(f"{name}_enc"), "tmp/w": head_w, "tmp/b": head_b}
-        opt = ad.Adam(params, step_size=cfg.lr)
+        state = ad.AdamState(step_size=cfg.lr)
         batches = _batches(n, cfg.batch_size, rng)
         for step in range(cfg.phase_a_steps):
             idx = next(batches)
@@ -325,8 +284,8 @@ def train_step1(model: MdhModel, dataset, weights: LossWeights,
             logits = ad.add(ad.matmul(feats, head_w), head_b)
             loss = ad.softmax_cross_entropy(logits, Tensor(one_hot(class_idx[idx], m)))
             ad.GradientTape(loss).backward()
-            opt.step()
-            if (step + 1) % cfg.log_every == 0:
+            ad.adam_step(params, state)
+            if (step + 1) % LOG_EVERY == 0:
                 log.append({"event": "train", "phase": f"A-{name}", "beta": None,
                             "step": step + 1, "loss": float(loss.data)})
 
@@ -341,7 +300,7 @@ def train_step1(model: MdhModel, dataset, weights: LossWeights,
 
     # Phases B and C share the minibatch objective; B freezes the encoders
     def make_step_fn(params, lr, phase, beta):
-        opt = ad.Adam(params, step_size=lr)
+        state = ad.AdamState(step_size=lr)
         batches = _batches(n, cfg.batch_size, rng)
         counter = {"step": 0}
 
@@ -349,11 +308,11 @@ def train_step1(model: MdhModel, dataset, weights: LossWeights,
             idx = next(batches)
             acts, logits = model.forward(face[idx], iris[idx])
             loss, comps = total_loss(logits, acts, one_hot(class_idx[idx], m),
-                                     model.weight_tensors(), weights)
+                                     model.weight_tensors(), cfg)
             ad.GradientTape(loss).backward()
-            opt.step()
+            ad.adam_step(params, state)
             counter["step"] += 1
-            if counter["step"] % cfg.log_every == 0:
+            if counter["step"] % LOG_EVERY == 0:
                 log.append({"event": "train", "phase": phase, "beta": beta,
                             "step": counter["step"], **comps})
             return comps["total"]
@@ -364,9 +323,10 @@ def train_step1(model: MdhModel, dataset, weights: LossWeights,
         ("B", {**model.jrl_parameters(), **model.head_parameters()}, cfg.lr),
         ("C", model.parameters(), cfg.lr * cfg.phase_c_lr_factor),
     ):
-        for beta in schedule.bandwidths:
+        # an int bandwidth in the config must still log and checkpoint as a float
+        for beta in map(float, cfg.bandwidths):
             model.hashing.beta = beta
-            _run_stage(make_step_fn(params, lr, phase, beta), schedule, log, phase, beta)
+            _run_stage(make_step_fn(params, lr, phase, beta), cfg, log, phase, beta)
 
     summary = evaluate_hashing(model, face, iris, class_idx)
     log.append({"event": "summary", **summary})

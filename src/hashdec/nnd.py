@@ -8,7 +8,8 @@ bit probabilities. All weights initialise to one, so an untrained decoder
 reproduces classical BP exactly; training starts from that baseline.
 
 ``train_loop`` is the one training loop: pretraining and fine-tuning run it on
-the decoder's cross-entropy, the pipeline's joint optimisation on MDH + NND.
+the decoder's cross-entropy with the ``ExperimentConfig``'s ``nnd_*`` settings,
+the pipeline's joint optimisation on MDH + NND.
 
 Also hosts the ground-truth machinery: hard-limiting hash activations,
 decoding them with the conventional hard-decision decoder, and a per-subject
@@ -24,7 +25,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, TrainingError
 from .bch import BchCode, bits_to_hex, decode_hard
-from .tanner import TannerGraph, bp_forward, hard_decision, LLR_CLAMP
+from .config import ExperimentConfig
+from .tanner import TannerGraph, awgn_llr, bp_forward, hard_decision, LLR_CLAMP
+
+VAL_EVERY = 25       # decoder training steps between two validation passes
+VAL_WORDS = 512      # AWGN words in the pretraining validation set
+VAL_FRACTION = 0.1   # share of fine-tuning samples held out for validation
 
 
 def sigma_from_snr_db(snr_db, rate):
@@ -100,26 +106,6 @@ class NndModel:
         return hard_decision(post.data)
 
 
-@dataclass
-class NndTrainConfig:
-    """Settings for AWGN pretraining and biometric fine-tuning."""
-
-    snr_range_db: tuple = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    batch_size: int = 64
-    steps: int = 300
-    step_size: float = 1e-3
-    seed: int = 0
-    val_every: int = 25
-    val_words: int = 512
-    val_fraction: float = 0.1
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-
-
 def train_loop(params, loss, sample_batch, val_batch, steps, step_size, val_every):
     """Adam on a scalar ``loss(inputs, targets)`` over ``params``, a name -> Tensor dict.
 
@@ -128,7 +114,7 @@ def train_loop(params, loss, sample_batch, val_batch, steps, step_size, val_ever
     every ``val_every`` steps and after the last; returns those losses. A loss
     above 10x the first step's for 100 steps in a row raises ``TrainingError``.
     """
-    opt = ad.Adam(params, step_size=step_size)
+    state = ad.AdamState(step_size=step_size)
     best = {name: t.data.copy() for name, t in params.items()}
     with ad.no_grad():
         best_val = float(loss(*val_batch).data)
@@ -149,7 +135,7 @@ def train_loop(params, loss, sample_batch, val_batch, steps, step_size, val_ever
         else:
             bad_streak = 0
         ad.GradientTape(batch_loss).backward()
-        opt.step()
+        ad.adam_step(params, state)
         if (step + 1) % val_every == 0 or step == steps - 1:
             with ad.no_grad():
                 val = float(loss(*val_batch).data)
@@ -162,39 +148,39 @@ def train_loop(params, loss, sample_batch, val_batch, steps, step_size, val_ever
     return curve
 
 
-def _fit_decoder(model, cfg, sample_batch, val_batch):
-    """``train_loop`` on the decoder's bitwise cross-entropy, with ``cfg``'s settings."""
+def _fit_decoder(model, cfg: ExperimentConfig, steps, sample_batch, val_batch):
+    """``train_loop`` on the decoder's bitwise cross-entropy at ``cfg``'s step size."""
     loss = lambda llr, targets: ad.binary_cross_entropy(model.forward(llr), Tensor(targets))
     return train_loop(model.parameters(), loss, sample_batch, val_batch,
-                      cfg.steps, cfg.step_size, cfg.val_every)
+                      steps, cfg.nnd_step_size, VAL_EVERY)
 
 
-def pretrain_awgn(model: NndModel, cfg: NndTrainConfig):
+def pretrain_awgn(model: NndModel, cfg: ExperimentConfig, seed):
     """Train on AWGN realisations of the transmitted all-zeros codeword.
 
-    Returns (model, validation-loss curve); the model carries the weights of
-    the best validation checkpoint.
+    Noise levels come from ``cfg.nnd_snr_range_db``; ``seed`` starts the
+    training stream and ``seed + 1`` the validation words. Returns (model,
+    validation-loss curve); the model carries the weights of the best
+    validation checkpoint.
     """
-    if not cfg.snr_range_db:
-        raise ValueError("snr_range_db must be nonempty for AWGN pretraining")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     rate = model.code.k / model.code.n
-    sigmas = np.array([sigma_from_snr_db(s, rate) for s in cfg.snr_range_db])
+    sigmas = np.array([sigma_from_snr_db(s, rate) for s in cfg.nnd_snr_range_db])
     n = model.code.n
 
-    # channel realisations of the all-zeros codeword (BPSK symbols all +1)
+    # channel realisations of the all-zeros codeword, one noise level per word
     def sample_llrs(count, gen):
         sig = gen.choice(sigmas, size=count)
-        noise = gen.standard_normal((count, n))
-        return 2.0 * (1.0 + sig[:, None] * noise) / (sig[:, None] ** 2)
+        return awgn_llr(np.zeros((count, n), dtype=np.uint8), sig[:, None], gen)
 
-    val_inputs = sample_llrs(cfg.val_words, np.random.default_rng(cfg.seed + 1))
-    val_targets = np.zeros((cfg.val_words, n))
+    val_inputs = sample_llrs(VAL_WORDS, np.random.default_rng(seed + 1))
+    val_targets = np.zeros((VAL_WORDS, n))
 
     def sample_batch(step):
-        return sample_llrs(cfg.batch_size, rng), np.zeros((cfg.batch_size, n))
+        return sample_llrs(cfg.nnd_batch_size, rng), np.zeros((cfg.nnd_batch_size, n))
 
-    curve = _fit_decoder(model, cfg, sample_batch, (val_inputs, val_targets))
+    curve = _fit_decoder(model, cfg, cfg.nnd_pretrain_steps, sample_batch,
+                         (val_inputs, val_targets))
     return model, curve
 
 
@@ -304,11 +290,12 @@ def make_ground_truth(outputs_by_subject, code: BchCode):
     return table
 
 
-def finetune_biometric(model: NndModel, inputs, targets, cfg: NndTrainConfig):
+def finetune_biometric(model: NndModel, inputs, targets, cfg: ExperimentConfig, seed):
     """Fine-tune the decoder on biometric LLRs against their voted codewords.
 
     ``inputs`` holds one (N, n) row of LLRs per sample and ``targets`` its
-    label codeword. Returns the model carrying the best-validation weights.
+    label codeword; ``seed`` starts the split and minibatch stream. Returns
+    the model carrying the best-validation weights.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -316,19 +303,20 @@ def finetune_biometric(model: NndModel, inputs, targets, cfg: NndTrainConfig):
         raise ValueError(f"fine-tuning needs nonempty (N, n) inputs and targets of one shape, "
                          f"got {inputs.shape} and {targets.shape}")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(inputs.shape[0])
-    n_val = max(1, int(round(cfg.val_fraction * inputs.shape[0])))
+    n_val = max(1, int(round(VAL_FRACTION * inputs.shape[0])))
     val_idx, train_idx = order[:n_val], order[n_val:]
     if train_idx.size == 0:
         train_idx = val_idx
     tr_in, tr_out = inputs[train_idx], targets[train_idx]
 
     def sample_batch(step):
-        take = rng.integers(0, tr_in.shape[0], size=min(cfg.batch_size, tr_in.shape[0]))
+        take = rng.integers(0, tr_in.shape[0], size=min(cfg.nnd_batch_size, tr_in.shape[0]))
         return tr_in[take], tr_out[take]
 
-    _fit_decoder(model, cfg, sample_batch, (inputs[val_idx], targets[val_idx]))
+    _fit_decoder(model, cfg, cfg.nnd_finetune_steps, sample_batch,
+                 (inputs[val_idx], targets[val_idx]))
     return model
 
 

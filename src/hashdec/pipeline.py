@@ -289,10 +289,7 @@ def stage_train_mdh(cfg: ExperimentConfig, run_dir):
         cfg.fusion_mode, cfg.face_dim, cfg.iris_dim, cfg.train_subjects, code.n,
         cfg.feature_dim, cfg.fusion_dim, cfg.encoder_hidden, seed=stage_seed(cfg, "mdh"),
     )
-    model, log = train_step1(
-        model, splits["train"], cfg.loss_weights(), cfg.schedule(),
-        cfg.mdh_train_config(stage_seed(cfg, "mdh")),
-    )
+    model, log = train_step1(model, splits["train"], cfg, stage_seed(cfg, "mdh"))
     with open(os.path.join(run_dir, "mdh_log.jsonl"), "w") as fh:
         for record in log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -341,7 +338,7 @@ def stage_train_nnd(cfg: ExperimentConfig, run_dir):
     mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
 
     model = NndModel(code, cfg.nnd_iterations)
-    model, curve = pretrain_awgn(model, cfg.nnd_train_config(stage_seed(cfg, "nnd_pre")))
+    model, curve = pretrain_awgn(model, cfg, stage_seed(cfg, "nnd_pre"))
     _log_event(run_dir, f"nnd_pretrain val_curve_first={curve[0]!r} val_curve_best={min(curve)!r}")
     save_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, "nnd_pretrained", nnd=model)
 
@@ -353,10 +350,8 @@ def stage_train_nnd(cfg: ExperimentConfig, run_dir):
     sweep, best_scale = sweep_llr_scale(
         model, acts, targets, log_path=os.path.join(run_dir, "experiment.log"),
     )
-    model = finetune_biometric(
-        model, llr_from_activations(acts, cfg.llr_scale), targets,
-        cfg.nnd_train_config(stage_seed(cfg, "nnd_ft"), steps=cfg.nnd_finetune_steps),
-    )
+    model = finetune_biometric(model, llr_from_activations(acts, cfg.llr_scale), targets,
+                               cfg, stage_seed(cfg, "nnd_ft"))
     save_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, "nnd_finetuned", nnd=model)
     _mark(run_dir, cfg, "nnd")
     return {"pretrain_curve": curve, "scale_sweep": sweep, "best_scale": best_scale}
@@ -378,8 +373,6 @@ def _composed_loss(mdh, nndm, scale):
 
 
 def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
-    if cfg.joint_freeze_mdh and cfg.joint_freeze_nnd:
-        raise PipelineError("joint optimisation with every component frozen is vacuous")
     _require(run_dir, cfg, "mdh", "nnd")
     splits = _load_splits(cfg, run_dir)
     table = GroundTruthTable.load(os.path.join(run_dir, "ground_truth.txt"))

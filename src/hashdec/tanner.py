@@ -202,8 +202,10 @@ def awgn_llr(transmitted_bits, sigma, rng):
     """BPSK-modulate a word, add white Gaussian noise, return channel LLRs.
 
     Bit b maps to 1 - 2b; LLR = 2y / sigma^2 (positive favours bit 0).
+    ``sigma`` is a scalar or an array that broadcasts against the word, e.g.
+    one noise level per row of a batch.
     """
-    if sigma <= 0:
+    if np.any(np.asarray(sigma) <= 0):
         raise ValueError(f"noise standard deviation must be positive, got {sigma}")
     bits = np.asarray(transmitted_bits, dtype=np.uint8)
     symbols = 1.0 - 2.0 * bits

@@ -18,8 +18,8 @@ from hashdec.autodiff import Tensor, gradient_check
 from hashdec.bch import brute_force_ml_decode, build_code, decode_hard, encode
 from hashdec.config import ExperimentConfig
 from hashdec.evaluation import read_metrics, roc_and_eer, score_protocol
-from hashdec.mdh import LossWeights, MdhModel, total_loss
-from hashdec.nnd import NndModel, NndTrainConfig, pretrain_awgn, sigma_from_snr_db
+from hashdec.mdh import MdhModel, total_loss
+from hashdec.nnd import NndModel, pretrain_awgn, sigma_from_snr_db
 from hashdec.pipeline import run_all, stage_bench
 from hashdec.tanner import TannerGraph, decode_bp_batch
 
@@ -199,7 +199,8 @@ def test_criterion_4_gradient_suite():
 
         def full_path(*params):
             acts, logits = model.forward(face, iris)
-            loss, _ = total_loss(logits, acts, Tensor(y), model.weight_tensors(), LossWeights())
+            loss, _ = total_loss(logits, acts, Tensor(y), model.weight_tensors(),
+                                 ExperimentConfig())
             return loss
 
         worst = max(worst, gradient_check(
@@ -294,8 +295,8 @@ def test_criterion_7_pretraining_benefit():
     code = build_code(6, 3)
     graph = TannerGraph(code.parity_check_matrix)
     snrs = (2.0, 4.0, 6.0)
-    cfg = NndTrainConfig(snr_range_db=snrs, batch_size=64, steps=300, seed=7)
-    model, _ = pretrain_awgn(NndModel(code, iterations=5), cfg)
+    cfg = ExperimentConfig(nnd_snr_range_db=snrs, nnd_batch_size=64, nnd_pretrain_steps=300)
+    model, _ = pretrain_awgn(NndModel(code, iterations=5), cfg, seed=7)
     rate = code.k / code.n
     rng = np.random.default_rng(8)
     words = 100_000

@@ -5,7 +5,6 @@ import pytest
 
 from hashdec import autodiff as ad
 from hashdec.autodiff import (
-    Adam,
     AdamState,
     GradientTape,
     Tensor,
@@ -174,8 +173,9 @@ def test_outer_product_gradient():
 def test_adam_zero_gradient_is_identity():
     p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     state = AdamState()
+    p.grad = np.zeros(3)
     for _ in range(5):
-        adam_step({"p": p}, {"p": np.zeros(3)}, state)
+        adam_step({"p": p}, state)
     assert np.array_equal(p.data, [1.0, -2.0, 3.0])
     assert state.timestep == 5
 
@@ -185,7 +185,8 @@ def test_adam_single_step_hand_computed():
     # step_size * g / (|g| + eps) = step_size / (1 + eps) for g = 1
     p = Tensor(np.array([0.0]), requires_grad=True)
     state = AdamState(step_size=0.05)
-    adam_step({"p": p}, {"p": np.array([1.0])}, state)
+    p.grad = np.array([1.0])
+    adam_step({"p": p}, state)
     assert p.data[0] == pytest.approx(-0.05, rel=1e-6)
 
 
@@ -193,14 +194,16 @@ def test_adam_quadratic_bowl():
     p = Tensor(np.array([5.0]), requires_grad=True)
     state = AdamState(step_size=0.1)
     for _ in range(500):
-        adam_step({"p": p}, {"p": 2.0 * p.data}, state)
+        p.grad = 2.0 * p.data
+        adam_step({"p": p}, state)
     assert abs(p.data[0]) < 1e-2
 
 
 def test_adam_nan_gradient_names_parameter():
     p = Tensor(np.array([1.0]), requires_grad=True)
+    p.grad = np.array([np.nan])
     with pytest.raises(TrainingError, match="hash_w"):
-        adam_step({"hash_w": p}, {"hash_w": np.array([np.nan])}, AdamState())
+        adam_step({"hash_w": p}, AdamState())
 
 
 def test_adam_state_validation():
@@ -327,11 +330,15 @@ def test_no_grad_blocks_recording():
     assert y.node is None and not y.requires_grad
 
 
-def test_adam_wrapper_requires_backward():
+def test_adam_step_requires_backward():
     p = Tensor(np.ones(2), requires_grad=True)
-    opt = Adam({"p": p})
-    with pytest.raises(TrainingError, match="no gradient"):
-        opt.step()
+    q = Tensor(np.ones(2), requires_grad=True)
+    p.grad = np.ones(2)
+    state = AdamState()
+    with pytest.raises(TrainingError, match="'q' has no gradient"):
+        adam_step({"p": p, "q": q}, state)
+    # the refusal comes before any parameter moves
+    assert np.array_equal(p.data, np.ones(2)) and state.timestep == 0
 
 
 def test_backward_requires_scalar():

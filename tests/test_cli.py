@@ -73,12 +73,20 @@ def test_bad_config_is_categorised(tmp_path, capsys):
     rc = main(["generate-data", "--config", str(bad), "--run-dir", str(tmp_path / "r")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error[config]:")
-    # a mistyped value is refused when the config loads, before anything is written
-    for text in ('{"code_m": "6"}', '{"far_targets": null}', '{"seed": 1.5}'):
-        bad.write_text(text)
+    # a mistyped or out-of-range value is refused when the config loads,
+    # before anything is written, with a message that names the field
+    cases = [{"code_m": "6"}, {"far_targets": None}, {"seed": 1.5},
+             {"nnd_snr_range_db": []}, {"nnd_batch_size": 0}, {"batch_size": 0},
+             {"joint_batch_size": 0}, {"nnd_finetune_steps": -1}, {"joint_steps": -1},
+             {"lr": 0}, {"nnd_step_size": -1e-3}, {"joint_step_size": 0},
+             {"phase_c_lr_factor": 0}, {"w_cls": 0},
+             {"joint_freeze_mdh": True, "joint_freeze_nnd": True}]
+    for case in cases:
+        bad.write_text(json.dumps({**tiny_config().to_dict(), **case}))
         rc = main(["run-all", "--config", str(bad), "--run-dir", str(tmp_path / "r")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error[config]:")
+        err = capsys.readouterr().err
+        assert rc == 2, case
+        assert err.startswith("error[config]:") and all(name in err for name in case), err
         assert not (tmp_path / "r").exists()
 
 

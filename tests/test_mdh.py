@@ -6,15 +6,8 @@ import pytest
 from hashdec import autodiff as ad
 from hashdec.autodiff import Tensor, TrainingError, gradient_check
 from hashdec.biodata import DatasetDims, DistortionModel, SplitSpec, generate
-from hashdec.mdh import (
-    ContinuationSchedule,
-    FusionLayer,
-    LossWeights,
-    MdhModel,
-    MdhTrainConfig,
-    total_loss,
-    train_step1,
-)
+from hashdec.config import ConfigError, ExperimentConfig
+from hashdec.mdh import FusionLayer, MdhModel, total_loss, train_step1
 
 
 def _identity_fusion(mode, d):
@@ -104,7 +97,7 @@ def test_forward_dimension_mismatch():
         model.forward(np.ones((2, 5)), np.ones((2, 6)))
 
 
-def _loss_parts(acts_matrix, weights=LossWeights(l2=0.0)):
+def _loss_parts(acts_matrix, weights=ExperimentConfig(l2=0.0)):
     n, j = acts_matrix.shape
     logits = Tensor(np.zeros((n, 2)))
     labels = Tensor(np.tile([1.0, 0.0], (n, 1)))
@@ -146,7 +139,7 @@ def test_total_loss_reports_components_and_l2():
     logits = Tensor(rng.standard_normal((3, 2)))
     labels = Tensor(np.eye(2)[rng.integers(0, 2, 3)])
     w = Tensor(rng.standard_normal((2, 2)))
-    weights = LossWeights(w_cls=1.0, w_quant=0.2, w_ent=0.3, l2=0.01)
+    weights = ExperimentConfig(w_cls=1.0, w_quant=0.2, w_ent=0.3, l2=0.01)
     loss, comps = total_loss(logits, acts, labels, [w], weights)
     assert set(comps) == {"e1", "e2", "e3", "total"}
     expected = comps["e1"] + 0.2 * comps["e2"] + 0.3 * comps["e3"]
@@ -159,7 +152,7 @@ def test_total_loss_nonfinite_component_raises():
     logits = Tensor(np.array([[np.inf, 0.0]]))
     labels = Tensor(np.array([[1.0, 0.0]]))
     with pytest.raises(TrainingError, match="component"):
-        total_loss(logits, Tensor(np.zeros((1, 4))), labels, [], LossWeights())
+        total_loss(logits, Tensor(np.zeros((1, 4))), labels, [], ExperimentConfig())
 
 
 def test_continuation_monotonicity():
@@ -187,7 +180,7 @@ def test_full_path_gradient_check_through_loss():
         def f(*ts):
             acts, logits = model.forward(face, iris)
             loss, _ = total_loss(logits, acts, Tensor(labels),
-                                 model.weight_tensors(), LossWeights())
+                                 model.weight_tensors(), ExperimentConfig())
             return loss
 
         report = gradient_check(f, params)
@@ -195,12 +188,16 @@ def test_full_path_gradient_check_through_loss():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError, match="start at bandwidth 1"):
-        ContinuationSchedule(bandwidths=(2.0, 4.0))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        ContinuationSchedule(bandwidths=(1.0, 4.0, 4.0))
-    with pytest.raises(ValueError, match="non-negative"):
-        LossWeights(w_cls=-1.0)
+    with pytest.raises(ConfigError, match="start at bandwidth 1"):
+        ExperimentConfig(bandwidths=(2.0, 4.0))
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        ExperimentConfig(bandwidths=(1.0, 4.0, 4.0))
+    with pytest.raises(ConfigError, match="bandwidths"):
+        ExperimentConfig(bandwidths=())
+    for name in ("w_quant", "w_ent", "l2"):
+        with pytest.raises(ConfigError, match=f"{name}: loss weights must be non-negative"):
+            ExperimentConfig(**{name: -1.0})
+    assert ExperimentConfig(w_quant=0.0, w_ent=0.0, l2=0.0).l2 == 0.0
 
 
 def _tiny_dataset(seed=0):
@@ -215,13 +212,13 @@ def _tiny_model(seed=0):
                     hidden=(12,), seed=seed)
 
 
-_FAST = MdhTrainConfig(phase_a_steps=60, log_every=20, seed=0)
-_FAST_SCHED = ContinuationSchedule(bandwidths=(1.0, 8.0, 64.0), patience=30, max_steps=60)
+_FAST = ExperimentConfig(phase_a_steps=60, bandwidths=(1.0, 8.0, 64.0), patience=30,
+                         stage_max_steps=60)
 
 
 def test_train_step1_learns_and_logs():
     train = _tiny_dataset()
-    model, log = train_step1(_tiny_model(), train, LossWeights(), _FAST_SCHED, _FAST)
+    model, log = train_step1(_tiny_model(), train, _FAST, seed=0)
     summary = log[-1]
     assert summary["event"] == "summary"
     assert summary["accuracy"] >= 0.95
@@ -241,29 +238,29 @@ def test_train_step1_on_a_split_smaller_than_the_batch_finishes():
     dims = DatasetDims(latent=6, face=10, iris=10)
     train = generate(spec, DistortionModel(0.05, 0.05, 0.02, 0.02), dims, 0)[0]
     model = MdhModel("bla", 10, 10, 5, 15, feature_dim=4, fusion_dim=12, hidden=(12,), seed=0)
-    cfg = MdhTrainConfig(phase_a_steps=5, batch_size=32, log_every=5, seed=0)
-    sched = ContinuationSchedule(bandwidths=(1.0,), patience=3, max_steps=5)
-    _, log = train_step1(model, train, LossWeights(), sched, cfg)
+    cfg = ExperimentConfig(phase_a_steps=5, batch_size=32, bandwidths=(1.0,), patience=3,
+                           stage_max_steps=5)
+    _, log = train_step1(model, train, cfg, seed=0)
     assert log[-1]["event"] == "summary"
 
 
 def test_train_step1_requires_positive_classification_weight():
-    with pytest.raises(ValueError, match="classification weight"):
-        train_step1(_tiny_model(), _tiny_dataset(), LossWeights(w_cls=0.0),
-                    _FAST_SCHED, _FAST)
+    # the config refuses the value when it loads, so no training can start with it
+    for w_cls in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="w_cls: classification weight must be positive"):
+            ExperimentConfig(w_cls=w_cls)
 
 
 def test_train_step1_rejects_class_count_mismatch():
     model = MdhModel("bla", 10, 10, 5, 15, 4, 12, (12,), seed=0)
     with pytest.raises(ValueError, match="subjects"):
-        train_step1(model, _tiny_dataset(), LossWeights(), _FAST_SCHED, _FAST)
+        train_step1(model, _tiny_dataset(), _FAST, seed=0)
 
 
 def test_train_step1_deterministic():
     logs = []
     for _ in range(2):
-        _, log = train_step1(_tiny_model(seed=3), _tiny_dataset(seed=3),
-                             LossWeights(), _FAST_SCHED, _FAST)
+        _, log = train_step1(_tiny_model(seed=3), _tiny_dataset(seed=3), _FAST, seed=0)
         logs.append(json.dumps(log, sort_keys=True))
     assert logs[0] == logs[1]
 
@@ -272,6 +269,6 @@ def test_unimodal_modes_train():
     train = _tiny_dataset()
     model = MdhModel("face", 10, 10, 8, 15, feature_dim=4, fusion_dim=12,
                      hidden=(12,), seed=1)
-    model, log = train_step1(model, train, LossWeights(), _FAST_SCHED, _FAST)
+    model, log = train_step1(model, train, _FAST, seed=0)
     assert model.iris_encoder is None
     assert log[-1]["accuracy"] > 0.5

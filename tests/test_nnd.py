@@ -4,10 +4,11 @@ import pytest
 from hashdec import autodiff as ad
 from hashdec.autodiff import Tensor, TrainingError, gradient_check
 from hashdec.bch import build_code, encode
+from hashdec.config import ConfigError, ExperimentConfig
 from hashdec.nnd import (
+    VAL_WORDS,
     GroundTruthTable,
     NndModel,
-    NndTrainConfig,
     codeword_error_rate,
     finetune_biometric,
     hard_limit,
@@ -116,21 +117,21 @@ def test_gradient_flows_into_llr_input(hamming74):
 def test_pretrain_zero_steps_is_identity(bch63):
     model = NndModel(bch63, iterations=5)
     before = {k: t.data.copy() for k, t in model.parameters().items()}
-    model, curve = pretrain_awgn(model, NndTrainConfig(steps=0, val_words=64, seed=5))
+    model, curve = pretrain_awgn(model, ExperimentConfig(nnd_pretrain_steps=0), seed=5)
     assert all(np.array_equal(before[k], t.data) for k, t in model.parameters().items())
     assert len(curve) == 1
 
 
 def test_pretrain_initial_loss_equals_classical_bp_loss(bch63):
-    cfg = NndTrainConfig(snr_range_db=(2.0, 4.0), steps=0, val_words=128, seed=6)
+    cfg = ExperimentConfig(nnd_snr_range_db=(2.0, 4.0), nnd_pretrain_steps=0)
     model = NndModel(bch63, iterations=5)
-    _, curve = pretrain_awgn(model, cfg)
+    _, curve = pretrain_awgn(model, cfg, seed=6)
     # recompute by hand: same validation words through plain BP posteriors
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(6 + 1)
     rate = bch63.k / bch63.n
-    sigmas = np.array([sigma_from_snr_db(s, rate) for s in cfg.snr_range_db])
-    sig = rng.choice(sigmas, size=cfg.val_words)
-    noise = rng.standard_normal((cfg.val_words, bch63.n))
+    sigmas = np.array([sigma_from_snr_db(s, rate) for s in cfg.nnd_snr_range_db])
+    sig = rng.choice(sigmas, size=VAL_WORDS)
+    noise = rng.standard_normal((VAL_WORDS, bch63.n))
     val = 2.0 * (1.0 + sig[:, None] * noise) / sig[:, None] ** 2
     graph = TannerGraph(bch63.parity_check_matrix)
     _, soft = decode_bp_batch(graph, val, iterations=5)
@@ -141,9 +142,10 @@ def test_pretrain_initial_loss_equals_classical_bp_loss(bch63):
     assert curve[0] == pytest.approx(expected, abs=1e-15)
 
 
-def test_pretrain_requires_snrs(bch63):
-    with pytest.raises(ValueError, match="snr_range_db"):
-        pretrain_awgn(NndModel(bch63, 2), NndTrainConfig(snr_range_db=(), steps=1))
+def test_pretrain_requires_snrs():
+    # the config refuses an empty list when it loads, before any pretraining
+    with pytest.raises(ConfigError, match="nnd_snr_range_db must be nonempty"):
+        ExperimentConfig(nnd_snr_range_db=())
 
 
 def test_training_divergence_raises(hamming74):
@@ -294,7 +296,7 @@ def test_finetune_confident_labels_barely_move_weights(hamming74):
     targets = np.tile(cw.astype(np.float64), (6, 1))
     before = {k: t.data.copy() for k, t in model.parameters().items()}
     model = finetune_biometric(model, inputs, targets,
-                               NndTrainConfig(steps=30, batch_size=4, seed=11))
+                               ExperimentConfig(nnd_finetune_steps=30, nnd_batch_size=4), seed=11)
     drift = max(np.max(np.abs(before[k] - t.data)) for k, t in model.parameters().items())
     assert drift < 1e-3
 
@@ -307,7 +309,8 @@ def test_finetune_requires_labels_and_data(hamming74):
     cases += [(np.zeros((2, 7)), t) for t in (np.zeros((3, 7)), np.zeros((2, 6)), np.zeros(14))]
     for inputs, targets in cases:
         with pytest.raises(ValueError, match="shape"):
-            finetune_biometric(model, inputs, targets, NndTrainConfig(steps=1))
+            finetune_biometric(model, inputs, targets, ExperimentConfig(nnd_finetune_steps=1),
+                               seed=0)
     assert all(np.array_equal(before[k], t.data) for k, t in model.parameters().items())
 
 

@@ -304,11 +304,10 @@ def test_joint_zero_steps_is_composition_identity(tmp_path):
     assert np.array_equal(probs_j, probs_0)
 
 
-def test_joint_frozen_everything_rejected(finished_run):
-    cfg, run_dir, _ = finished_run
-    frozen = tiny_config(joint_freeze_mdh=True, joint_freeze_nnd=True)
-    with pytest.raises(PipelineError, match="vacuous"):
-        stage_joint_optimize(frozen, run_dir)
+def test_joint_frozen_everything_rejected():
+    # refused when the config loads, so no stage can start with it
+    with pytest.raises(ConfigError, match="joint_freeze_mdh and joint_freeze_nnd.*vacuous"):
+        tiny_config(joint_freeze_mdh=True, joint_freeze_nnd=True)
 
 
 @pytest.mark.parametrize("frozen", ["mdh", "nnd"])
@@ -385,6 +384,27 @@ def test_unimodal_run_all(tmp_path):
     assert 0.0 <= results[("auth", "mdh")]["eer"] <= 1.0
 
 
+def test_integer_bandwidths_train_as_floats_and_keep_the_fingerprint(tmp_path):
+    # the ladder is read as floats where training uses it; the config keeps
+    # the ints it was given, so its fingerprint is the one it always had
+    assert ExperimentConfig().fingerprint() == "6f84bf01455adfae"
+    cfg = ExperimentConfig.from_dict({**tiny_config().to_dict(), "bandwidths": [1, 2]})
+    assert cfg.bandwidths == (1, 2) and cfg.fingerprint() == "fadf290900cc6052"
+    run_dir = str(tmp_path)
+    stage_generate_data(cfg, run_dir)
+    stage_train_mdh(cfg, run_dir)
+    _, meta = load_params(os.path.join(run_dir, "mdh.ckpt"))
+    assert type(meta["beta"]) is float and meta["beta"] == 2.0
+    with open(os.path.join(run_dir, "mdh_log.jsonl")) as fh:
+        betas = [json.loads(line).get("beta") for line in fh]
+    stage_betas = [b for b in betas if b is not None]
+    assert stage_betas and all(type(b) is float for b in stage_betas)
+    assert sorted(set(stage_betas)) == [1.0, 2.0]
+    saved = ExperimentConfig.load(os.path.join(run_dir, "config.json"))
+    assert saved.fingerprint() == cfg.fingerprint()
+    assert pipeline.load_state(run_dir, cfg)["markers"]["mdh"]
+
+
 def test_stage_seeds_distinct_and_stable():
     cfg = tiny_config()
     seeds = [stage_seed(cfg, s) for s in ("data", "mdh", "ground_truth", "nnd_pre", "nnd_ft", "joint")]
@@ -418,3 +438,5 @@ def test_config_round_trip_and_validation(tmp_path):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_dict({field: value})
     assert tiny_config(llr_scale=4, far_targets=[0.01]).far_targets == (0.01,)
+    # no hidden layer is a linear encoder, a valid architecture
+    assert ExperimentConfig.from_dict({"encoder_hidden": []}).encoder_hidden == ()

@@ -218,6 +218,18 @@ def test_awgn_llr_monte_carlo_mean():
 def test_awgn_llr_rejects_bad_sigma():
     with pytest.raises(ValueError, match="positive"):
         awgn_llr(np.zeros(4, dtype=np.uint8), 0.0, np.random.default_rng(0))
+    # one noise level per row: a single bad row is enough to refuse
+    with pytest.raises(ValueError, match="positive"):
+        awgn_llr(np.zeros((2, 4), dtype=np.uint8), np.array([[0.5], [-0.1]]),
+                 np.random.default_rng(0))
+
+
+def test_awgn_llr_one_sigma_per_row():
+    # the all-zeros word's LLRs are 2 (1 + sigma z) / sigma^2, bit for bit
+    sig = np.array([[0.5], [0.9], [0.7]])
+    llr = awgn_llr(np.zeros((3, 5), dtype=np.uint8), sig, np.random.default_rng(2))
+    noise = np.random.default_rng(2).standard_normal((3, 5))
+    assert np.array_equal(llr, 2.0 * (1.0 + sig * noise) / sig**2)
 
 
 def test_batch_decode_matches_single(hamming_graph):
