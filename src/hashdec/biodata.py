@@ -6,13 +6,16 @@ matrices; a sample is the projected identity plus per-sample distortion
 illumination and sensor noise). The three splits (hashing-network training,
 decoder fine-tuning, test) use disjoint subject id ranges and are generated
 deterministically from one seed.
+
+A split is stored as a line-delimited text file whose header declares its
+dimensions; ``file_sha256`` gives the digest a run directory's manifest
+keeps for it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,19 +38,18 @@ class SplitSpec:
     id_starts: tuple = (0, 10000, 20000)
 
     def __post_init__(self):
-        counts = (self.train_subjects, self.nnd_subjects, self.test_subjects)
-        if min(counts) < 1 or self.samples_per_subject < 1:
-            raise ValueError("subject and sample counts must be positive")
+        names = ("train_subjects", "nnd_subjects", "test_subjects")
+        for name in names + ("samples_per_subject",):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)!r}")
         if not 0.0 < self.enroll_fraction < 1.0:
-            raise ValueError("enroll_fraction must lie strictly between 0 and 1")
-        ranges = [
-            (start, start + count) for start, count in zip(self.id_starts, counts)
-        ]
-        for (a0, a1), (b0, b1) in zip(ranges, ranges[1:]):
-            if a1 > b0:
-                raise ValueError(
-                    f"subject id ranges overlap: [{a0},{a1}) and [{b0},{b1})"
-                )
+            raise ValueError(f"enroll_fraction: must lie strictly between 0 and 1, "
+                             f"got {self.enroll_fraction!r}")
+        ends = [start + getattr(self, name) for start, name in zip(self.id_starts, names)]
+        for name, start, end, next_start in zip(names, self.id_starts, ends, self.id_starts[1:]):
+            if end > next_start:
+                raise ValueError(f"{name}: subject id ranges overlap: [{start},{end}) runs "
+                                 f"into the next split's ids from {next_start}")
 
 
 @dataclass
@@ -60,8 +62,9 @@ class DistortionModel:
     offset_sigma: float = 0.05
 
     def __post_init__(self):
-        if min(self.sigma_face, self.sigma_iris, self.gain_jitter, self.offset_sigma) < 0:
-            raise ValueError("distortion parameters must be non-negative")
+        for name in ("sigma_face", "sigma_iris", "gain_jitter", "offset_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be non-negative, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -227,22 +230,3 @@ def file_sha256(path):
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def write_manifest(path, spec, distortion, dims, seed, files):
-    manifest = {
-        "spec": asdict(spec),
-        "distortion": asdict(distortion),
-        "dims": asdict(dims),
-        "seed": seed,
-        "files": {name: {"path": str(p), "sha256": file_sha256(p)} for name, p in files.items()},
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return json.loads(json.dumps(manifest))  # JSON-normalised (tuples become lists)
-
-
-def load_manifest(path):
-    with open(path) as fh:
-        return json.load(fh)

@@ -4,8 +4,8 @@ Every field has a default; a config file only needs the fields it overrides.
 The record is the only home of every setting: the training functions of
 ``mdh`` and ``nnd`` read their fields from it, and ``__post_init__`` refuses a
 mistyped or out-of-range value before any stage runs. The fingerprint is a
-stable hash of the complete resolved config and gates checkpoint reuse
-across stages.
+stable hash of the complete resolved config; every run-directory record
+names it and is read back only under the same config.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ _RANGES = (
      lambda v: v >= 1, "must be >= 1"),
     (("lr", "phase_c_lr_factor", "nnd_step_size", "joint_step_size", "llr_scale"),
      lambda v: v > 0, "must be positive"),
+    (("latent_dim", "face_dim", "iris_dim", "feature_dim", "fusion_dim"),
+     lambda v: v >= 1, "dimensions must be >= 1"),
+    (("encoder_hidden",), lambda v: all(w >= 1 for w in v), "hidden widths must be >= 1"),
+    (("samples_per_subject",), lambda v: v >= 2, "genuine pairs need >= 2 samples per subject"),
 )
 
 
@@ -145,9 +149,11 @@ class ExperimentConfig:
         if self.joint_freeze_mdh and self.joint_freeze_nnd:
             raise ConfigError("joint_freeze_mdh and joint_freeze_nnd: joint optimisation "
                               "with every component frozen is vacuous")
-        # constructing these validates their invariants (ranges, overlap, order)
-        self.split_spec()
-        self.distortion()
+        try:  # constructing these validates their invariants (ranges, overlap)
+            self.split_spec()
+            self.distortion()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     # -- component views -----------------------------------------------------
     def split_spec(self):

@@ -120,7 +120,6 @@ class MdhModel:
         rng = np.random.default_rng(seed)
         self.mode = mode
         self.num_classes = num_classes
-        self.code_bits = code_bits
         self.face_encoder = (
             ModalityEncoder(rng, face_dim, hidden, feature_dim) if mode != "iris" else None
         )

@@ -327,22 +327,16 @@ def codeword_error_rate(decoder_bits, labels_bits):
     return float(np.mean(np.any(decoder_bits != labels_bits, axis=1)))
 
 
-def sweep_llr_scale(model: NndModel, activations, targets,
-                    scales=(2.0, 4.0, 8.0, 16.0), log_path=None):
+def sweep_llr_scale(model: NndModel, activations, targets, scales=(2.0, 4.0, 8.0, 16.0)):
     """Measure codeword error rate as a function of the LLR gain.
 
     ``activations`` holds one (N, n) row of hash activations per sample and
     ``targets`` its label codeword. Returns a list of (scale, cer) pairs plus
-    the argmin scale; optionally appends one line per scale to a log file.
+    the argmin scale.
     """
     results = []
     for scale in scales:
         bits = model.decode(llr_from_activations(activations, scale))
         results.append((float(scale), codeword_error_rate(bits, targets)))
     best = min(results, key=lambda r: (r[1], r[0]))[0]
-    if log_path is not None:
-        with open(log_path, "a") as fh:
-            for scale, cer in results:
-                fh.write(f"llr_scale_sweep scale={scale!r} cer={cer!r}\n")
-            fh.write(f"llr_scale_sweep best={best!r}\n")
     return results, best

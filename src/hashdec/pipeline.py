@@ -6,6 +6,12 @@ fingerprint; a stage refuses to run until its predecessors' markers are
 present, and markers from a different fingerprint are ignored. All
 randomness derives from the single config seed, fanned out per stage.
 
+The config is the one description of a run. Every record a stage reads back
+names the fingerprint of the config that wrote it and is refused under any
+other: ``data_manifest.json`` holds it beside each data file's sha256, a
+checkpoint beside the models it holds and the hashing layer's ``beta`` and
+head. Architectures are built from the config, never from a file's copy.
+
 Decoder fine-tuning and joint optimisation run ``nnd.train_loop`` on the same
 rows, the labeled samples of the NND split (``_labeled_samples``).
 """
@@ -21,15 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bch import build_code, decode_hard, write_descriptor
-from .biodata import (
-    file_sha256,
-    generate,
-    load_dataset,
-    load_manifest,
-    save_dataset,
-    verify_disjoint,
-    write_manifest,
-)
+from .biodata import file_sha256, generate, load_dataset, save_dataset, verify_disjoint
 from .checkpoint import save_params, load_params
 from .config import ExperimentConfig
 from .evaluation import (
@@ -144,21 +142,27 @@ def _read_only(split):
 
 
 def _load_splits(cfg, run_dir):
-    """The three data splits, each file first checked against the manifest.
+    """The three data splits, each file first checked against this config's manifest.
 
     A file is parsed once per process: its split is kept under the file's
     digest, so a changed file is never served from memory.
     """
     manifest_path = os.path.join(run_dir, "data_manifest.json")
     try:
-        recorded = load_manifest(manifest_path)["files"]
-    except (OSError, ValueError, KeyError) as exc:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise PipelineError(f"cannot read the data manifest {manifest_path}: {exc}") from None
+    if manifest.get("fingerprint") != cfg.fingerprint():
+        raise PipelineError(
+            f"data manifest {manifest_path} was not written under this config (fingerprint "
+            f"{cfg.fingerprint()}); run 'generate-data --overwrite' to rebuild the data"
+        )
     current = {}
     splits = {}
     for name, path in _data_paths(run_dir).items():
         digest = file_sha256(path) if os.path.exists(path) else None
-        if digest is None or digest != recorded.get(name, {}).get("sha256"):
+        if digest is None or digest != manifest["files"].get(name):
             raise PipelineError(
                 f"data file {path} is missing or does not match its checksum in "
                 f"{manifest_path}; run 'generate-data --overwrite' to rebuild the data"
@@ -182,77 +186,55 @@ def _by_prefix(mdh, nnd):
     return {"": mdh if nnd is None else nnd}
 
 
+def _mdh_model(cfg: ExperimentConfig, code, seed=0):
+    """The hashing network the config describes, for the code's length."""
+    return MdhModel(cfg.fusion_mode, cfg.face_dim, cfg.iris_dim, cfg.train_subjects, code.n,
+                    cfg.feature_dim, cfg.fusion_dim, cfg.encoder_hidden, seed=seed)
+
+
 def save_models(path, cfg: ExperimentConfig, kind, mdh=None, nnd=None):
     """Write the hashing network and/or the decoder to one checkpoint.
 
-    The metadata names what the file holds: the MDH's architecture keys,
-    the NND's ``iterations``, or both. Parameter names carry ``mdh/`` and
-    ``nnd/`` prefixes only when the file holds both models.
+    The metadata names the config's fingerprint and the models the file
+    holds, plus the MDH's ``beta`` and head; the config supplies the rest.
+    Parameter names carry ``mdh/`` and ``nnd/`` prefixes only when the file
+    holds both models.
     """
     meta = {
         "kind": kind,
         "fingerprint": cfg.fingerprint(),
-        "code_m": cfg.code_m,
-        "code_t": cfg.code_t,
-        "fusion_mode": cfg.fusion_mode,
+        "models": [name for name, model in (("mdh", mdh), ("nnd", nnd)) if model is not None],
     }
     if mdh is not None:
-        meta.update({
-            "face_dim": cfg.face_dim,
-            "iris_dim": cfg.iris_dim,
-            "num_classes": mdh.num_classes,
-            "code_bits": mdh.code_bits,
-            "feature_dim": cfg.feature_dim,
-            "fusion_dim": cfg.fusion_dim,
-            "encoder_hidden": list(cfg.encoder_hidden),
-            "beta": mdh.hashing.beta,
-            "has_head": mdh.has_head,
-        })
-    if nnd is not None:
-        meta["iterations"] = nnd.iterations
-    models = _by_prefix(mdh, nnd)
-    if len(models) == 2:
-        meta["llr_scale"] = cfg.llr_scale
-    params = {prefix + name: tensor for prefix, model in models.items()
+        meta.update({"beta": mdh.hashing.beta, "has_head": mdh.has_head})
+    params = {prefix + name: tensor for prefix, model in _by_prefix(mdh, nnd).items()
               for name, tensor in model.parameters().items()}
     save_params(path, params, meta)
 
 
 def load_models(path, cfg: ExperimentConfig, code):
-    """The (mdh, nnd) pair a checkpoint holds, ``None`` for a model it lacks."""
+    """The (mdh, nnd) pair a checkpoint of this config holds, ``None`` for a model it lacks."""
     params, meta = load_params(path)
-    _check_compat(meta, cfg)
-    mdh = nnd = None
-    if "code_bits" in meta:
-        mdh = MdhModel(
-            meta["fusion_mode"], meta["face_dim"], meta["iris_dim"], meta["num_classes"],
-            meta["code_bits"], meta["feature_dim"], meta["fusion_dim"],
-            tuple(meta["encoder_hidden"]),
+    if meta.get("fingerprint") != cfg.fingerprint():
+        raise PipelineError(
+            f"checkpoint {path} was not written under this config (fingerprint "
+            f"{cfg.fingerprint()}); rerun the stage that writes it"
         )
+    models = meta.get("models") or []
+    mdh = nnd = None
+    if "mdh" in models:
+        mdh = _mdh_model(cfg, code)
         mdh.hashing.beta = meta["beta"]
         if not meta["has_head"]:
             mdh.discard_head()
-    if "iterations" in meta:
-        nnd = NndModel(code, meta["iterations"])
+    if "nnd" in models:
+        nnd = NndModel(code, cfg.nnd_iterations)
     if mdh is None and nnd is None:
         raise PipelineError(f"checkpoint {path} holds neither a hashing network nor a decoder")
     for prefix, model in _by_prefix(mdh, nnd).items():
         for name, tensor in model.parameters().items():
             tensor.data = params[prefix + name].copy()
     return mdh, nnd
-
-
-def _check_compat(meta, cfg: ExperimentConfig):
-    if meta["code_m"] != cfg.code_m or meta["code_t"] != cfg.code_t:
-        raise PipelineError(
-            f"checkpoint was built for code m={meta['code_m']}, t={meta['code_t']} "
-            f"but the config selects m={cfg.code_m}, t={cfg.code_t}"
-        )
-    if meta.get("fusion_mode") not in (None, cfg.fusion_mode):
-        raise PipelineError(
-            f"checkpoint fusion mode '{meta['fusion_mode']}' differs from "
-            f"config fusion mode '{cfg.fusion_mode}'"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +254,11 @@ def stage_generate_data(cfg: ExperimentConfig, run_dir, overwrite=False):
     splits = generate(cfg.split_spec(), cfg.distortion(), cfg.dims(), stage_seed(cfg, "data"))
     for split in splits:
         save_dataset(split, paths[split.name])
-    manifest = write_manifest(
-        os.path.join(run_dir, "data_manifest.json"),
-        cfg.split_spec(), cfg.distortion(), cfg.dims(), stage_seed(cfg, "data"), paths,
-    )
+    manifest = {"fingerprint": cfg.fingerprint(),
+                "files": {name: file_sha256(path) for name, path in paths.items()}}
+    with open(os.path.join(run_dir, "data_manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     _mark(run_dir, cfg, "data")
     return manifest
 
@@ -285,10 +268,7 @@ def stage_train_mdh(cfg: ExperimentConfig, run_dir):
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
     write_descriptor(code, os.path.join(run_dir, "code_descriptor.txt"))
-    model = MdhModel(
-        cfg.fusion_mode, cfg.face_dim, cfg.iris_dim, cfg.train_subjects, code.n,
-        cfg.feature_dim, cfg.fusion_dim, cfg.encoder_hidden, seed=stage_seed(cfg, "mdh"),
-    )
+    model = _mdh_model(cfg, code, seed=stage_seed(cfg, "mdh"))
     model, log = train_step1(model, splits["train"], cfg, stage_seed(cfg, "mdh"))
     with open(os.path.join(run_dir, "mdh_log.jsonl"), "w") as fh:
         for record in log:
@@ -347,9 +327,10 @@ def stage_train_nnd(cfg: ExperimentConfig, run_dir):
     if not labeled.any():
         raise PipelineError("no labeled subjects available for fine-tuning")
     acts = _activations(mdh, enroll)[labeled]
-    sweep, best_scale = sweep_llr_scale(
-        model, acts, targets, log_path=os.path.join(run_dir, "experiment.log"),
-    )
+    sweep, best_scale = sweep_llr_scale(model, acts, targets)
+    for scale, cer in sweep:
+        _log_event(run_dir, f"llr_scale_sweep scale={scale!r} cer={cer!r}")
+    _log_event(run_dir, f"llr_scale_sweep best={best_scale!r}")
     model = finetune_biometric(model, llr_from_activations(acts, cfg.llr_scale), targets,
                                cfg, stage_seed(cfg, "nnd_ft"))
     save_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, "nnd_finetuned", nnd=model)

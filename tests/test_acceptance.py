@@ -362,12 +362,13 @@ def test_criterion_10_pipeline_determinism(benchmark_runs, tmp_path_factory):
         name = os.path.basename(path)
         assert filecmp.cmp(path, os.path.join(second_dir, name), shallow=False), name
         compared += 1
-    for name in ("roc_auth_mdh.csv", "roc_auth_mdhnd.csv", "ground_truth.txt"):
+    for name in ("roc_auth_mdh.csv", "roc_auth_mdhnd.csv", "ground_truth.txt",
+                 "data_manifest.json"):
         assert filecmp.cmp(os.path.join(first_dir, name),
                            os.path.join(second_dir, name), shallow=False), name
         compared += 1
     assert compared >= 10
-    _report(10, f"{compared} metrics/ROC/table files bitwise identical across two runs")
+    _report(10, f"{compared} metrics/ROC/table/manifest files bitwise identical across two runs")
 
 
 def _latency_for_code(m, t, repetitions=100):

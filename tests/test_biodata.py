@@ -8,10 +8,8 @@ from hashdec.biodata import (
     SplitSpec,
     generate,
     load_dataset,
-    load_manifest,
     save_dataset,
     verify_disjoint,
-    write_manifest,
 )
 
 SMALL = SplitSpec(train_subjects=6, nnd_subjects=3, test_subjects=4, samples_per_subject=5)
@@ -139,20 +137,3 @@ def test_header_dimension_mismatch_rejected_before_records(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError):
         load_dataset(path)
-
-
-def test_manifest_records_checksums(tmp_path):
-    train, nnd, test = generate(SMALL, DistortionModel(), DIMS, seed=9)
-    files = {}
-    for split in (train, nnd, test):
-        p = tmp_path / f"{split.name}.txt"
-        save_dataset(split, p)
-        files[split.name] = p
-    mpath = tmp_path / "manifest.json"
-    m = write_manifest(mpath, SMALL, DistortionModel(), DIMS, 9, files)
-    loaded = load_manifest(mpath)
-    assert loaded == m
-    assert loaded["seed"] == 9
-    assert set(loaded["files"]) == {"train", "nnd", "test"}
-    for entry in loaded["files"].values():
-        assert len(entry["sha256"]) == 64

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -80,7 +81,10 @@ def test_bad_config_is_categorised(tmp_path, capsys):
              {"joint_batch_size": 0}, {"nnd_finetune_steps": -1}, {"joint_steps": -1},
              {"lr": 0}, {"nnd_step_size": -1e-3}, {"joint_step_size": 0},
              {"phase_c_lr_factor": 0}, {"w_cls": 0},
-             {"joint_freeze_mdh": True, "joint_freeze_nnd": True}]
+             {"joint_freeze_mdh": True, "joint_freeze_nnd": True},
+             # data shapes the pipeline cannot use
+             {"enroll_fraction": 1.5}, {"face_dim": 0}, {"fusion_dim": 0}, {"feature_dim": 0},
+             {"encoder_hidden": [0]}, {"latent_dim": 0}, {"samples_per_subject": 1}]
     for case in cases:
         bad.write_text(json.dumps({**tiny_config().to_dict(), **case}))
         rc = main(["run-all", "--config", str(bad), "--run-dir", str(tmp_path / "r")])
@@ -88,6 +92,36 @@ def test_bad_config_is_categorised(tmp_path, capsys):
         assert rc == 2, case
         assert err.startswith("error[config]:") and all(name in err for name in case), err
         assert not (tmp_path / "r").exists()
+
+
+def test_records_of_another_config_refused(tmp_path, capsys):
+    """A checkpoint or a data set written under another config stops the stage
+    that would read it, naming the file."""
+    configs = {}
+    for name, overrides in (("ours", {}), ("wider", {"fusion_dim": 24}),
+                            ("noisier", {"sigma_face": 0.5})):
+        configs[name] = str(tmp_path / f"{name}.json")
+        tiny_config(**overrides).save(configs[name])
+
+    def run(command, name, run_dir="ours"):
+        return main([command, "--config", configs[name], "--run-dir", str(tmp_path / run_dir)])
+
+    for name in ("ours", "wider"):
+        assert run("generate-data", name, name) == 0 and run("train-mdh", name, name) == 0
+    assert run("generate-data", "noisier", "noisier") == 0
+    capsys.readouterr()
+
+    shutil.copy(tmp_path / "wider" / "mdh.ckpt", tmp_path / "ours" / "mdh.ckpt")
+    assert run("ground-truth", "ours") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[pipeline]:") and str(tmp_path / "ours" / "mdh.ckpt") in err
+
+    for name in ("data_train.txt", "data_nnd.txt", "data_test.txt", "data_manifest.json"):
+        shutil.copy(tmp_path / "noisier" / name, tmp_path / "ours" / name)
+    assert run("train-mdh", "ours") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[pipeline]:")
+    assert str(tmp_path / "ours" / "data_manifest.json") in err
 
 
 def test_overwrite_flag_via_cli(tmp_path, cfg_file, capsys):

@@ -320,13 +320,14 @@ def test_codeword_error_rate():
     assert codeword_error_rate(a, b) == 0.5
 
 
-def test_sweep_llr_scale_logs_and_returns_best(tmp_path, hamming74):
+def test_sweep_llr_scale_returns_each_rate_and_the_best(hamming74):
     model = NndModel(hamming74, iterations=3)
     cw = encode(hamming74, np.array([0, 1, 1, 0], dtype=np.uint8))
     acts = np.stack([_acts_for(hamming74, cw, 0.8)] * 2)
-    log = tmp_path / "exp.log"
     targets = np.tile(cw.astype(np.float64), (2, 1))
-    results, best = sweep_llr_scale(model, acts, targets, scales=(2.0, 4.0), log_path=log)
-    assert len(results) == 2 and best in (2.0, 4.0)
-    text = log.read_text()
-    assert "llr_scale_sweep" in text and "best=" in text
+    results, best = sweep_llr_scale(model, acts, targets, scales=(2.0, 4.0))
+    assert [scale for scale, _ in results] == [2.0, 4.0]
+    for scale, cer in results:
+        bits = model.decode(llr_from_activations(acts, scale))
+        assert cer == codeword_error_rate(bits, targets)
+    assert best == min(results, key=lambda r: (r[1], r[0]))[0]

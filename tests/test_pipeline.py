@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -7,12 +9,12 @@ import pytest
 from hashdec import autodiff as ad
 from hashdec import pipeline
 from hashdec.bch import build_code
-from hashdec.biodata import load_dataset
+from hashdec.biodata import file_sha256, load_dataset
 from hashdec.checkpoint import load_params, save_params
 from hashdec.config import ConfigError, ExperimentConfig
 from hashdec.evaluation import read_metrics
 from hashdec.mdh import MdhModel
-from hashdec.nnd import NndModel, llr_from_activations
+from hashdec.nnd import GroundTruthTable, NndModel, llr_from_activations, sweep_llr_scale
 from hashdec.pipeline import (
     PipelineError,
     load_models,
@@ -86,6 +88,20 @@ def test_generate_writes_manifest_and_config(tmp_path):
     assert reloaded.fingerprint() == cfg.fingerprint()
 
 
+def test_manifest_records_checksums(tmp_path):
+    # the fingerprint and one digest per file; no path, so it is run-dir independent
+    cfg = tiny_config()
+    run_dir = str(tmp_path)
+    manifest = stage_generate_data(cfg, run_dir)
+    with open(os.path.join(run_dir, "data_manifest.json")) as fh:
+        assert json.load(fh) == manifest
+    assert manifest == {
+        "fingerprint": cfg.fingerprint(),
+        "files": {name: file_sha256(os.path.join(run_dir, f"data_{name}.txt"))
+                  for name in ("train", "nnd", "test")},
+    }
+
+
 def test_fingerprint_mismatch_blocks_stage_reuse(tmp_path):
     cfg = tiny_config()
     stage_generate_data(cfg, str(tmp_path))
@@ -140,15 +156,41 @@ def test_run_all_parses_each_data_file_once(tmp_path, monkeypatch):
     assert sorted(parsed) == ["data_nnd.txt", "data_test.txt", "data_train.txt"]
 
 
-def test_checkpoint_code_mismatch_refused(finished_run, tmp_path):
+def test_checkpoint_code_mismatch_refused(finished_run):
+    # a checkpoint is read only under the config that wrote it: another code,
+    # another fusion mode or just another fusion width is refused
+    _, run_dir, _ = finished_run
+    path = os.path.join(run_dir, "mdh.ckpt")
+    for other in (tiny_config(code_m=3, code_t=1), tiny_config(fusion_mode="fca"),
+                  tiny_config(fusion_dim=24)):
+        with pytest.raises(PipelineError, match=re.escape(path) + " was not written under this"):
+            load_models(path, other, build_code(other.code_m, other.code_t))
+
+
+def test_records_of_the_earlier_format_refused(finished_run, tmp_path):
+    # a checkpoint that lists no models, a manifest that names no config
     cfg, run_dir, _ = finished_run
-    other = tiny_config(code_m=3, code_t=1)
-    with pytest.raises(PipelineError, match="code"):
-        load_models(os.path.join(run_dir, "mdh.ckpt"), other, build_code(3, 1))
-    other_mode = tiny_config(fusion_mode="fca")
-    with pytest.raises(PipelineError, match="fusion mode"):
-        load_models(os.path.join(run_dir, "mdh.ckpt"), other_mode,
-                    build_code(cfg.code_m, cfg.code_t))
+    params, meta = load_params(os.path.join(run_dir, "mdh.ckpt"))
+    path = str(tmp_path / "mdh.ckpt")
+    save_params(path, params, {
+        "kind": "mdh", "fingerprint": cfg.fingerprint(), "code_m": cfg.code_m,
+        "code_t": cfg.code_t, "fusion_mode": cfg.fusion_mode, "face_dim": cfg.face_dim,
+        "iris_dim": cfg.iris_dim, "num_classes": cfg.train_subjects, "code_bits": 15,
+        "feature_dim": cfg.feature_dim, "fusion_dim": cfg.fusion_dim,
+        "encoder_hidden": list(cfg.encoder_hidden), "beta": meta["beta"], "has_head": True,
+    })
+    with pytest.raises(PipelineError, match=re.escape(path)):
+        load_models(path, cfg, build_code(cfg.code_m, cfg.code_t))
+    for name in ("data_train.txt", "data_nnd.txt", "data_test.txt"):
+        shutil.copy(os.path.join(run_dir, name), tmp_path / name)
+    manifest = str(tmp_path / "data_manifest.json")
+    with open(manifest, "w") as fh:
+        json.dump({"seed": stage_seed(cfg, "data"), "files": {
+            name: {"path": str(tmp_path / f"data_{name}.txt"),
+                   "sha256": file_sha256(tmp_path / f"data_{name}.txt")}
+            for name in ("train", "nnd", "test")}}, fh)
+    with pytest.raises(PipelineError, match=re.escape(manifest)):
+        pipeline._load_splits(cfg, str(tmp_path))
 
 
 @pytest.mark.parametrize("kind, with_mdh, with_nnd, has_head", [
@@ -169,13 +211,18 @@ def test_checkpoint_round_trip(tmp_path, kind, with_mdh, with_nnd, has_head):
         if not has_head:
             mdh.discard_head()
     if with_nnd:
-        nnd = NndModel(code, cfg.nnd_iterations - 1)
+        nnd = NndModel(code, cfg.nnd_iterations)
     models = [m for m in (mdh, nnd) if m is not None]
     for model in models:
         for tensor in model.parameters().values():
             tensor.data = rng.standard_normal(tensor.data.shape)
     path = str(tmp_path / f"{kind}.ckpt")
     save_models(path, cfg, kind, mdh=mdh, nnd=nnd)
+    # the file names its config and its models; the config gives the rest
+    meta = load_params(path)[1]
+    assert meta == {"kind": kind, "fingerprint": cfg.fingerprint(),
+                    "models": [name for name, m in (("mdh", mdh), ("nnd", nnd)) if m is not None],
+                    **({"beta": 16.0, "has_head": has_head} if with_mdh else {})}
     mdh_back, nnd_back = load_models(path, cfg, code)
     assert (mdh_back is None) == (mdh is None) and (nnd_back is None) == (nnd is None)
     for model, back in zip(models, [m for m in (mdh_back, nnd_back) if m is not None]):
@@ -186,7 +233,7 @@ def test_checkpoint_round_trip(tmp_path, kind, with_mdh, with_nnd, has_head):
     if mdh is not None:
         assert mdh_back.hashing.beta == 16.0 and mdh_back.has_head == has_head
     if nnd is not None:
-        assert nnd_back.iterations == cfg.nnd_iterations - 1
+        assert nnd_back.iterations == cfg.nnd_iterations
 
 
 def test_checkpoint_names_and_bytes_survive_a_resave(finished_run, tmp_path):
@@ -212,9 +259,10 @@ def test_checkpoint_names_and_bytes_survive_a_resave(finished_run, tmp_path):
 def test_checkpoint_without_a_model_refused(tmp_path):
     cfg = tiny_config()
     path = str(tmp_path / "empty.ckpt")
-    save_params(path, {}, {"code_m": cfg.code_m, "code_t": cfg.code_t})
-    with pytest.raises(PipelineError, match="neither"):
-        load_models(path, cfg, build_code(cfg.code_m, cfg.code_t))
+    for models in ([], ["head"]):
+        save_params(path, {}, {"kind": "mdh", "fingerprint": cfg.fingerprint(), "models": models})
+        with pytest.raises(PipelineError, match=re.escape(path) + " holds neither"):
+            load_models(path, cfg, build_code(cfg.code_m, cfg.code_t))
 
 
 def test_run_all_markers_and_artifacts(finished_run):
@@ -340,6 +388,25 @@ def test_joint_logs_encoder_gradient_norm(finished_run):
     assert "encoder_grad_norm_step1=" in log
     norm = float(log.split("encoder_grad_norm_step1=")[1].splitlines()[0])
     assert norm > 0.0
+
+
+def test_llr_scale_sweep_is_logged(finished_run):
+    # the pretrained decoder's codeword error rate per LLR gain on the labeled
+    # enroll samples, one line per gain and one for the best
+    cfg, run_dir, _ = finished_run
+    code = build_code(cfg.code_m, cfg.code_t)
+    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
+    _, pretrained = load_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, code)
+    enroll = pipeline._load_splits(cfg, run_dir)["nnd"].by_role("enroll")
+    table = GroundTruthTable.load(os.path.join(run_dir, "ground_truth.txt"))
+    labeled, targets = pipeline._labeled_samples(enroll, table)
+    sweep, best = sweep_llr_scale(pretrained, pipeline._activations(mdh, enroll)[labeled], targets)
+    log = open(os.path.join(run_dir, "experiment.log")).read().splitlines()
+    assert [line for line in log if line.startswith("llr_scale_sweep ")] == (
+        [f"llr_scale_sweep scale={scale!r} cer={cer!r}" for scale, cer in sweep]
+        + [f"llr_scale_sweep best={best!r}"]
+    )
+    assert len(sweep) == 4
 
 
 def test_ground_truth_gate_blocks_pipeline(tmp_path):
