@@ -8,14 +8,17 @@ Layout (all integers little-endian uint64, floats little-endian float64):
     payload: entry count, then per entry
         name_len, name utf-8, ndim, dims..., values...
 
-The checksum is verified on load; any mismatch or truncation raises
-``CheckpointFormatError`` rather than returning partial data.
+The checksum is verified on load; any mismatch, truncation or unreadable
+metadata raises ``CheckpointFormatError`` rather than returning partial data.
+Checkpoints, the data manifest and the ground-truth table are written through
+``write_atomic``: a reader finds the old file or the new one, whole.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -25,6 +28,16 @@ MAGIC = b"HDCKPT\x00\x01"
 
 class CheckpointFormatError(ValueError):
     """Raised when a checkpoint file is malformed or corrupted."""
+
+
+def write_atomic(path, *chunks):
+    """Replace ``path`` with the byte ``chunks``: a temp file beside it, synced, then renamed."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.writelines(chunks)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def _pack_u64(value):
@@ -51,12 +64,7 @@ def save_params(path, params, meta=None):
         payload += arr.astype("<f8").tobytes()
     meta_json = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_pack_u64(len(meta_json)))
-        fh.write(meta_json)
-        fh.write(digest)
-        fh.write(payload)
+    write_atomic(path, MAGIC, _pack_u64(len(meta_json)), meta_json, digest, payload)
 
 
 def load_params(path):
@@ -78,7 +86,10 @@ def load_params(path):
     meta_len = read_u64()
     if off + meta_len + 32 > len(blob):
         raise CheckpointFormatError(f"{path}: truncated metadata")
-    meta = json.loads(blob[off : off + meta_len].decode("utf-8"))
+    try:
+        meta = json.loads(blob[off : off + meta_len].decode("utf-8"))
+    except ValueError:
+        raise CheckpointFormatError(f"{path}: unreadable metadata") from None
     off += meta_len
     stored_digest = blob[off : off + 32]
     off += 32

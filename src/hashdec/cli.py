@@ -1,9 +1,9 @@
 """Command-line pipeline driver.
 
-Every command reads one JSON config file and operates on a run directory;
-stage markers stored there enforce the data -> train-mdh -> ground-truth ->
-train-nnd -> joint-optimize order. Exit code 0 on success; on failure a
-single categorised error line goes to stderr and the exit code is nonzero.
+Every command reads one JSON config file and operates on a run directory,
+where each stage's record gates the next (data -> train-mdh -> ground-truth ->
+train-nnd -> joint-optimize). Exit code 0 on success; otherwise one error line
+goes to stderr and the code is 2 (config), 3 (pipeline) or 1 (runtime).
 """
 
 from __future__ import annotations

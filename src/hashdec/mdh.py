@@ -34,7 +34,6 @@ class ModalityEncoder:
     """MLP encoder: input -> tanh hidden layers -> linear feature vector."""
 
     def __init__(self, rng, input_dim, hidden, feature_dim):
-        self.input_dim = input_dim
         self.feature_dim = feature_dim
         dims = [input_dim] + list(hidden) + [feature_dim]
         self.layers = [_init_linear(rng, a, b) for a, b in zip(dims, dims[1:])]
@@ -62,15 +61,12 @@ class FusionLayer:
         if mode not in FUSION_MODES:
             raise ValueError(f"unknown fusion mode '{mode}' (expected one of {FUSION_MODES})")
         self.mode = mode
-        self.feature_dim = feature_dim
-        self.out_dim = out_dim
         if mode == "fca":
             in_dim = 2 * feature_dim
         elif mode == "bla":
             in_dim = feature_dim * feature_dim
         else:
             in_dim = feature_dim
-        self.in_dim = in_dim
         self.w, self.b = _init_linear(rng, in_dim, out_dim)
 
     def forward(self, face_feat, iris_feat):
@@ -92,7 +88,6 @@ class HashingLayer:
     """FC map to the code length, activated by tanh(beta * x)."""
 
     def __init__(self, rng, in_dim, code_bits):
-        self.code_bits = code_bits
         self.beta = 1.0
         self.w, self.b = _init_linear(rng, in_dim, code_bits)
 
@@ -118,7 +113,6 @@ class MdhModel:
     def __init__(self, mode, face_dim, iris_dim, num_classes, code_bits,
                  feature_dim=16, fusion_dim=128, hidden=(128, 64), seed=0):
         rng = np.random.default_rng(seed)
-        self.mode = mode
         self.num_classes = num_classes
         self.face_encoder = (
             ModalityEncoder(rng, face_dim, hidden, feature_dim) if mode != "iris" else None

@@ -25,6 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, TrainingError
 from .bch import BchCode, bits_to_hex, decode_hard
+from .checkpoint import write_atomic
 from .config import ExperimentConfig
 from .tanner import TannerGraph, awgn_llr, bp_forward, hard_decision, LLR_CLAMP
 
@@ -194,6 +195,7 @@ class GroundTruthTable:
     failures: dict = field(default_factory=dict)        # subject -> failed samples
     totals: dict = field(default_factory=dict)          # subject -> sample count
     excluded: list = field(default_factory=list)        # subjects with no decode
+    fingerprint: str | None = None                      # of its config
 
     @property
     def failure_rate(self):
@@ -214,19 +216,22 @@ class GroundTruthTable:
                 f"{subject} {label} {self.support.get(subject, 0)} "
                 f"{self.failures.get(subject, 0)} {self.totals.get(subject, 0)}"
             )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        if self.fingerprint is not None:  # last, so a file cut short names no config
+            lines.append(f"fingerprint {self.fingerprint}")
+        write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path):
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
-        if not lines or not lines[0].startswith("#"):
+        if len(lines) < 3 or not lines[0].startswith("#"):
             raise ValueError(f"{path}: not a ground-truth table")
         n = int(lines[1].split()[1])
         excluded_field = lines[2].split(None, 1)[1]
         excluded = [] if excluded_field == "-" else [int(x) for x in excluded_field.split(",")]
         table = cls(n=n, excluded=excluded)
+        if lines[-1].startswith("fingerprint "):
+            table.fingerprint = lines.pop().partition(" ")[2]
         for ln in lines[3:]:
             if not ln:
                 continue

@@ -1,16 +1,17 @@
 """Pipeline stages over a run directory: data, hashing net, ground truth,
 decoder training, joint optimisation, evaluation, and latency benchmarks.
 
-Each stage records a marker in ``state.json`` keyed to the config
-fingerprint; a stage refuses to run until its predecessors' markers are
-present, and markers from a different fingerprint are ignored. All
-randomness derives from the single config seed, fanned out per stage.
+A stage has run when its record, the file it writes last (``STAGES``),
+exists; a stage refuses to run until its predecessors' records do. Records
+are replaced atomically, so one that exists is whole. All randomness
+derives from the single config seed, fanned out per stage.
 
 The config is the one description of a run. Every record a stage reads back
-names the fingerprint of the config that wrote it and is refused under any
-other: ``data_manifest.json`` holds it beside each data file's sha256, a
-checkpoint beside the models it holds and the hashing layer's ``beta`` and
-head. Architectures are built from the config, never from a file's copy.
+names the fingerprint of the config that wrote it and is refused, like a
+corrupted one, under any other: ``data_manifest.json`` holds it beside each
+data file's sha256, a checkpoint beside its models and the hashing layer's
+``beta`` and head, ``ground_truth.txt`` on its last line. Architectures are
+built from the config, never from a file's copy.
 
 Decoder fine-tuning and joint optimisation run ``nnd.train_loop`` on the same
 rows, the labeled samples of the NND split (``_labeled_samples``).
@@ -28,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bch import build_code, decode_hard, write_descriptor
 from .biodata import file_sha256, generate, load_dataset, save_dataset, verify_disjoint
-from .checkpoint import save_params, load_params
+from .checkpoint import CheckpointFormatError, load_params, save_params, write_atomic
 from .config import ExperimentConfig
 from .evaluation import (
     bench_authentication,
@@ -53,12 +54,13 @@ from .nnd import (
     train_loop,
 )
 
-STAGE_COMMAND = {
-    "data": "generate-data",
-    "mdh": "train-mdh",
-    "ground_truth": "ground-truth",
-    "nnd": "train-nnd",
-    "joint": "joint-optimize",
+# each stage's record, the file it writes last, and the command that runs it
+STAGES = {
+    "data": ("data_manifest.json", "generate-data"),
+    "mdh": ("mdh.ckpt", "train-mdh"),
+    "ground_truth": ("ground_truth.txt", "ground-truth"),
+    "nnd": ("nnd_finetuned.ckpt", "train-nnd"),
+    "joint": ("mdhnd.ckpt", "joint-optimize"),
 }
 VARIANTS = ("mdh", "ext", "nnd", "mdhnd")
 _VARIANT_NEEDS = {
@@ -81,45 +83,15 @@ def stage_seed(cfg: ExperimentConfig, name):
 
 
 # ---------------------------------------------------------------------------
-# run-directory state
+# run-directory records
 # ---------------------------------------------------------------------------
 
-def _state_path(run_dir):
-    return os.path.join(run_dir, "state.json")
-
-
-def load_state(run_dir, cfg):
-    path = _state_path(run_dir)
-    if not os.path.exists(path):
-        return {"fingerprint": cfg.fingerprint(), "markers": {}}
-    with open(path) as fh:
-        state = json.load(fh)
-    if state.get("fingerprint") != cfg.fingerprint():
-        # markers from another config must not gate this one
-        return {"fingerprint": cfg.fingerprint(), "markers": {}}
-    return state
-
-
-def save_state(run_dir, state):
-    with open(_state_path(run_dir), "w") as fh:
-        json.dump(state, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _mark(run_dir, cfg, stage):
-    state = load_state(run_dir, cfg)
-    state["markers"][stage] = True
-    save_state(run_dir, state)
-
-
-def _require(run_dir, cfg, *stages):
-    state = load_state(run_dir, cfg)
+def _require(run_dir, *stages):
+    """Refuse, in stage order, a stage whose record is missing from the run directory."""
     for stage in stages:
-        if not state["markers"].get(stage):
-            raise PipelineError(
-                f"stage '{stage}' has not run for this config; "
-                f"run '{STAGE_COMMAND[stage]}' first"
-            )
+        record, command = STAGES[stage]
+        if not os.path.exists(os.path.join(run_dir, record)):
+            raise PipelineError(f"stage '{stage}' has not run: no {record}; run '{command}' first")
 
 
 def _log_event(run_dir, text):
@@ -141,6 +113,13 @@ def _read_only(split):
     return split
 
 
+def _check_fingerprint(cfg, fingerprint, record, remedy):
+    """Refuse a record written under another config, or one that names none."""
+    if fingerprint != cfg.fingerprint():
+        raise PipelineError(f"{record} was not written under this config (fingerprint "
+                            f"{cfg.fingerprint()}); {remedy}")
+
+
 def _load_splits(cfg, run_dir):
     """The three data splits, each file first checked against this config's manifest.
 
@@ -153,11 +132,8 @@ def _load_splits(cfg, run_dir):
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise PipelineError(f"cannot read the data manifest {manifest_path}: {exc}") from None
-    if manifest.get("fingerprint") != cfg.fingerprint():
-        raise PipelineError(
-            f"data manifest {manifest_path} was not written under this config (fingerprint "
-            f"{cfg.fingerprint()}); run 'generate-data --overwrite' to rebuild the data"
-        )
+    _check_fingerprint(cfg, manifest.get("fingerprint"), f"data manifest {manifest_path}",
+                       "run 'generate-data --overwrite' to rebuild the data")
     current = {}
     splits = {}
     for name, path in _data_paths(run_dir).items():
@@ -214,12 +190,12 @@ def save_models(path, cfg: ExperimentConfig, kind, mdh=None, nnd=None):
 
 def load_models(path, cfg: ExperimentConfig, code):
     """The (mdh, nnd) pair a checkpoint of this config holds, ``None`` for a model it lacks."""
-    params, meta = load_params(path)
-    if meta.get("fingerprint") != cfg.fingerprint():
-        raise PipelineError(
-            f"checkpoint {path} was not written under this config (fingerprint "
-            f"{cfg.fingerprint()}); rerun the stage that writes it"
-        )
+    try:
+        params, meta = load_params(path)
+    except (OSError, CheckpointFormatError) as exc:
+        raise PipelineError(f"cannot read checkpoint: {exc}; rerun the stage that writes it") from None
+    _check_fingerprint(cfg, meta.get("fingerprint"), f"checkpoint {path}",
+                       "rerun the stage that writes it")
     models = meta.get("models") or []
     mdh = nnd = None
     if "mdh" in models:
@@ -256,15 +232,13 @@ def stage_generate_data(cfg: ExperimentConfig, run_dir, overwrite=False):
         save_dataset(split, paths[split.name])
     manifest = {"fingerprint": cfg.fingerprint(),
                 "files": {name: file_sha256(path) for name, path in paths.items()}}
-    with open(os.path.join(run_dir, "data_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _mark(run_dir, cfg, "data")
+    write_atomic(os.path.join(run_dir, "data_manifest.json"),
+                 (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return manifest
 
 
 def stage_train_mdh(cfg: ExperimentConfig, run_dir):
-    _require(run_dir, cfg, "data")
+    _require(run_dir, "data")
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
     write_descriptor(code, os.path.join(run_dir, "code_descriptor.txt"))
@@ -274,7 +248,6 @@ def stage_train_mdh(cfg: ExperimentConfig, run_dir):
         for record in log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     save_models(os.path.join(run_dir, "mdh.ckpt"), cfg, "mdh", mdh=model)
-    _mark(run_dir, cfg, "mdh")
     return log[-1]
 
 
@@ -288,7 +261,7 @@ def _activations(model: MdhModel, split, batch=512):
 
 
 def stage_ground_truth(cfg: ExperimentConfig, run_dir):
-    _require(run_dir, cfg, "mdh")
+    _require(run_dir, "mdh")
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
     model, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
@@ -296,6 +269,7 @@ def stage_ground_truth(cfg: ExperimentConfig, run_dir):
     acts = _activations(model, nnd_split)
     by_subject = {int(s): acts[nnd_split.subject == s] for s in nnd_split.subject_ids}
     table = make_ground_truth(by_subject, code)
+    table.fingerprint = cfg.fingerprint()
     rate = table.failure_rate
     _log_event(run_dir, f"ground_truth failure_rate={rate!r} "
                         f"labeled={len(table.labels)} excluded={len(table.excluded)}")
@@ -306,14 +280,24 @@ def stage_ground_truth(cfg: ExperimentConfig, run_dir):
             f"gt_max_failure_rate gate {cfg.gt_max_failure_rate}; worst subjects: {diag}"
         )
     table.save(os.path.join(run_dir, "ground_truth.txt"))
-    _mark(run_dir, cfg, "ground_truth")
+    return table
+
+
+def _load_ground_truth(cfg: ExperimentConfig, run_dir):
+    path = os.path.join(run_dir, "ground_truth.txt")
+    remedy = "run 'ground-truth' to rebuild it"
+    try:
+        table = GroundTruthTable.load(path)
+    except (OSError, ValueError) as exc:
+        raise PipelineError(f"cannot read ground truth {path}: {exc}; {remedy}") from None
+    _check_fingerprint(cfg, table.fingerprint, f"ground truth {path}", remedy)
     return table
 
 
 def stage_train_nnd(cfg: ExperimentConfig, run_dir):
-    _require(run_dir, cfg, "ground_truth")
+    _require(run_dir, "ground_truth")
     splits = _load_splits(cfg, run_dir)
-    table = GroundTruthTable.load(os.path.join(run_dir, "ground_truth.txt"))
+    table = _load_ground_truth(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
     mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
 
@@ -334,7 +318,6 @@ def stage_train_nnd(cfg: ExperimentConfig, run_dir):
     model = finetune_biometric(model, llr_from_activations(acts, cfg.llr_scale), targets,
                                cfg, stage_seed(cfg, "nnd_ft"))
     save_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, "nnd_finetuned", nnd=model)
-    _mark(run_dir, cfg, "nnd")
     return {"pretrain_curve": curve, "scale_sweep": sweep, "best_scale": best_scale}
 
 
@@ -354,9 +337,9 @@ def _composed_loss(mdh, nndm, scale):
 
 
 def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
-    _require(run_dir, cfg, "mdh", "nnd")
+    _require(run_dir, "mdh", "ground_truth", "nnd")
     splits = _load_splits(cfg, run_dir)
-    table = GroundTruthTable.load(os.path.join(run_dir, "ground_truth.txt"))
+    table = _load_ground_truth(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
     mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
     mdh.discard_head()
@@ -399,7 +382,6 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
     _log_event(run_dir, f"joint val_loss_initial={initial_val!r} val_loss_best={best_val!r}")
 
     save_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, "mdhnd", mdh=mdh, nnd=nndm)
-    _mark(run_dir, cfg, "joint")
     return {"val_loss_initial": initial_val, "val_loss_best": best_val}
 
 
@@ -407,11 +389,15 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):
-    """Binary codes for every sample of a split under one system variant."""
+def _require_variant(run_dir, variant):
     if variant not in VARIANTS:
         raise PipelineError(f"unknown variant '{variant}'; expected one of {VARIANTS}")
-    _require(run_dir, cfg, *_VARIANT_NEEDS[variant])
+    _require(run_dir, *_VARIANT_NEEDS[variant])
+
+
+def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):
+    """Binary codes for every sample of a split under one system variant."""
+    _require_variant(run_dir, variant)
     code = build_code(cfg.code_m, cfg.code_t)
     ckpt = "mdhnd.ckpt" if variant == "mdhnd" else "mdh.ckpt"
     mdh, nndm = load_models(os.path.join(run_dir, ckpt), cfg, code)
@@ -462,6 +448,7 @@ def stage_evaluate(cfg: ExperimentConfig, run_dir, mode, variant):
     """Authentication or identification metrics for one system variant."""
     if mode not in ("auth", "ident"):
         raise PipelineError(f"unknown evaluation mode '{mode}' (expected 'auth' or 'ident')")
+    _require_variant(run_dir, variant)
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
     metrics = {
@@ -504,7 +491,7 @@ def stage_evaluate(cfg: ExperimentConfig, run_dir, mode, variant):
 
 def stage_bench(cfg: ExperimentConfig, run_dir, repetitions=200):
     """Wall-clock per-authentication latency of the jointly optimised system."""
-    _require(run_dir, cfg, *_VARIANT_NEEDS["mdhnd"])
+    _require(run_dir, *_VARIANT_NEEDS["mdhnd"])
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
     mdh, nndm = load_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, code)

@@ -9,6 +9,7 @@ import filecmp
 import glob
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ def test_criterion_5_hashing_saturation_and_balance(benchmark_runs):
     import json
 
     _, run_dir, _ = benchmark_runs[("multi", SEEDS[0])]
-    summary = json.loads(open(os.path.join(run_dir, "mdh_log.jsonl")).readlines()[-1])
+    summary = json.loads(Path(run_dir, "mdh_log.jsonl").read_text().splitlines()[-1])
     assert summary["saturation"] >= 0.95
     assert summary["balance_per_bit_mean"] <= 0.2
     assert summary["balance_per_sample_max"] <= 0.2

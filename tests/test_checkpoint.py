@@ -55,3 +55,14 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(CheckpointFormatError, match="magic"):
         load_params(path)
+
+
+def test_corrupted_metadata_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_params(path, {"p": np.arange(4.0)}, {"kind": "test"})
+    blob = bytearray(path.read_bytes())
+    blob[16] = 0xFF  # first byte of the metadata json
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="metadata"):
+        load_params(path)
+

@@ -22,7 +22,7 @@ def test_init_config_writes_defaults(tmp_path, capsys):
     assert main(["init-config", "--out", str(out)]) == 0
     cfg = ExperimentConfig.load(out)
     assert cfg.fingerprint() == ExperimentConfig().fingerprint()
-    blob = json.load(open(out))
+    blob = json.loads(out.read_text())
     assert blob["code_m"] == 6 and blob["fusion_mode"] == "bla"
 
 
@@ -42,12 +42,14 @@ def test_full_pipeline_through_cli(tmp_path, cfg_file, capsys):
 
 
 def test_stage_gating_error_is_categorised(tmp_path, cfg_file, capsys):
+    # every command that needs the data names generate-data before it reads anything
     run = str(tmp_path / "run")
-    rc = main(["train-mdh", "--config", cfg_file, "--run-dir", run])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error[pipeline]:")
-    assert "generate-data" in err
+    for command in (["train-mdh"], ["evaluate", "--mode", "auth", "--variant", "mdh"], ["bench"]):
+        rc = main([*command, "--config", cfg_file, "--run-dir", run])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[pipeline]:")
+        assert "run 'generate-data' first" in err, err
 
 
 def test_missing_checkpoint_names_prerequisite(tmp_path, cfg_file, capsys):
@@ -122,6 +124,60 @@ def test_records_of_another_config_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[pipeline]:")
     assert str(tmp_path / "ours" / "data_manifest.json") in err
+
+
+def test_deleted_record_names_the_command(tmp_path, cfg_file, capsys):
+    # a stage has run when its record exists: with mdh.ckpt gone, the next
+    # stage names the command that writes it
+    run = str(tmp_path / "run")
+    for command in ("generate-data", "train-mdh"):
+        assert main([command, "--config", cfg_file, "--run-dir", run]) == 0
+    os.remove(os.path.join(run, "mdh.ckpt"))
+    capsys.readouterr()
+    assert main(["ground-truth", "--config", cfg_file, "--run-dir", run]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[pipeline]:") and "run 'train-mdh' first" in err, err
+
+
+def test_leftover_state_file_is_ignored(tmp_path, cfg_file, capsys):
+    # run directories once kept stage markers in state.json; one left empty
+    # by a crash mid-write neither gates nor breaks a command
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "state.json").write_text("")
+    for command in (["generate-data"], ["generate-data", "--overwrite"], ["train-mdh"]):
+        assert main([*command, "--config", cfg_file, "--run-dir", str(run)]) == 0, command
+    assert (run / "state.json").read_text() == ""
+
+
+def test_corrupt_checkpoint_is_refused(tmp_path, cfg_file, capsys):
+    run = tmp_path / "run"
+    for command in ("generate-data", "train-mdh"):
+        assert main([command, "--config", cfg_file, "--run-dir", str(run)]) == 0
+    ckpt = run / "mdh.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-40])
+    capsys.readouterr()
+    assert main(["ground-truth", "--config", cfg_file, "--run-dir", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[pipeline]:") and str(ckpt) in err, err
+
+
+def test_ground_truth_of_another_config_refused(tmp_path, cfg_file, capsys):
+    """ground_truth.txt ends with the fingerprint of its config; a table of
+    another config, or one without the line, stops the stages that read it."""
+    run = tmp_path / "run"
+    for command in ("generate-data", "train-mdh", "ground-truth", "train-nnd"):
+        assert main([command, "--config", cfg_file, "--run-dir", str(run)]) == 0
+    gt = run / "ground_truth.txt"
+    lines = gt.read_text().splitlines()
+    assert lines[-1] == f"fingerprint {tiny_config().fingerprint()}"
+    for tail in ([f"fingerprint {tiny_config(seed=6).fingerprint()}"], []):
+        gt.write_text("\n".join(lines[:-1] + tail) + "\n")
+        for command in ("train-nnd", "joint-optimize"):
+            capsys.readouterr()
+            assert main([command, "--config", cfg_file, "--run-dir", str(run)]) == 3, command
+            err = capsys.readouterr().err
+            assert err.startswith("error[pipeline]:") and str(gt) in err, err
 
 
 def test_overwrite_flag_via_cli(tmp_path, cfg_file, capsys):

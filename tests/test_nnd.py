@@ -265,12 +265,19 @@ def test_ground_truth_table_round_trip(tmp_path, hamming74, bch63):
     cw = encode(hamming74, np.array([1, 1, 0, 0], dtype=np.uint8))
     table = make_ground_truth({4: np.stack([_acts_for(hamming74, cw)] * 3)}, hamming74)
     table.excluded.append(9)
+    table.fingerprint = "6f84bf01455adfae"
     path = tmp_path / "gt.txt"
     table.save(path)
     loaded = GroundTruthTable.load(path)
     assert np.array_equal(loaded.labels[4], cw)
     assert loaded.support[4] == 3 and loaded.failures[4] == 0
     assert loaded.excluded == [9] and loaded.n == 7
+    assert loaded.fingerprint == "6f84bf01455adfae"
+    # the fingerprint is the last line: a file cut at a line boundary has none
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "fingerprint 6f84bf01455adfae"
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    assert GroundTruthTable.load(path).fingerprint is None
 
     # failure counts and totals, an excluded subject's included, survive too
     rng = np.random.default_rng(9)

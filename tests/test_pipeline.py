@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,15 +266,45 @@ def test_checkpoint_without_a_model_refused(tmp_path):
             load_models(path, cfg, build_code(cfg.code_m, cfg.code_t))
 
 
-def test_run_all_markers_and_artifacts(finished_run):
+def test_run_all_artifacts(finished_run):
+    # exactly the files README lists: no stage-marker file, no leftover temp
+    # file; bench_mdhnd.txt is written by ``bench``, which another test runs here
     cfg, run_dir, results = finished_run
-    state = json.load(open(os.path.join(run_dir, "state.json")))
-    assert all(state["markers"].get(s) for s in ("data", "mdh", "ground_truth", "nnd", "joint"))
-    for name in ("mdh.ckpt", "nnd_pretrained.ckpt", "nnd_finetuned.ckpt", "mdhnd.ckpt",
-                 "ground_truth.txt", "code_descriptor.txt", "mdh_log.jsonl"):
-        assert os.path.exists(os.path.join(run_dir, name)), name
-    for variant in ("mdh", "ext", "nnd", "mdhnd"):
+    variants = ("mdh", "ext", "nnd", "mdhnd")
+    assert set(os.listdir(run_dir)) - {"bench_mdhnd.txt"} == {
+        "config.json", "data_train.txt", "data_nnd.txt", "data_test.txt", "data_manifest.json",
+        "code_descriptor.txt", "mdh.ckpt", "nnd_pretrained.ckpt", "nnd_finetuned.ckpt",
+        "mdhnd.ckpt", "ground_truth.txt", "mdh_log.jsonl", "experiment.log",
+        *(f"metrics_{mode}_{v}.txt" for mode in ("auth", "ident") for v in variants),
+        *(f"roc_auth_{v}.csv" for v in variants),
+    }
+    for variant in variants:
         assert ("auth", variant) in results and ("ident", variant) in results
+
+
+def test_interrupted_record_write_keeps_the_previous_record(tmp_path, monkeypatch):
+    # a stage killed before its record is moved into place leaves the old
+    # record byte-identical: the manifest, a checkpoint and the ground truth
+    cfg, other = tiny_config(), tiny_config(seed=6)
+    run_dir = str(tmp_path)
+    for stage in (stage_generate_data, stage_train_mdh, stage_ground_truth):
+        stage(cfg, run_dir)
+    names = ("data_manifest.json", "mdh.ckpt", "ground_truth.txt")
+    before = {name: (tmp_path / name).read_bytes() for name in names}
+    mdh, _ = load_models(str(tmp_path / "mdh.ckpt"), cfg, build_code(cfg.code_m, cfg.code_t))
+    table = GroundTruthTable.load(tmp_path / "ground_truth.txt")
+    table.fingerprint = other.fingerprint()
+
+    def killed(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", killed)
+    for write in (lambda: stage_generate_data(other, run_dir, overwrite=True),
+                  lambda: save_models(str(tmp_path / "mdh.ckpt"), other, "mdh", mdh=mdh),
+                  lambda: table.save(tmp_path / "ground_truth.txt")):
+        with pytest.raises(OSError, match="interrupted"):
+            write()
+    assert {name: (tmp_path / name).read_bytes() for name in names} == before
 
 
 def test_auth_metrics_counts(finished_run):
@@ -289,7 +320,7 @@ def test_auth_metrics_counts(finished_run):
 
 def test_roc_files_written(finished_run):
     _, run_dir, _ = finished_run
-    lines = open(os.path.join(run_dir, "roc_auth_mdhnd.csv")).read().splitlines()
+    lines = Path(run_dir, "roc_auth_mdhnd.csv").read_text().splitlines()
     assert lines[0] == "threshold,far,gar"
     assert len(lines) == 2 + 15 + 1  # thresholds -1..15
 
@@ -378,13 +409,13 @@ def test_joint_freeze_keeps_the_frozen_model_bit_identical(tmp_path, frozen):
     free = "nnd" if frozen == "mdh" else "mdh"
     assert all(same[frozen].values())
     assert not any(same[free].values()), same[free]
-    log = open(os.path.join(run_dir, "experiment.log")).read()
+    log = Path(run_dir, "experiment.log").read_text()
     assert ("encoder_grad_norm_step1=" in log) == (frozen == "nnd")
 
 
 def test_joint_logs_encoder_gradient_norm(finished_run):
     _, run_dir, _ = finished_run
-    log = open(os.path.join(run_dir, "experiment.log")).read()
+    log = Path(run_dir, "experiment.log").read_text()
     assert "encoder_grad_norm_step1=" in log
     norm = float(log.split("encoder_grad_norm_step1=")[1].splitlines()[0])
     assert norm > 0.0
@@ -401,7 +432,7 @@ def test_llr_scale_sweep_is_logged(finished_run):
     table = GroundTruthTable.load(os.path.join(run_dir, "ground_truth.txt"))
     labeled, targets = pipeline._labeled_samples(enroll, table)
     sweep, best = sweep_llr_scale(pretrained, pipeline._activations(mdh, enroll)[labeled], targets)
-    log = open(os.path.join(run_dir, "experiment.log")).read().splitlines()
+    log = Path(run_dir, "experiment.log").read_text().splitlines()
     assert [line for line in log if line.startswith("llr_scale_sweep ")] == (
         [f"llr_scale_sweep scale={scale!r} cer={cer!r}" for scale, cer in sweep]
         + [f"llr_scale_sweep best={best!r}"]
@@ -440,7 +471,7 @@ def test_message_level_scoring(tmp_path):
     results = run_all(cfg, str(tmp_path), overwrite=True)
     assert 0.0 <= results[("auth", "mdh")]["eer"] <= 1.0
     # thresholds sweep the message length k = 7, not the codeword length 15
-    lines = open(os.path.join(tmp_path, "roc_auth_mdh.csv")).read().splitlines()
+    lines = Path(tmp_path, "roc_auth_mdh.csv").read_text().splitlines()
     assert len(lines) == 2 + 7 + 1
 
 
@@ -469,7 +500,8 @@ def test_integer_bandwidths_train_as_floats_and_keep_the_fingerprint(tmp_path):
     assert sorted(set(stage_betas)) == [1.0, 2.0]
     saved = ExperimentConfig.load(os.path.join(run_dir, "config.json"))
     assert saved.fingerprint() == cfg.fingerprint()
-    assert pipeline.load_state(run_dir, cfg)["markers"]["mdh"]
+    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, build_code(cfg.code_m, cfg.code_t))
+    assert mdh.hashing.beta == 2.0
 
 
 def test_stage_seeds_distinct_and_stable():
