@@ -12,6 +12,7 @@ plain functions; ``Tensor`` has no operator overloads.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,21 +24,23 @@ class TrainingError(RuntimeError):
     """Raised when an optimizer or training loop hits a non-recoverable state."""
 
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    enabled = True  # each thread starts recording
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables graph recording (cheap inference mode)."""
+    """Context manager that disables graph recording in its thread (cheap inference mode)."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
@@ -76,7 +79,7 @@ def make_op(data, inputs, backward):
     Other modules use this hook to define their own primitives.
     """
     out = Tensor(data)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _grad_mode.enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.node = _Node(tuple(inputs), backward)
     return out

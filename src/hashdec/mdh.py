@@ -47,11 +47,8 @@ class ModalityEncoder:
         return h
 
     def parameters(self, prefix):
-        params = {}
-        for i, (w, b) in enumerate(self.layers):
-            params[f"{prefix}/w{i}"] = w
-            params[f"{prefix}/b{i}"] = b
-        return params
+        return {f"{prefix}/{kind}{i}": t for i, layer in enumerate(self.layers)
+                for kind, t in zip("wb", layer)}
 
 
 class FusionLayer:
@@ -61,12 +58,7 @@ class FusionLayer:
         if mode not in FUSION_MODES:
             raise ValueError(f"unknown fusion mode '{mode}' (expected one of {FUSION_MODES})")
         self.mode = mode
-        if mode == "fca":
-            in_dim = 2 * feature_dim
-        elif mode == "bla":
-            in_dim = feature_dim * feature_dim
-        else:
-            in_dim = feature_dim
+        in_dim = {"fca": 2 * feature_dim, "bla": feature_dim * feature_dim}.get(mode, feature_dim)
         self.w, self.b = _init_linear(rng, in_dim, out_dim)
 
     def forward(self, face_feat, iris_feat):
@@ -74,10 +66,8 @@ class FusionLayer:
             joined = ad.concat([face_feat, iris_feat], axis=1)
         elif self.mode == "bla":
             joined = ad.batch_outer(face_feat, iris_feat)
-        elif self.mode == "face":
-            joined = face_feat
         else:
-            joined = iris_feat
+            joined = face_feat if self.mode == "face" else iris_feat
         return ad.scaled_tanh(ad.add(ad.matmul(joined, self.w), self.b), 1.0)
 
     def parameters(self, prefix="fusion"):
@@ -114,12 +104,9 @@ class MdhModel:
                  feature_dim=16, fusion_dim=128, hidden=(128, 64), seed=0):
         rng = np.random.default_rng(seed)
         self.num_classes = num_classes
-        self.face_encoder = (
-            ModalityEncoder(rng, face_dim, hidden, feature_dim) if mode != "iris" else None
-        )
-        self.iris_encoder = (
-            ModalityEncoder(rng, iris_dim, hidden, feature_dim) if mode != "face" else None
-        )
+        face, iris = mode != "iris", mode != "face"
+        self.face_encoder = ModalityEncoder(rng, face_dim, hidden, feature_dim) if face else None
+        self.iris_encoder = ModalityEncoder(rng, iris_dim, hidden, feature_dim) if iris else None
         self.fusion = FusionLayer(rng, mode, feature_dim, fusion_dim)
         self.hashing = HashingLayer(rng, fusion_dim, code_bits)
         self.head_w, self.head_b = _init_linear(rng, code_bits, num_classes)
@@ -127,12 +114,9 @@ class MdhModel:
 
     # -- parameter books ---------------------------------------------------
     def encoder_parameters(self):
-        params = {}
-        if self.face_encoder is not None:
-            params.update(self.face_encoder.parameters("face_enc"))
-        if self.iris_encoder is not None:
-            params.update(self.iris_encoder.parameters("iris_enc"))
-        return params
+        encoders = (("face_enc", self.face_encoder), ("iris_enc", self.iris_encoder))
+        return {name: t for prefix, enc in encoders if enc is not None
+                for name, t in enc.parameters(prefix).items()}
 
     def jrl_parameters(self):
         return {**self.fusion.parameters(), **self.hashing.parameters()}
@@ -190,12 +174,8 @@ def total_loss(logits, activations, labels_onehot, weight_tensors, cfg: Experime
         ad.add(ad.mul(Tensor(cfg.w_cls), e1), ad.mul(Tensor(cfg.w_quant), e2)),
         ad.mul(Tensor(cfg.w_ent), e3),
     )
-    components = {
-        "e1": float(e1.data),
-        "e2": float(e2.data),
-        "e3": float(e3.data),
-        "total": float(total.data),
-    }
+    components = {name: float(t.data) for name, t in (("e1", e1), ("e2", e2), ("e3", e3),
+                                                      ("total", total))}
     for name, value in components.items():
         if not np.isfinite(value):
             raise TrainingError(f"loss component '{name}' is not finite")

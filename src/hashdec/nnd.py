@@ -32,6 +32,7 @@ from .tanner import TannerGraph, awgn_llr, bp_forward, hard_decision, LLR_CLAMP
 VAL_EVERY = 25       # decoder training steps between two validation passes
 VAL_WORDS = 512      # AWGN words in the pretraining validation set
 VAL_FRACTION = 0.1   # share of fine-tuning samples held out for validation
+DECODE_CHUNK = 512   # words per BP pass in ``NndModel.decode``; bounds peak memory
 
 
 def sigma_from_snr_db(snr_db, rate):
@@ -101,10 +102,15 @@ class NndModel:
         return ad.sigmoid(ad.neg(self.posterior(llr)))
 
     def decode(self, llr_batch):
-        """``tanner.hard_decision`` of a (B, n) batch's posterior, recording no graph."""
+        """``tanner.hard_decision`` of a (B, n) batch's posterior, recording no graph.
+
+        BP treats each word alone, so decoding ``DECODE_CHUNK`` words at a time
+        changes no bit and bounds the memory one round holds.
+        """
+        llr = np.atleast_2d(np.asarray(llr_batch, dtype=np.float64))
         with ad.no_grad():
-            post = self.posterior(np.atleast_2d(np.asarray(llr_batch, dtype=np.float64)))
-        return hard_decision(post.data)
+            return np.concatenate([hard_decision(self.posterior(llr[i : i + DECODE_CHUNK]).data)
+                                   for i in range(0, max(len(llr), 1), DECODE_CHUNK)])
 
 
 def train_loop(params, loss, sample_batch, val_batch, steps, step_size, val_every):
@@ -252,8 +258,7 @@ def _hex_to_bits(hex_s, n):
 
 def hard_limit(activations):
     """Activation > 0 -> bit 0, activation <= 0 -> bit 1."""
-    activations = np.asarray(activations)
-    return (activations <= 0).astype(np.uint8)
+    return (np.asarray(activations) <= 0).astype(np.uint8)
 
 
 def make_ground_truth(outputs_by_subject, code: BchCode):
@@ -327,9 +332,8 @@ def finetune_biometric(model: NndModel, inputs, targets, cfg: ExperimentConfig, 
 
 def codeword_error_rate(decoder_bits, labels_bits):
     """Fraction of rows that differ from their label codeword anywhere."""
-    decoder_bits = np.asarray(decoder_bits)
-    labels_bits = np.asarray(labels_bits)
-    return float(np.mean(np.any(decoder_bits != labels_bits, axis=1)))
+    differ = np.asarray(decoder_bits) != np.asarray(labels_bits)
+    return float(np.mean(np.any(differ, axis=1)))
 
 
 def sweep_llr_scale(model: NndModel, activations, targets, scales=(2.0, 4.0, 8.0, 16.0)):

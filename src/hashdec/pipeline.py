@@ -62,6 +62,8 @@ STAGES = {
     "nnd": ("nnd_finetuned.ckpt", "train-nnd"),
     "joint": ("mdhnd.ckpt", "joint-optimize"),
 }
+# the command that writes each record; the pretrained decoder is no stage's record
+_WRITER = dict(STAGES.values()) | {"nnd_pretrained.ckpt": "train-nnd"}
 VARIANTS = ("mdh", "ext", "nnd", "mdhnd")
 _VARIANT_NEEDS = {
     "mdh": ("data", "mdh"),
@@ -190,12 +192,12 @@ def save_models(path, cfg: ExperimentConfig, kind, mdh=None, nnd=None):
 
 def load_models(path, cfg: ExperimentConfig, code):
     """The (mdh, nnd) pair a checkpoint of this config holds, ``None`` for a model it lacks."""
+    remedy = f"run '{_WRITER.get(os.path.basename(path), 'run-all')}' to rebuild it"
     try:
         params, meta = load_params(path)
     except (OSError, CheckpointFormatError) as exc:
-        raise PipelineError(f"cannot read checkpoint: {exc}; rerun the stage that writes it") from None
-    _check_fingerprint(cfg, meta.get("fingerprint"), f"checkpoint {path}",
-                       "rerun the stage that writes it")
+        raise PipelineError(f"cannot read checkpoint: {exc}; {remedy}") from None
+    _check_fingerprint(cfg, meta.get("fingerprint"), f"checkpoint {path}", remedy)
     models = meta.get("models") or []
     mdh = nnd = None
     if "mdh" in models:
@@ -226,6 +228,7 @@ def stage_generate_data(cfg: ExperimentConfig, run_dir, overwrite=False):
             f"dataset files already exist (e.g. {existing[0]}); pass overwrite to replace them"
         )
     cfg.save(os.path.join(run_dir, "config.json"))
+    open(os.path.join(run_dir, "experiment.log"), "w").close()  # new data, a new log
     _parsed_splits.clear()
     splits = generate(cfg.split_spec(), cfg.distortion(), cfg.dims(), stage_seed(cfg, "data"))
     for split in splits:
@@ -418,11 +421,7 @@ def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):
 
 def _decoded_codes(cfg: ExperimentConfig, mdh, nndm, split):
     """The decoder's bits for every sample of a split: MDH -> LLRs -> NND."""
-    llrs = llr_from_activations(_activations(mdh, split), cfg.llr_scale)
-    out = np.empty(llrs.shape, dtype=np.uint8)
-    for i in range(0, llrs.shape[0], 512):
-        out[i : i + 512] = nndm.decode(llrs[i : i + 512])
-    return out
+    return nndm.decode(llr_from_activations(_activations(mdh, split), cfg.llr_scale))
 
 
 def _scored_bits(cfg, code, codes):

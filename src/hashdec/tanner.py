@@ -8,9 +8,14 @@ is ``bp_forward`` without weights over a (B, n) batch. A weight of one
 changes no bit and both decoders take bits from the posterior by
 ``hard_decision``, so they agree bit for bit when every weight is one.
 
-The check-node product is one primitive, ``leave_one_out_prod``, whose
-forward and backward are prefix/suffix scans over each check's edges, so
-both cost time linear in the check degree.
+A round is one primitive. Its numpy forward runs the weighted channel term,
+the per-variable message sum, the gather, the clamps, tanh(x/2), the check's
+leave-one-out product (``_loo``, shared with the ``leave_one_out_prod``
+primitive: prefix/suffix scans, linear in the check degree) and 2 atanh.
+Its backward applies the chain-rule factors of the chain of up to thirteen
+single-op primitives it replaces, one IEEE step each on the same operands in
+the same order, and a clamp passes the gradient exactly where its output lies
+strictly inside the bounds, so outputs and gradients are bitwise the chain's.
 
 Conventions: positive LLR means bit 0 is more likely; channel LLRs are
 clamped to +/-30 on entry, check messages to +/-30 after the atanh, and the
@@ -22,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, make_op
+from .autodiff import Tensor, _unbroadcast, make_op
 
 LLR_CLAMP = 30.0
 ATANH_CLAMP = 1.0 - 1e-12
@@ -56,99 +61,107 @@ class TannerGraph:
         # dense (check, slot) layout used for leave-one-out products
         degrees = H.sum(axis=1).astype(np.int64)
         self.max_check_degree = int(degrees.max())
-        slot = np.zeros(self.num_edges, dtype=np.int64)
-        seen = np.zeros(self.r, dtype=np.int64)
-        for e in range(self.num_edges):
-            c = self.edge_check[e]
-            slot[e] = seen[c]
-            seen[c] += 1
+        first = np.cumsum(degrees) - degrees  # each check's first edge
+        slot = np.arange(self.num_edges) - first[self.edge_check]
         self.edge_slot_flat = self.edge_check * self.max_check_degree + slot
 
 
 # ---------------------------------------------------------------------------
-# leave-one-out product primitive
+# the leave-one-out product and the BP round, each one primitive
 # ---------------------------------------------------------------------------
 
-def _scatter_dense(graph, values):
-    dense = np.ones((graph.r * graph.max_check_degree,) + values.shape[1:])
-    dense[graph.edge_slot_flat] = values
-    return dense.reshape((graph.r, graph.max_check_degree) + values.shape[1:])
+def _loo(graph, t):
+    """Leave-one-out products of edge values ``t`` (edges, B), and their VJP.
 
-
-def _exclusive_scans(dense):
-    """Exclusive prefix and suffix products along each row (axis 1)."""
+    A check's edges sit in a dense (check, slot) layout padded with ones; the
+    exclusive prefix and suffix products P and S give P_j S_j. The gradient of
+    sum_i g_i prod_{l != i} t_l with respect to t_j is A_j S_j + P_j B_j, where
+    A_{j+1} = A_j t_j + g_j P_j (B mirrors A from the right): linear scans,
+    exact with zeros and free of division.
+    """
+    flat_shape = (graph.r * graph.max_check_degree,) + t.shape[1:]
+    dense = np.ones(flat_shape)
+    dense[graph.edge_slot_flat] = t
+    dense = dense.reshape((graph.r, graph.max_check_degree) + t.shape[1:])
     left = np.ones_like(dense)
     np.cumprod(dense[:, :-1], axis=1, out=left[:, 1:])
     right = np.ones_like(dense)
     np.cumprod(dense[:, :0:-1], axis=1, out=right[:, -2::-1])
-    return left, right
+    edges = lambda x: x.reshape(flat_shape)[graph.edge_slot_flat]
 
+    def vjp(g):
+        g_dense = np.zeros_like(dense)
+        g_dense.reshape(flat_shape)[graph.edge_slot_flat] = g
+        grad = np.empty_like(dense)
+        acc = np.zeros_like(dense[:, 0])
+        for j in range(dense.shape[1]):
+            grad[:, j] = acc * right[:, j]
+            acc = acc * dense[:, j] + g_dense[:, j] * left[:, j]
+        acc = np.zeros_like(dense[:, 0])
+        for j in range(dense.shape[1] - 1, -1, -1):
+            grad[:, j] += left[:, j] * acc
+            acc = acc * dense[:, j] + g_dense[:, j] * right[:, j]
+        return edges(grad)
 
-def _loo_grad(dense, g_dense, left, right):
-    """Gradient of sum_i g_i prod_{l != i} t_l with respect to each t_j.
-
-    grad_j = A_j S_j + P_j B_j, where P/S are the exclusive prefix/suffix
-    products and A_{j+1} = A_j t_j + g_j P_j (B mirrors A from the right):
-    two linear scans, exact with zeros and free of division.
-    """
-    grad = np.empty_like(dense)
-    acc = np.zeros_like(dense[:, 0])
-    for j in range(dense.shape[1]):
-        grad[:, j] = acc * right[:, j]
-        acc = acc * dense[:, j] + g_dense[:, j] * left[:, j]
-    acc = np.zeros_like(dense[:, 0])
-    for j in range(dense.shape[1] - 1, -1, -1):
-        grad[:, j] += left[:, j] * acc
-        acc = acc * dense[:, j] + g_dense[:, j] * right[:, j]
-    return grad
+    return edges(left * right), vjp
 
 
 def leave_one_out_prod(graph: TannerGraph, t_edges: Tensor) -> Tensor:
-    """For each edge, the product of the other edges on the same check.
-
-    Forward and backward both use the exclusive prefix/suffix products, so
-    each is linear in the check degree and exact even with zeros.
-    """
-    dense = _scatter_dense(graph, t_edges.data)
-    left, right = _exclusive_scans(dense)
-    out = (left * right).reshape((-1,) + t_edges.data.shape[1:])[graph.edge_slot_flat]
-
-    def backward(g):
-        g_dense = np.zeros_like(dense)
-        g_dense.reshape((-1,) + g.shape[1:])[graph.edge_slot_flat] = g
-        grad = _loo_grad(dense, g_dense, left, right)
-        return (grad.reshape((-1,) + g.shape[1:])[graph.edge_slot_flat],)
-
-    return make_op(out, (t_edges,), backward)
+    """For each edge, the product of the other edges on the same check."""
+    out, vjp = _loo(graph, t_edges.data)
+    return make_op(out, (t_edges,), lambda g: (vjp(g),))
 
 
-# ---------------------------------------------------------------------------
-# message updates (shared by plain BP and the trainable decoder)
-# ---------------------------------------------------------------------------
+def _var_sums(graph, x):
+    """Per-variable sums of edge values ``x`` (edges, B), bit for bit ``np.add.at``'s:
+    ``np.bincount`` also adds in edge order, without per-element dispatch."""
+    b = x.shape[1]
+    idx = (graph.edge_var[:, None] * b + np.arange(b)).ravel()
+    return np.bincount(idx, weights=x.ravel(), minlength=graph.n * b).reshape(graph.n, b)
 
-def _var_to_check(graph, llr, c_msgs, w_edge, w_ch):
-    """Channel term plus the sum of the other incoming check messages.
 
-    In the first round, ``c_msgs`` is None and the channel term goes alone.
-    """
-    wllr = llr if w_ch is None else ad.mul(w_ch, llr)
-    if c_msgs is None:
-        return ad.clip(ad.take(wllr, graph.edge_var), -LLR_CLAMP, LLR_CLAMP)
-    wc = c_msgs if w_edge is None else ad.mul(w_edge, c_msgs)
-    per_var = ad.add(wllr, ad.segment_sum(wc, graph.edge_var, graph.n))
-    return ad.clip(ad.sub(ad.take(per_var, graph.edge_var), wc), -LLR_CLAMP, LLR_CLAMP)
+def _weighted_vjp(g, x, w):
+    """Gradients for (x, w) of w * x from the gradient ``g`` of the product; no w is one."""
+    if w is None:
+        return g, None
+    return g * w.data, _unbroadcast(g * x.data, w.data.shape)
 
 
 def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
-    """One flooding round: variable-to-check, then check-to-variable messages.
+    """One flooding round, variable-to-check then check-to-variable, as one primitive.
 
-    A check answers 2 atanh(prod tanh(m/2)) over its other edges. The
-    variable-to-check step is a call of its own so that, without gradients,
-    its intermediates are freed before the check-node product runs.
+    A variable sends its weighted channel LLR plus the weighted sum of its
+    other incoming check messages (the channel term alone in the first round,
+    when ``c_msgs`` is None); a check answers 2 atanh(prod tanh(m/2)) over its
+    other edges. A ``None`` weight is one.
     """
-    t = ad.scaled_tanh(_var_to_check(graph, llr, c_msgs, w_edge, w_ch), 0.5)
-    prod = ad.clip(leave_one_out_prod(graph, t), -ATANH_CLAMP, ATANH_CLAMP)
-    return ad.clip(ad.mul(2.0, ad.atanh(prod)), -LLR_CLAMP, LLR_CLAMP)
+    ev = graph.edge_var
+    wllr = llr.data if w_ch is None else w_ch.data * llr.data
+    if c_msgs is None:
+        inputs = (llr, w_ch)
+        v = np.clip(wllr[ev], -LLR_CLAMP, LLR_CLAMP)
+    else:
+        inputs = (llr, w_ch, c_msgs, w_edge)
+        wc = c_msgs.data if w_edge is None else w_edge.data * c_msgs.data
+        v = np.clip((wllr + _var_sums(graph, wc))[ev] - wc, -LLR_CLAMP, LLR_CLAMP)
+    t = np.tanh(0.5 * v)
+    prod, loo_vjp = _loo(graph, t)
+    prod = np.clip(prod, -ATANH_CLAMP, ATANH_CLAMP)
+    out = np.clip(2.0 * np.arctanh(prod), -LLR_CLAMP, LLR_CLAMP)
+
+    def backward(g):
+        # the per-op chain's factors in its order: clamp, 2x, atanh, clamp,
+        # product, tanh(x/2), clamp, then the gather and the weights
+        g = g * (np.abs(out) < LLR_CLAMP) * 2.0 / (1.0 - prod * prod)
+        g = loo_vjp(g * (np.abs(prod) < ATANH_CLAMP)) * 0.5 * (1.0 - t * t)
+        g = g * (np.abs(v) < LLR_CLAMP)
+        g_wllr = _var_sums(graph, g)
+        grads = _weighted_vjp(g_wllr, llr, w_ch)
+        if c_msgs is not None:
+            grads += _weighted_vjp(g_wllr[ev] - g, c_msgs, w_edge)
+        return tuple(gr for gr, x in zip(grads, inputs) if x is not None)
+
+    return make_op(out, tuple(x for x in inputs if x is not None), backward)
 
 
 def _marginalize(graph, c_msgs, llr, w_edge, w_ch):

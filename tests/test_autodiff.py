@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -328,6 +329,31 @@ def test_no_grad_blocks_recording():
     with ad.no_grad():
         y = ad.square(x)
     assert y.node is None and not y.requires_grad
+
+
+def test_no_grad_is_per_thread():
+    # one thread inside no_grad does not stop another from recording a graph
+    inside, recorded = threading.Event(), threading.Event()
+    nodes = {}
+
+    def quiet():
+        with ad.no_grad():
+            inside.set()
+            recorded.wait(10)
+            nodes["quiet"] = ad.square(Tensor(np.ones(3), requires_grad=True)).node
+
+    def recording():
+        inside.wait(10)
+        nodes["recording"] = ad.square(Tensor(np.ones(3), requires_grad=True)).node
+        recorded.set()
+
+    threads = [threading.Thread(target=quiet), threading.Thread(target=recording)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert nodes["quiet"] is None and nodes["recording"] is not None
+    assert ad.square(Tensor(np.ones(3), requires_grad=True)).node is not None
 
 
 def test_adam_step_requires_backward():

@@ -139,6 +139,34 @@ def test_deleted_record_names_the_command(tmp_path, cfg_file, capsys):
     assert err.startswith("error[pipeline]:") and "run 'train-mdh' first" in err, err
 
 
+def test_missing_pretrained_decoder_names_the_command(tmp_path, cfg_file, capsys):
+    # nnd_pretrained.ckpt is no stage's record, so the refusal comes when the
+    # nnd variant reads it, and it names the command that writes it
+    run = tmp_path / "run"
+    for command in ("generate-data", "train-mdh", "ground-truth", "train-nnd"):
+        assert main([command, "--config", cfg_file, "--run-dir", str(run)]) == 0
+    os.remove(run / "nnd_pretrained.ckpt")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg_file, "--run-dir", str(run),
+                 "--mode", "auth", "--variant", "nnd"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[pipeline]:") and "nnd_pretrained.ckpt" in err, err
+    assert "run 'train-nnd' to rebuild it" in err, err
+
+
+def test_new_data_starts_a_new_log(tmp_path, capsys):
+    # run-all --overwrite under another seed in the same directory keeps only
+    # the new run's log
+    run = str(tmp_path / "run")
+    for seed in (5, 6):
+        path = tmp_path / f"seed{seed}.json"
+        tiny_config(seed=seed).save(path)
+        assert main(["run-all", "--config", str(path), "--run-dir", run, "--overwrite"]) == 0
+    log = (tmp_path / "run" / "experiment.log").read_text().splitlines()
+    assert sum(line.startswith("run_all completed") for line in log) == 1
+    assert sum(line.startswith("llr_scale_sweep best=") for line in log) == 1
+
+
 def test_leftover_state_file_is_ignored(tmp_path, cfg_file, capsys):
     # run directories once kept stage markers in state.json; one left empty
     # by a crash mid-write neither gates nor breaks a command

@@ -6,6 +6,7 @@ from hashdec.autodiff import Tensor, TrainingError, gradient_check
 from hashdec.bch import build_code, encode
 from hashdec.config import ConfigError, ExperimentConfig
 from hashdec.nnd import (
+    DECODE_CHUNK,
     VAL_WORDS,
     GroundTruthTable,
     NndModel,
@@ -73,6 +74,46 @@ def test_untrained_model_equals_bp_on_llr_grid(hamming74):
     grid = np.vstack([grid, [-1e-17, 0, 0, 0, 0, 0, 0]])
     hard_bp, _ = decode_bp_batch(graph, grid, iterations=5)
     assert np.array_equal(model.decode(grid), hard_bp)
+
+
+def _jittered(model, rng):
+    for t in model.parameters().values():
+        t.data = t.data * (1.0 + 0.05 * rng.standard_normal(t.data.shape))
+    return model
+
+
+def test_decode_in_chunks_equals_row_by_row(bch63, monkeypatch):
+    rng = np.random.default_rng(11)
+    model = _jittered(NndModel(bch63, iterations=5), rng)
+    llrs = rng.normal(0.0, 3.0, (1100, 63))
+    # two full chunks and a partial one
+    sizes = []
+    posterior = NndModel.posterior
+
+    def counted(self, llr):
+        sizes.append(len(llr))
+        return posterior(self, llr)
+
+    monkeypatch.setattr(NndModel, "posterior", counted)
+    bits = model.decode(llrs)
+    assert sizes == [DECODE_CHUNK, DECODE_CHUNK, 1100 - 2 * DECODE_CHUNK]
+    monkeypatch.undo()
+    assert bits.shape == (1100, 63) and bits.dtype == np.uint8
+    for i in range(1100):
+        assert np.array_equal(bits[i], model.decode(llrs[i])[0]), i
+    empty = model.decode(np.zeros((0, 63)))
+    assert empty.shape == (0, 63) and empty.dtype == np.uint8
+    with pytest.raises(ValueError, match="n = 63"):
+        model.decode(np.zeros((0, 62)))
+
+
+def test_one_graph_node_per_bp_round(bch63):
+    # a BP round is one primitive: an added iteration adds one node to the
+    # recorded graph, so per-op dispatch cannot creep back unnoticed
+    llr = Tensor(np.random.default_rng(12).normal(0.0, 3.0, (2, 63)), requires_grad=True)
+    sizes = [len(ad.GradientTape(ad.tensor_sum(NndModel(bch63, t).posterior(llr))).order)
+             for t in range(1, 6)]
+    assert np.diff(sizes).tolist() == [1, 1, 1, 1]
 
 
 def test_forward_outputs_strictly_inside_unit_interval(bch63):

@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 
 from hashdec import autodiff as ad
+from hashdec import tanner
 from hashdec.autodiff import GradientTape, Tensor, gradient_check
 from hashdec.bch import build_code, encode
 from hashdec.tanner import (
+    ATANH_CLAMP,
+    LLR_CLAMP,
     TannerGraph,
     awgn_llr,
+    bp_forward,
     decode_bp_batch,
     leave_one_out_prod,
 )
@@ -117,6 +121,125 @@ def test_leave_one_out_prod_backward_matches_masked_slot_reference():
     x = Tensor(t, requires_grad=True)
     GradientTape(ad.tensor_sum(ad.mul(leave_one_out_prod(g, x), Tensor(upstream)))).backward()
     assert np.max(np.abs(x.grad - _masked_slot_grad(g, t, upstream))) < 1e-12
+
+
+# -- the BP round as one primitive against the per-op chain it replaces -------
+
+def _ref_var_to_check(graph, llr, c_msgs, w_edge, w_ch):
+    """Test-only reference: the variable-to-check step as single-op primitives."""
+    wllr = llr if w_ch is None else ad.mul(w_ch, llr)
+    if c_msgs is None:
+        return ad.clip(ad.take(wllr, graph.edge_var), -LLR_CLAMP, LLR_CLAMP)
+    wc = c_msgs if w_edge is None else ad.mul(w_edge, c_msgs)
+    per_var = ad.add(wllr, ad.segment_sum(wc, graph.edge_var, graph.n))
+    return ad.clip(ad.sub(ad.take(per_var, graph.edge_var), wc), -LLR_CLAMP, LLR_CLAMP)
+
+
+def _ref_bp_round(graph, llr, c_msgs, w_edge, w_ch):
+    """Test-only reference: one flooding round as up to thirteen single-op primitives."""
+    t = ad.scaled_tanh(_ref_var_to_check(graph, llr, c_msgs, w_edge, w_ch), 0.5)
+    prod = ad.clip(leave_one_out_prod(graph, t), -ATANH_CLAMP, ATANH_CLAMP)
+    return ad.clip(ad.mul(2.0, ad.atanh(prod)), -LLR_CLAMP, LLR_CLAMP)
+
+
+def _round_inputs(graph, later, weights, batch, rng, case):
+    """Fresh leaf tensors (llr, c_msgs, w_edge, w_ch) for one round."""
+    llr = rng.normal(0.0, 4.0, (graph.n, batch))
+    c_msgs = rng.normal(0.0, 4.0, (graph.num_edges, batch))
+    on_check0 = graph.edge_var[graph.edge_check == 0]
+    if case == "clamps":
+        # check 0's variables beyond +/-30, each edge of theirs at +/-40 with
+        # the same sign: check 0's products saturate at +/-(1 - 1e-12)
+        llr[on_check0] = 45.0 * np.where(llr[on_check0] < 0, -1.0, 1.0)
+        saturated = np.isin(graph.edge_var, on_check0)
+        c_msgs[saturated] = 40.0 * np.sign(llr[graph.edge_var[saturated]])
+    elif case == "zeros":
+        # two exact zeros on check 0: its first two variables get no evidence
+        llr[on_check0[:2]] = 0.0
+        c_msgs[np.isin(graph.edge_var, on_check0[:2])] = 0.0
+    w_edge = w_ch = None
+    if weights != "none":
+        w_edge, w_ch = np.ones((graph.num_edges, 1)), np.ones((graph.n, 1))
+        if weights == "jittered":
+            w_edge = w_edge + 0.1 * rng.standard_normal(w_edge.shape)
+            w_ch = w_ch + 0.1 * rng.standard_normal(w_ch.shape)
+    values = (llr, c_msgs if later else None, w_edge, w_ch)
+    return [None if v is None else Tensor(v, requires_grad=True) for v in values]
+
+
+def _round_and_grads(round_fn, graph, inputs, coeffs):
+    out = round_fn(graph, *inputs)
+    GradientTape(ad.tensor_sum(ad.mul(out, Tensor(coeffs)))).backward()
+    return out.data, [None if t is None else t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("case", ["plain", "clamps", "zeros"])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("weights", ["none", "unit", "jittered"])
+@pytest.mark.parametrize("later", [False, True], ids=["first", "later"])
+@pytest.mark.parametrize("h", ["hamming74", "uneven"])
+def test_fused_round_is_bitwise_the_per_op_chain(h, later, weights, batch, case):
+    graph = TannerGraph(build_code(3, 1).parity_check_matrix if h == "hamming74" else _UNEVEN_H)
+    labels = (h, later, weights, batch, case)
+    rng = np.random.default_rng([sum(map(ord, str(x))) for x in labels])
+    inputs = _round_inputs(graph, later, weights, batch, rng, case)
+    coeffs = rng.standard_normal((graph.num_edges, batch))
+    fused, fused_grads = _round_and_grads(tanner._bp_round, graph, inputs, coeffs)
+    for t in inputs:
+        if t is not None:
+            t.grad = None
+    ref, ref_grads = _round_and_grads(_ref_bp_round, graph, inputs, coeffs)
+    assert np.array_equal(fused, ref)
+    for name, a, b in zip(("llr", "c_msgs", "w_edge", "w_ch"), fused_grads, ref_grads):
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+    plain = [None if t is None else Tensor(t.data) for t in inputs]
+    v = _ref_var_to_check(graph, *plain).data
+    prod = leave_one_out_prod(graph, Tensor(np.tanh(0.5 * v))).data
+    if case == "clamps":
+        # the inputs reach the message clamp and the product clamp
+        assert np.any(np.abs(v) == LLR_CLAMP) and np.any(np.abs(prod) > ATANH_CLAMP)
+    if case == "zeros":
+        assert np.count_nonzero(v[graph.edge_check == 0] == 0.0) >= 2
+
+
+def test_unrolled_decoder_is_bitwise_the_per_op_chain(monkeypatch):
+    # the channel LLRs feed every round and the output: their gradient sums
+    # six terms, in the same order as the per-op graph summed them
+    graph = TannerGraph(build_code(6, 3).parity_check_matrix)
+    rng = np.random.default_rng(8)
+    e, n = graph.num_edges, graph.n
+    shapes = [(n, 4)] + [(e, 1)] * 4 + [(n, 1)] * 5 + [(e, 1), (n, 1)]
+    values = [1 + 0.05 * rng.standard_normal(shape) for shape in shapes]
+    values[0] = rng.normal(0.0, 5.0, (n, 4))
+    coeffs = rng.standard_normal((n, 4))
+
+    def run():
+        llr, *w = [Tensor(v.copy(), requires_grad=True) for v in values]
+        post = bp_forward(graph, llr, 5, [None] + w[:4], w[4:9], w[9], w[10])
+        GradientTape(ad.tensor_sum(ad.mul(post, Tensor(coeffs)))).backward()
+        return [post.data, llr.grad] + [t.grad for t in w]
+
+    fused = run()
+    monkeypatch.setattr(tanner, "_bp_round", _ref_bp_round)
+    for a, b in zip(fused, run()):
+        assert np.array_equal(a, b)
+
+
+def test_weighted_bp_forward_gradient_matches_finite_differences(hamming_graph):
+    g = hamming_graph
+    rng = np.random.default_rng(9)
+    llr = Tensor(rng.uniform(-2.0, 2.0, (g.n, 2)))
+    weights = [Tensor(1 + 0.1 * rng.standard_normal(shape))
+               for shape in ((g.num_edges, 1), (g.n, 1), (g.n, 1), (g.num_edges, 1), (g.n, 1))]
+    coeffs = Tensor(rng.standard_normal((g.n, 2)))
+
+    def f(llr, w_edge1, w_ch0, w_ch1, w_out_edge, w_out_ch):
+        post = bp_forward(g, llr, 2, [None, w_edge1], [w_ch0, w_ch1], w_out_edge, w_out_ch)
+        return ad.tensor_sum(ad.mul(post, coeffs))
+
+    report = gradient_check(f, [llr, *weights])
+    assert report.max_relative_error < 1e-6, report.per_input
 
 
 def test_strong_positive_llrs_decode_to_zero_word():
