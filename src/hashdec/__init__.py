@@ -19,6 +19,7 @@ from .autodiff import (
     Tensor,
     adam_step,
     binary_cross_entropy,
+    dense,
     gradient_check,
     matmul,
     no_grad,

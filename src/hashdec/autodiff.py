@@ -211,6 +211,30 @@ def matmul(a, b):
     )
 
 
+def dense(x, w, b, beta=None):
+    """One affine layer, ``tanh(beta * (x @ w + b))``, or ``x @ w + b`` when ``beta`` is None.
+
+    One primitive, bitwise the chain ``matmul`` -> ``add`` -> ``scaled_tanh``:
+    its backward applies the chain's factors on the same operands in its order.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if beta is not None and beta <= 0:
+        raise ValueError(f"tanh bandwidth must be positive, got {beta}")
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {x.data.shape} x {w.data.shape}")
+    out = x.data @ w.data + b.data
+    if beta is not None:
+        out = np.tanh(beta * out)
+
+    def backward(g):
+        if beta is not None:
+            g = g * beta * (1.0 - out * out)
+        gx = g @ w.data.T if x.requires_grad else None
+        return gx, x.data.T @ g, _unbroadcast(g, b.data.shape)
+
+    return make_op(out, (x, w, b), backward)
+
+
 def transpose(a):
     return make_op(a.data.T.copy(), (a,), lambda g: (g.T.copy(),))
 
@@ -264,9 +288,15 @@ def sum_sq(a):
 
 
 def clip(a, lo, hi):
-    """Value clamp with pass-through gradient strictly inside the interval."""
-    mask = (a.data > lo) & (a.data < hi)
-    return make_op(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+    """Value clamp with pass-through gradient strictly inside the interval.
+
+    An input lies strictly inside exactly when its clamped output does, so the
+    mask is built from the output, and only when a gradient is asked for.
+    Clamps call the ``ndarray.clip`` method, which runs ``np.clip``'s ufunc
+    without that function's ~2 us dispatch wrapper.
+    """
+    out = a.data.clip(lo, hi)
+    return make_op(out, (a,), lambda g: (g * ((out > lo) & (out < hi)),))
 
 
 def scaled_tanh(x, beta=1.0):
@@ -291,7 +321,7 @@ def sigmoid(x):
     out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ex = np.exp(d[~pos])
     out[~pos] = ex / (1.0 + ex)
-    np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
+    out.clip(_SIGMOID_LO, _SIGMOID_HI, out=out)
     return make_op(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 

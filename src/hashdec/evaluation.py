@@ -21,7 +21,7 @@ def hamming(a, b):
     b = np.asarray(b, dtype=np.uint8)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(_POPCOUNT[np.packbits(a ^ b)].sum())
+    return int(np.count_nonzero(a != b))
 
 
 def pack_codes(codes):

@@ -39,12 +39,9 @@ class ModalityEncoder:
         self.layers = [_init_linear(rng, a, b) for a, b in zip(dims, dims[1:])]
 
     def forward(self, x):
-        h = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         for i, (w, b) in enumerate(self.layers):
-            h = ad.add(ad.matmul(h, w), b)
-            if i < len(self.layers) - 1:
-                h = ad.scaled_tanh(h, 1.0)
-        return h
+            x = ad.dense(x, w, b, 1.0 if i < len(self.layers) - 1 else None)
+        return x
 
     def parameters(self, prefix):
         return {f"{prefix}/{kind}{i}": t for i, layer in enumerate(self.layers)
@@ -68,7 +65,7 @@ class FusionLayer:
             joined = ad.batch_outer(face_feat, iris_feat)
         else:
             joined = face_feat if self.mode == "face" else iris_feat
-        return ad.scaled_tanh(ad.add(ad.matmul(joined, self.w), self.b), 1.0)
+        return ad.dense(joined, self.w, self.b, 1.0)
 
     def parameters(self, prefix="fusion"):
         return {f"{prefix}/w": self.w, f"{prefix}/b": self.b}
@@ -82,7 +79,7 @@ class HashingLayer:
         self.w, self.b = _init_linear(rng, in_dim, code_bits)
 
     def forward(self, fused):
-        return ad.scaled_tanh(ad.add(ad.matmul(fused, self.w), self.b), self.beta)
+        return ad.dense(fused, self.w, self.b, self.beta)
 
     def calibrate_bias(self, pre_activations):
         """Centre each unit's pre-activation median so bits start balanced."""
@@ -148,7 +145,7 @@ class MdhModel:
         acts = self.hashing.forward(fused)
         logits = None
         if self.has_head:
-            logits = ad.add(ad.matmul(acts, self.head_w), self.head_b)
+            logits = ad.dense(acts, self.head_w, self.head_b)
         return acts, logits
 
 
@@ -254,7 +251,7 @@ def train_step1(model: MdhModel, dataset, cfg: ExperimentConfig, seed):
         for step in range(cfg.phase_a_steps):
             idx = next(batches)
             feats = encoder.forward(data[idx])
-            logits = ad.add(ad.matmul(feats, head_w), head_b)
+            logits = ad.dense(feats, head_w, head_b)
             loss = ad.softmax_cross_entropy(logits, Tensor(one_hot(class_idx[idx], m)))
             ad.GradientTape(loss).backward()
             ad.adam_step(params, state)
@@ -268,7 +265,7 @@ def train_step1(model: MdhModel, dataset, cfg: ExperimentConfig, seed):
         for i in range(0, n, 512):
             f, ii = model.features(face[i : i + 512], iris[i : i + 512])
             fused = model.fusion.forward(f, ii)
-            pre.append((ad.matmul(fused, model.hashing.w).data + model.hashing.b.data))
+            pre.append(ad.dense(fused, model.hashing.w, model.hashing.b).data)
         model.hashing.calibrate_bias(np.concatenate(pre))
 
     # Phases B and C share the minibatch objective; B freezes the encoders

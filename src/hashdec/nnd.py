@@ -49,7 +49,7 @@ def llr_from_activations(activations, scale):
     if scale <= 0:
         raise ValueError(f"LLR scale must be positive, got {scale}")
     activations = np.asarray(activations, dtype=np.float64)
-    return np.clip(scale * activations, -LLR_CLAMP, LLR_CLAMP)
+    return (scale * activations).clip(-LLR_CLAMP, LLR_CLAMP)
 
 
 class NndModel:
@@ -252,8 +252,12 @@ class GroundTruthTable:
 
 
 def _hex_to_bits(hex_s, n):
+    """The n-bit vector of a ``bits_to_hex`` mask; a bit at position n or above is refused."""
     value = int(hex_s, 16)
-    return ((value >> np.arange(n)) & 1).astype(np.uint8)
+    if value >> n:  # also true for a negative value
+        raise ValueError(f"label {hex_s} has a bit outside positions 0..{n - 1}")
+    raw = np.frombuffer(value.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:n]
 
 
 def hard_limit(activations):

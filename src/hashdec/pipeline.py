@@ -489,7 +489,11 @@ def stage_evaluate(cfg: ExperimentConfig, run_dir, mode, variant):
 
 
 def stage_bench(cfg: ExperimentConfig, run_dir, repetitions=200):
-    """Wall-clock per-authentication latency of the jointly optimised system."""
+    """Wall-clock per-authentication latency of the jointly optimised system.
+
+    ``bench_mdhnd.txt`` also holds the median time of each step of one
+    authentication: MDH forward, NND decode (LLR mapping included) and Hamming.
+    """
     _require(run_dir, *_VARIANT_NEEDS["mdhnd"])
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
@@ -503,17 +507,25 @@ def stage_bench(cfg: ExperimentConfig, run_dir, repetitions=200):
         (split.face[i], split.iris[i], template_of[int(split.subject[i])])
         for i in probe_mask[: min(len(probe_mask), 64)]
     ]
+    step_s = []  # (MDH forward, NND decode, Hamming) seconds per authentication
 
     def authenticate(query):
         face, iris, template = query
+        t0 = time.perf_counter()
         with ad.no_grad():
             acts, _ = mdh.forward(face[None, :], iris[None, :])
-        llr = llr_from_activations(acts.data, cfg.llr_scale)
-        bits = nndm.decode(llr)[0]
-        return hamming(bits, template)
+        t1 = time.perf_counter()
+        bits = nndm.decode(llr_from_activations(acts.data, cfg.llr_scale))[0]
+        t2 = time.perf_counter()
+        score = hamming(bits, template)
+        step_s.append((t1 - t0, t2 - t1, time.perf_counter() - t2))
+        return score
 
     stats = bench_authentication(authenticate, queries, repetitions)
     report = {"code": cfg.code_name(), "variant": "mdhnd", **stats.as_dict()}
+    medians = 1e3 * np.median(step_s, axis=0)
+    report.update({f"{step}_median_ms": float(ms)
+                   for step, ms in zip(("mdh_forward", "nnd_decode", "hamming"), medians)})
     write_metrics(os.path.join(run_dir, "bench_mdhnd.txt"), report)
     return stats
 

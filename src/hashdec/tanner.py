@@ -19,7 +19,8 @@ strictly inside the bounds, so outputs and gradients are bitwise the chain's.
 
 Conventions: positive LLR means bit 0 is more likely; channel LLRs are
 clamped to +/-30 on entry, check messages to +/-30 after the atanh, and the
-product fed to atanh to +/-(1 - 1e-12).
+product fed to atanh to +/-(1 - 1e-12). Clamps call ``ndarray.clip``, which is
+``np.clip`` bit for bit without its Python wrapper.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ def _loo(graph, t):
     dense[graph.edge_slot_flat] = t
     dense = dense.reshape((graph.r, graph.max_check_degree) + t.shape[1:])
     left = np.ones_like(dense)
-    np.cumprod(dense[:, :-1], axis=1, out=left[:, 1:])
+    np.multiply.accumulate(dense[:, :-1], axis=1, out=left[:, 1:])  # np.cumprod, unwrapped
     right = np.ones_like(dense)
-    np.cumprod(dense[:, :0:-1], axis=1, out=right[:, -2::-1])
+    np.multiply.accumulate(dense[:, :0:-1], axis=1, out=right[:, -2::-1])
     edges = lambda x: x.reshape(flat_shape)[graph.edge_slot_flat]
 
     def vjp(g):
@@ -114,9 +115,10 @@ def leave_one_out_prod(graph: TannerGraph, t_edges: Tensor) -> Tensor:
 
 def _var_sums(graph, x):
     """Per-variable sums of edge values ``x`` (edges, B), bit for bit ``np.add.at``'s:
-    ``np.bincount`` also adds in edge order, without per-element dispatch."""
+    ``np.bincount`` also adds in edge order, without per-element dispatch.
+    At B = 1 the flat (variable, column) index is ``edge_var`` itself."""
     b = x.shape[1]
-    idx = (graph.edge_var[:, None] * b + np.arange(b)).ravel()
+    idx = graph.edge_var if b == 1 else (graph.edge_var[:, None] * b + np.arange(b)).ravel()
     return np.bincount(idx, weights=x.ravel(), minlength=graph.n * b).reshape(graph.n, b)
 
 
@@ -139,15 +141,15 @@ def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
     wllr = llr.data if w_ch is None else w_ch.data * llr.data
     if c_msgs is None:
         inputs = (llr, w_ch)
-        v = np.clip(wllr[ev], -LLR_CLAMP, LLR_CLAMP)
+        v = wllr[ev].clip(-LLR_CLAMP, LLR_CLAMP)
     else:
         inputs = (llr, w_ch, c_msgs, w_edge)
         wc = c_msgs.data if w_edge is None else w_edge.data * c_msgs.data
-        v = np.clip((wllr + _var_sums(graph, wc))[ev] - wc, -LLR_CLAMP, LLR_CLAMP)
+        v = ((wllr + _var_sums(graph, wc))[ev] - wc).clip(-LLR_CLAMP, LLR_CLAMP)
     t = np.tanh(0.5 * v)
     prod, loo_vjp = _loo(graph, t)
-    prod = np.clip(prod, -ATANH_CLAMP, ATANH_CLAMP)
-    out = np.clip(2.0 * np.arctanh(prod), -LLR_CLAMP, LLR_CLAMP)
+    prod = prod.clip(-ATANH_CLAMP, ATANH_CLAMP)
+    out = (2.0 * np.arctanh(prod)).clip(-LLR_CLAMP, LLR_CLAMP)
 
     def backward(g):
         # the per-op chain's factors in its order: clamp, 2x, atanh, clamp,

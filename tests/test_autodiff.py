@@ -12,6 +12,7 @@ from hashdec.autodiff import (
     TrainingError,
     adam_step,
     binary_cross_entropy,
+    dense,
     gradient_check,
     matmul,
     outer_product,
@@ -36,6 +37,8 @@ def test_matmul_dot_product():
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
+        dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 2))))
 
 
 def test_matmul_gradient_matches_finite_differences():
@@ -54,6 +57,50 @@ def test_matmul_gradient_matches_finite_differences():
     assert np.allclose(ta.grad, np.ones((3, 2)) @ b.T)
 
 
+@pytest.mark.parametrize("beta", [None, 1.0, 7.5])
+@pytest.mark.parametrize("batch", [1, 13])
+@pytest.mark.parametrize("bias_shape", ["row", "vector"])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_dense_is_bitwise_the_matmul_add_tanh_chain(beta, batch, bias_shape, x_grad):
+    rng = np.random.default_rng(batch)
+    x0 = rng.standard_normal((batch, 5))
+    w0 = rng.standard_normal((5, 4)) / 2.0
+    b0 = rng.standard_normal((1, 4) if bias_shape == "row" else (4,))
+    coeff = Tensor(rng.standard_normal((batch, 4)))
+
+    def run(layer):
+        x = Tensor(x0.copy(), requires_grad=x_grad)
+        w, b = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+        out = layer(x, w, b)
+        GradientTape(ad.tensor_sum(ad.mul(out, coeff))).backward()
+        return out.data, x.grad, w.grad, b.grad
+
+    def chain(x, w, b):
+        h = ad.add(matmul(x, w), b)
+        return h if beta is None else scaled_tanh(h, beta)
+
+    fused = run(lambda x, w, b: dense(x, w, b, beta))
+    reference = run(chain)
+    for name, got, want in zip(("output", "x", "w", "b"), fused, reference):
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.shape == want.shape and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("beta", [None, 1.3])
+def test_dense_gradient_matches_finite_differences(beta):
+    rng = np.random.default_rng(5)
+    coeff = Tensor(rng.standard_normal((3, 2)))
+
+    def f(x, w, b):
+        return ad.tensor_sum(ad.mul(dense(x, w, b, beta), coeff))
+
+    inputs = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal((1, 2))]
+    report = gradient_check(f, [Tensor(a) for a in inputs])
+    assert report.max_relative_error < 1e-6
+
+
 def test_scaled_tanh_values():
     assert scaled_tanh(Tensor([0.0]), 3.0).data[0] == 0.0
     assert scaled_tanh(Tensor([1.0]), 1.0).data[0] == pytest.approx(0.7615941559557649, abs=1e-15)
@@ -64,6 +111,8 @@ def test_scaled_tanh_values():
 def test_scaled_tanh_rejects_nonpositive_beta():
     with pytest.raises(ValueError, match="positive"):
         scaled_tanh(Tensor([1.0]), 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        dense(Tensor(np.ones((1, 2))), Tensor(np.ones((2, 2))), Tensor(np.zeros((1, 2))), 0.0)
 
 
 def test_scaled_tanh_monotone_saturation():
@@ -298,6 +347,46 @@ def test_primitive_gradients_against_finite_differences():
     for name, f in cases.items():
         report = gradient_check(f, [Tensor(x.copy())])
         assert report.max_relative_error < 1e-4, f"{name}: {report.max_relative_error}"
+
+
+_CLAMP_BOUNDS = [(-30.0, 30.0), (-(1.0 - 1e-12), 1.0 - 1e-12),
+                 (1e-300, float(np.nextafter(1.0, 0.0)))]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _clamp_cases(lo, hi):
+    """NaN, signed zeros, infinities, both bounds and their neighbours, random data."""
+    edge = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 30.0, -30.0, 1.0 - 1e-12,
+            -(1.0 - 1e-12), lo, hi]
+    edge += [float(np.nextafter(v, d)) for v in (lo, hi) for d in (-np.inf, np.inf)]
+    rng = np.random.default_rng(11)
+    return [np.array(edge).reshape(-1, 1), rng.normal(0.0, 40.0, (368, 1)),
+            rng.normal(0.0, 40.0, (368, 512)), rng.uniform(-1.0, 1.0, (368, 512))]
+
+
+@pytest.mark.parametrize("lo, hi", _CLAMP_BOUNDS)
+def test_clip_is_bitwise_np_clip(lo, hi):
+    for x in _clamp_cases(lo, hi):
+        got, want = ad.clip(Tensor(x), lo, hi).data, np.clip(x, lo, hi)
+        assert got.shape == x.shape and np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("lo, hi", _CLAMP_BOUNDS)
+def test_clip_gradient_mask_at_and_next_to_the_bounds(lo, hi):
+    # the mask built from the output passes the gradient exactly where the
+    # input lies strictly inside the interval
+    x = np.array([lo, hi, np.nan, -np.inf, np.inf, 0.5 * (lo + hi)]
+                 + [float(np.nextafter(v, d)) for v in (lo, hi) for d in (-np.inf, np.inf)])
+    t = Tensor(x.copy(), requires_grad=True)
+    out = ad.clip(t, lo, hi)
+    assert np.array_equal(_bits(out.data), _bits(np.clip(x, lo, hi)))
+    GradientTape(ad.tensor_sum(ad.mul(out, Tensor(np.full(x.shape, 3.0))))).backward()
+    inside = (x > lo) & (x < hi)
+    assert np.array_equal(t.grad, np.where(inside, 3.0, 0.0))
+    assert inside.sum() == 3  # the midpoint and the two neighbours inside
 
 
 def test_batch_outer_gradient_and_values():

@@ -97,6 +97,20 @@ def test_forward_dimension_mismatch():
         model.forward(np.ones((2, 5)), np.ones((2, 6)))
 
 
+@pytest.mark.parametrize("mode, encoders, join", [("fca", 2, 1), ("bla", 2, 1), ("face", 1, 0)])
+def test_one_graph_node_per_affine_layer(mode, encoders, join):
+    # every affine layer (encoder layers, fusion, hashing, head) is one
+    # primitive, so per-op dispatch cannot creep back into the forward pass
+    rng = np.random.default_rng(13)
+    face, iris = rng.standard_normal((4, 5)), rng.standard_normal((4, 6))
+    for depth in range(3):
+        model = MdhModel(mode, 5, 6, 3, 7, feature_dim=3, fusion_dim=6, hidden=(8,) * depth)
+        acts, logits = model.forward(face, iris)
+        order = ad.GradientTape(ad.add(ad.tensor_sum(acts), ad.tensor_sum(logits))).order
+        affine = encoders * (depth + 1) + 3
+        assert len(order) == affine + join + 3  # + the two sums and their add
+
+
 def _loss_parts(acts_matrix, weights=ExperimentConfig(l2=0.0)):
     n, j = acts_matrix.shape
     logits = Tensor(np.zeros((n, 2)))

@@ -20,6 +20,7 @@ from hashdec.nnd import (
     sweep_llr_scale,
     train_loop,
 )
+from hashdec.pipeline import PipelineError, _load_ground_truth
 from hashdec.tanner import TannerGraph, awgn_llr, decode_bp_batch
 
 
@@ -215,6 +216,13 @@ def test_llr_from_activations():
     acts = np.array([1.0, 0.0, -1.0])
     assert np.array_equal(llr_from_activations(acts, 8.0), [8.0, 0.0, -8.0])
     assert np.all(np.abs(llr_from_activations(acts, 64.0)) <= 30.0)
+    # the clamp is np.clip's, bit for bit: NaN, signed zeros, infinities, the bounds
+    edge = np.array([[np.nan, 0.0, -0.0, np.inf, -np.inf, 30.0, -30.0,
+                      np.nextafter(30.0, 31.0), np.nextafter(-30.0, -31.0), 29.5]])
+    rng = np.random.default_rng(14)
+    for x in (edge, rng.normal(0.0, 1.0, (512, 63))):
+        want = np.clip(40.0 * x, -30.0, 30.0)
+        assert np.array_equal(llr_from_activations(x, 40.0).view(np.uint64), want.view(np.uint64))
     with pytest.raises(ValueError, match="positive"):
         llr_from_activations(acts, 0.0)
 
@@ -335,6 +343,38 @@ def test_ground_truth_table_round_trip(tmp_path, hamming74, bch63):
     assert loaded.totals == {1: 3, 2: 2} and loaded.failures == {1: 1, 2: 2}
     assert loaded.excluded == [2] and set(loaded.labels) == {1}
     assert np.array_equal(loaded.labels[1], cw63) and loaded.support == {1: 2}
+
+
+@pytest.mark.parametrize("n", [63, 127, 255])
+def test_ground_truth_labels_round_trip_at_long_codes(tmp_path, n):
+    # a label with its top bit set survives save/load at every code length
+    rng = np.random.default_rng(n)
+    labels = {s: rng.integers(0, 2, n).astype(np.uint8) for s in range(3)}
+    labels[0][-1] = 1
+    labels[1][:] = 1
+    labels[2][:] = 0
+    table = GroundTruthTable(n=n, labels=labels, support=dict.fromkeys(labels, 2),
+                             failures=dict.fromkeys(labels, 0), totals=dict.fromkeys(labels, 2))
+    table.save(tmp_path / "gt.txt")
+    loaded = GroundTruthTable.load(tmp_path / "gt.txt")
+    for subject, bits in labels.items():
+        assert loaded.labels[subject].dtype == np.uint8
+        assert np.array_equal(loaded.labels[subject], bits)
+
+
+def test_ground_truth_label_wider_than_the_code_refused(tmp_path):
+    table = GroundTruthTable(n=63, labels={4: np.ones(63, dtype=np.uint8)},
+                             support={4: 1}, failures={4: 0}, totals={4: 1},
+                             fingerprint=ExperimentConfig().fingerprint())
+    path = tmp_path / "ground_truth.txt"
+    table.save(path)
+    text = path.read_text()
+    path.write_text(text.replace(hex((1 << 63) - 1), hex((1 << 64) - 1)))
+    with pytest.raises(ValueError, match="outside positions 0..62"):
+        GroundTruthTable.load(path)
+    # the pipeline reports it as a bad record that names the file
+    with pytest.raises(PipelineError, match="ground_truth.txt.*outside positions"):
+        _load_ground_truth(ExperimentConfig(), tmp_path)
 
 
 def test_finetune_confident_labels_barely_move_weights(hamming74):

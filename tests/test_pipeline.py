@@ -464,6 +464,10 @@ def test_bench_report(finished_run, monkeypatch):
     report = read_metrics(os.path.join(run_dir, "bench_mdhnd.txt"))
     assert report["latency_repetitions"] == 20
     assert report["latency_mean_ms"] > 0
+    # the split of one authentication into its three steps
+    steps = [report[f"{k}_median_ms"] for k in ("mdh_forward", "nnd_decode", "hamming")]
+    assert all(t > 0 for t in steps)
+    assert report["latency_median_ms"] / 4 < sum(steps) < 4 * report["latency_median_ms"]
 
 
 def test_message_level_scoring(tmp_path):
