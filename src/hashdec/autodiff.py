@@ -12,6 +12,7 @@ plain functions; ``Tensor`` has no operator overloads.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -330,24 +331,30 @@ def atanh(x):
     return make_op(np.arctanh(x.data), (x,), lambda g: (g / (1.0 - x.data * x.data),))
 
 
+def scatter_add(ids, x, num):
+    """Sums of the rows of ``x`` by integer bucket ``ids``, shape (num,) + trailing axes.
+
+    Bit for bit ``np.add.at(zeros, ids, x)``: ``np.bincount`` adds in the
+    same row order over a flat (id, column) index, without per-element
+    dispatch. With one column that index is ``ids`` itself.
+    """
+    tail = x.shape[ids.ndim:]
+    cols = math.prod(tail)
+    flat = ids.ravel() if cols == 1 else (ids.reshape(-1, 1) * cols + np.arange(cols)).ravel()
+    return np.bincount(flat, weights=x.ravel(), minlength=num * cols).reshape((num,) + tail)
+
+
 def take(a, indices):
     """Gather rows along axis 0; duplicate indices accumulate in the backward."""
     indices = np.asarray(indices)
-    shape = a.data.shape
-
-    def backward(g):
-        out = np.zeros(shape)
-        np.add.at(out, indices, g)
-        return (out,)
-
-    return make_op(a.data[indices], (a,), backward)
+    rows = a.data.shape[0]
+    return make_op(a.data[indices], (a,), lambda g: (scatter_add(indices, g, rows),))
 
 
 def segment_sum(a, segment_ids, num_segments):
     """Sum rows of ``a`` into ``num_segments`` buckets along axis 0."""
     segment_ids = np.asarray(segment_ids)
-    out = np.zeros((num_segments,) + a.data.shape[1:])
-    np.add.at(out, segment_ids, a.data)
+    out = scatter_add(segment_ids, a.data, num_segments)
     return make_op(out, (a,), lambda g: (g[segment_ids],))
 
 

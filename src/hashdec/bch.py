@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import write_lines
 from .gf2m import GaloisField, build_field
 
 BRUTE_FORCE_MAX_K = 16
@@ -309,5 +310,4 @@ def write_descriptor(code: BchCode, path):
     ]
     for row in code.parity_check_matrix:
         lines.append(f"H {bits_to_hex(row)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -7,23 +7,17 @@ illumination and sensor noise). The three splits (hashing-network training,
 decoder fine-tuning, test) use disjoint subject id ranges and are generated
 deterministically from one seed.
 
-A split is stored as a line-delimited text file whose header declares its
-dimensions; ``file_sha256`` gives the digest a run directory's manifest
-keeps for it.
+``save_dataset`` stores the splits as one checkpoint (``checkpoint``): the
+codec's checksum covers every array, and the meta names the config.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-FORMAT_HEADER = "# hashdec dataset v1"
-
-
-class DataFormatError(ValueError):
-    """Raised when a dataset file fails structural validation."""
+from .checkpoint import CheckpointFormatError, load_params, save_params
 
 
 @dataclass
@@ -77,9 +71,8 @@ class DatasetDims:
 class DatasetSplit:
     """Flat sample arrays for one split."""
 
-    def __init__(self, name, subject, role, sample_index, face, iris, seed=None):
+    def __init__(self, name, subject, role, sample_index, face, iris):
         self.name = name
-        self.seed = seed
         self.subject = np.asarray(subject, dtype=np.int64)
         self.role = np.asarray(role)
         self.sample_index = np.asarray(sample_index, dtype=np.int64)
@@ -96,8 +89,7 @@ class DatasetSplit:
 
     def select(self, mask):
         return DatasetSplit(self.name, self.subject[mask], self.role[mask],
-                            self.sample_index[mask], self.face[mask], self.iris[mask],
-                            seed=self.seed)
+                            self.sample_index[mask], self.face[mask], self.iris[mask])
 
     def by_role(self, role):
         return self.select(self.role == role)
@@ -154,79 +146,38 @@ def generate(spec: SplitSpec, distortion: DistortionModel, dims: DatasetDims, se
                 subj_col.append(subject)
                 role_col.append("enroll" if k < n_enroll else "probe")
                 idx_col.append(k)
-        splits.append(DatasetSplit(name, subj_col, role_col, idx_col, face_col, iris_col,
-                                   seed=seed))
+        splits.append(DatasetSplit(name, subj_col, role_col, idx_col, face_col, iris_col))
     verify_disjoint(splits)
     return tuple(splits)
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# file format
 # ---------------------------------------------------------------------------
 
-def save_dataset(split: DatasetSplit, path):
-    """Line-delimited records with a header declaring the dimensions."""
-    pf, pi = split.face.shape[1], split.iris.shape[1]
-    with open(path, "w") as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        fh.write(f"name {split.name}\n")
-        fh.write(f"seed {'-' if split.seed is None else split.seed}\n")
-        fh.write(f"records {split.num_samples}\n")
-        fh.write(f"dim_face {pf}\n")
-        fh.write(f"dim_iris {pi}\n")
-        for row in range(split.num_samples):
-            fields = [str(split.subject[row]), str(split.role[row]), str(split.sample_index[row])]
-            fields += [repr(float(x)) for x in split.face[row]]
-            fields += [repr(float(x)) for x in split.iris[row]]
-            fh.write(" ".join(fields) + "\n")
+def save_dataset(splits, path, meta):
+    """Write every split to one checkpoint, its arrays as ``<split>/<array>``
+    entries; float64 holds the ids, the probe flags and the samples exactly.
+    ``kind`` joins ``meta``."""
+    params = {}
+    for split in splits:
+        params.update({f"{split.name}/subject": split.subject,
+                       f"{split.name}/probe": split.role == "probe",
+                       f"{split.name}/sample_index": split.sample_index,
+                       f"{split.name}/face": split.face, f"{split.name}/iris": split.iris})
+    save_params(path, params, {**meta, "kind": "data"})
 
 
 def load_dataset(path):
-    """Read a dataset file; structural problems raise DataFormatError with a line number."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != FORMAT_HEADER:
-        raise DataFormatError(f"{path}:1: missing dataset header")
-    header = {}
-    for lineno, ln in enumerate(lines[1:6], start=2):
-        try:
-            key, value = ln.split(None, 1)
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: malformed header line") from None
-        header[key] = value
-    for key in ("name", "seed", "records", "dim_face", "dim_iris"):
-        if key not in header:
-            raise DataFormatError(f"{path}: header missing '{key}'")
-    records = int(header["records"])
-    seed = None if header["seed"] == "-" else int(header["seed"])
-    pf, pi = int(header["dim_face"]), int(header["dim_iris"])
-    body = lines[6:]
-    if len(body) != records:
-        raise DataFormatError(
-            f"{path}: header promises {records} records but file has {len(body)}"
-        )
-    subj, role, idx = [], [], []
-    face = np.empty((records, pf))
-    iris = np.empty((records, pi))
-    expected = 3 + pf + pi
-    for row, ln in enumerate(body):
-        lineno = row + 7
-        fields = ln.split()
-        if len(fields) != expected:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {expected} fields, found {len(fields)}"
-            )
-        subj.append(int(fields[0]))
-        role.append(fields[1])
-        idx.append(int(fields[2]))
-        face[row] = [float(x) for x in fields[3 : 3 + pf]]
-        iris[row] = [float(x) for x in fields[3 + pf :]]
-    return DatasetSplit(header["name"], subj, role, idx, face, iris, seed=seed)
-
-
-def file_sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    """The splits a ``save_dataset`` file holds, by name, and its meta; any
+    other file raises ``CheckpointFormatError``."""
+    params, meta = load_params(path)
+    if meta.get("kind") != "data":
+        raise CheckpointFormatError(f"{path}: a {meta.get('kind')!r} record, not a dataset")
+    splits = {}
+    for name in sorted({key.partition("/")[0] for key in params}):
+        subject, probe, sample_index, face, iris = (
+            params[f"{name}/{key}"] for key in ("subject", "probe", "sample_index", "face", "iris"))
+        splits[name] = DatasetSplit(name, subject, np.where(probe != 0, "probe", "enroll"),
+                                    sample_index, face, iris)
+    return splits, meta

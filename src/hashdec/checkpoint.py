@@ -10,8 +10,8 @@ Layout (all integers little-endian uint64, floats little-endian float64):
 
 The checksum is verified on load; any mismatch, truncation or unreadable
 metadata raises ``CheckpointFormatError`` rather than returning partial data.
-Checkpoints, the data manifest and the ground-truth table are written through
-``write_atomic``: a reader finds the old file or the new one, whole.
+Every run-directory file but the append-only ``experiment.log`` is written
+through ``write_atomic``: a reader finds the old file or the new one, whole.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ def write_atomic(path, *chunks):
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def write_lines(path, lines):
+    """``write_atomic`` of text ``lines`` in utf-8, each ended by a newline."""
+    write_atomic(path, "".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
 def _pack_u64(value):

@@ -63,8 +63,8 @@ def main(argv=None):
             return 0
         cfg = ExperimentConfig.load(args.config)
         if args.command == "generate-data":
-            manifest = pipeline.stage_generate_data(cfg, args.run_dir, overwrite=args.overwrite)
-            print(f"generated splits: {sorted(manifest['files'])}")
+            splits = pipeline.stage_generate_data(cfg, args.run_dir, overwrite=args.overwrite)
+            print(f"generated splits: {sorted(splits)}")
         elif args.command == "train-mdh":
             summary = pipeline.stage_train_mdh(cfg, args.run_dir)
             print(f"trained hashing network: {summary}")

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, asdict, fields
 
 from .biodata import SplitSpec, DistortionModel, DatasetDims
+from .checkpoint import write_lines
 
 
 class ConfigError(ValueError):
@@ -180,9 +181,7 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_lines(path, [json.dumps(self.to_dict(), indent=2, sort_keys=True)])
 
     @classmethod
     def from_dict(cls, mapping):

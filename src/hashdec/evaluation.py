@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import write_lines
+
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
 
 
@@ -190,14 +192,11 @@ def bench_authentication(authenticate, queries, repetitions):
 
 def write_metrics(path, mapping):
     """Key/value metrics document; floats use shortest round-trip repr."""
-    with open(path, "w") as fh:
-        fh.write("# hashdec metrics v1\n")
-        for key in sorted(mapping):
-            value = mapping[key]
-            if isinstance(value, float):
-                fh.write(f"{key} {float(value)!r}\n")
-            else:
-                fh.write(f"{key} {value}\n")
+    lines = ["# hashdec metrics v1"]
+    for key in sorted(mapping):
+        value = mapping[key]
+        lines.append(f"{key} {float(value)!r}" if isinstance(value, float) else f"{key} {value}")
+    write_lines(path, lines)
 
 
 def read_metrics(path):
@@ -218,7 +217,6 @@ def read_metrics(path):
 
 
 def write_roc_csv(path, roc: RocCurve):
-    with open(path, "w") as fh:
-        fh.write("threshold,far,gar\n")
-        for t, fa, ga in zip(roc.thresholds, roc.far, roc.gar):
-            fh.write(f"{int(t)},{float(fa)!r},{float(ga)!r}\n")
+    rows = zip(roc.thresholds, roc.far, roc.gar)
+    write_lines(path, ["threshold,far,gar"] + [f"{int(t)},{float(fa)!r},{float(ga)!r}"
+                                               for t, fa, ga in rows])

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, TrainingError
-from .bch import BchCode, bits_to_hex, decode_hard
-from .checkpoint import write_atomic
+from .bch import BchCode, decode_hard
+from .checkpoint import CheckpointFormatError, load_params, save_params
 from .config import ExperimentConfig
 from .tanner import TannerGraph, awgn_llr, bp_forward, hard_decision, LLR_CLAMP
 
@@ -201,7 +201,6 @@ class GroundTruthTable:
     failures: dict = field(default_factory=dict)        # subject -> failed samples
     totals: dict = field(default_factory=dict)          # subject -> sample count
     excluded: list = field(default_factory=list)        # subjects with no decode
-    fingerprint: str | None = None                      # of its config
 
     @property
     def failure_rate(self):
@@ -209,55 +208,42 @@ class GroundTruthTable:
         total = sum(self.totals.values())
         return failed / total if total else 0.0
 
-    def save(self, path):
-        lines = [
-            "# ground-truth codeword table",
-            f"n {self.n}",
-            f"excluded {','.join(str(s) for s in self.excluded) if self.excluded else '-'}",
-        ]
-        # one line per subject: label ('-' when excluded), support, failures, total
-        for subject in sorted(set(self.labels) | set(self.totals)):
-            label = bits_to_hex(self.labels[subject]) if subject in self.labels else "-"
-            lines.append(
-                f"{subject} {label} {self.support.get(subject, 0)} "
-                f"{self.failures.get(subject, 0)} {self.totals.get(subject, 0)}"
-            )
-        if self.fingerprint is not None:  # last, so a file cut short names no config
-            lines.append(f"fingerprint {self.fingerprint}")
-        write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    def save(self, path, meta=None):
+        """One checkpoint (``checkpoint``): per-subject counts, then the labeled
+        subjects' support and bits; ``n`` and ``kind`` join ``meta``."""
+        subjects = sorted(set(self.labels) | set(self.totals))
+        labeled = sorted(self.labels)
+        params = {
+            "subject": subjects,
+            "failures": [self.failures.get(s, 0) for s in subjects],
+            "totals": [self.totals.get(s, 0) for s in subjects],
+            "labeled": labeled,
+            "support": [self.support.get(s, 0) for s in labeled],
+            "label": [self.labels[s] for s in labeled] or np.zeros((0, self.n)),
+            "excluded": self.excluded,
+        }
+        save_params(path, params, {**(meta or {}), "kind": "ground_truth", "n": self.n})
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        if len(lines) < 3 or not lines[0].startswith("#"):
-            raise ValueError(f"{path}: not a ground-truth table")
-        n = int(lines[1].split()[1])
-        excluded_field = lines[2].split(None, 1)[1]
-        excluded = [] if excluded_field == "-" else [int(x) for x in excluded_field.split(",")]
-        table = cls(n=n, excluded=excluded)
-        if lines[-1].startswith("fingerprint "):
-            table.fingerprint = lines.pop().partition(" ")[2]
-        for ln in lines[3:]:
-            if not ln:
-                continue
-            subject_s, hex_s, support_s, fail_s, total_s = ln.split()
-            subject = int(subject_s)
-            table.failures[subject] = int(fail_s)
-            table.totals[subject] = int(total_s)
-            if hex_s != "-":
-                table.labels[subject] = _hex_to_bits(hex_s, n)
-                table.support[subject] = int(support_s)
-        return table
-
-
-def _hex_to_bits(hex_s, n):
-    """The n-bit vector of a ``bits_to_hex`` mask; a bit at position n or above is refused."""
-    value = int(hex_s, 16)
-    if value >> n:  # also true for a negative value
-        raise ValueError(f"label {hex_s} has a bit outside positions 0..{n - 1}")
-    raw = np.frombuffer(value.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n]
+        """The table a ``save`` file holds and its meta; any other file raises
+        ``CheckpointFormatError``."""
+        params, meta = load_params(path)
+        if meta.get("kind") != "ground_truth":
+            raise CheckpointFormatError(f"{path}: a {meta.get('kind')!r} record, "
+                                        f"not a ground-truth table")
+        n = meta["n"]
+        label = params["label"]
+        if label.shape[1:] != (n,):
+            raise CheckpointFormatError(f"{path}: labels of shape {label.shape} for n = {n}")
+        col = {key: params[key].astype(np.int64).tolist()
+               for key in ("subject", "failures", "totals", "labeled", "support", "excluded")}
+        subjects, labeled = col["subject"], col["labeled"]
+        table = cls(n=n, labels=dict(zip(labeled, label.astype(np.uint8))),
+                    support=dict(zip(labeled, col["support"])),
+                    failures=dict(zip(subjects, col["failures"])),
+                    totals=dict(zip(subjects, col["totals"])), excluded=col["excluded"])
+        return table, meta
 
 
 def hard_limit(activations):

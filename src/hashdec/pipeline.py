@@ -7,11 +7,11 @@ are replaced atomically, so one that exists is whole. All randomness
 derives from the single config seed, fanned out per stage.
 
 The config is the one description of a run. Every record a stage reads back
-names the fingerprint of the config that wrote it and is refused, like a
-corrupted one, under any other: ``data_manifest.json`` holds it beside each
-data file's sha256, a checkpoint beside its models and the hashing layer's
-``beta`` and head, ``ground_truth.txt`` on its last line. Architectures are
-built from the config, never from a file's copy.
+is a checkpoint (``checkpoint``): the data splits (``data.ckpt``), the models
+and the ground-truth table (``ground_truth.ckpt``). Its meta names the
+fingerprint of the config that wrote it, and ``_read_record`` refuses it
+under any other, like a corrupted one. Architectures are built from the
+config, never from a file's copy.
 
 Decoder fine-tuning and joint optimisation run ``nnd.train_loop`` on the same
 rows, the labeled samples of the NND split (``_labeled_samples``).
@@ -28,8 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bch import build_code, decode_hard, write_descriptor
-from .biodata import file_sha256, generate, load_dataset, save_dataset, verify_disjoint
-from .checkpoint import CheckpointFormatError, load_params, save_params, write_atomic
+from .biodata import generate, load_dataset, save_dataset, verify_disjoint
+from .checkpoint import CheckpointFormatError, load_params, save_params, write_lines
 from .config import ExperimentConfig
 from .evaluation import (
     bench_authentication,
@@ -56,14 +56,15 @@ from .nnd import (
 
 # each stage's record, the file it writes last, and the command that runs it
 STAGES = {
-    "data": ("data_manifest.json", "generate-data"),
+    "data": ("data.ckpt", "generate-data"),
     "mdh": ("mdh.ckpt", "train-mdh"),
-    "ground_truth": ("ground_truth.txt", "ground-truth"),
+    "ground_truth": ("ground_truth.ckpt", "ground-truth"),
     "nnd": ("nnd_finetuned.ckpt", "train-nnd"),
     "joint": ("mdhnd.ckpt", "joint-optimize"),
 }
-# the command that writes each record; the pretrained decoder is no stage's record
-_WRITER = dict(STAGES.values()) | {"nnd_pretrained.ckpt": "train-nnd"}
+# the command that rewrites each record; the pretrained decoder is no stage's record
+_WRITER = dict(STAGES.values()) | {"data.ckpt": "generate-data --overwrite",
+                                   "nnd_pretrained.ckpt": "train-nnd"}
 VARIANTS = ("mdh", "ext", "nnd", "mdhnd")
 _VARIANT_NEEDS = {
     "mdh": ("data", "mdh"),
@@ -101,54 +102,24 @@ def _log_event(run_dir, text):
         fh.write(text.rstrip("\n") + "\n")
 
 
-def _data_paths(run_dir):
-    return {name: os.path.join(run_dir, f"data_{name}.txt") for name in ("train", "nnd", "test")}
-
-
-# the parsed splits of the current run, keyed by the sha256 of their file
-_parsed_splits = {}
-
-
-def _read_only(split):
-    for array in (split.subject, split.role, split.sample_index, split.face, split.iris):
-        array.flags.writeable = False
-    return split
-
-
-def _check_fingerprint(cfg, fingerprint, record, remedy):
-    """Refuse a record written under another config, or one that names none."""
-    if fingerprint != cfg.fingerprint():
-        raise PipelineError(f"{record} was not written under this config (fingerprint "
+def _read_record(cfg, path, load):
+    """``load(path)``'s (record, meta), refused unless the file is whole and
+    names this config's fingerprint; the refusal names the command that
+    rewrites it."""
+    remedy = f"run '{_WRITER.get(os.path.basename(path), 'run-all')}' to rebuild it"
+    try:
+        record, meta = load(path)
+    except (OSError, CheckpointFormatError) as exc:
+        raise PipelineError(f"unreadable record: {exc}; {remedy}") from None
+    if meta.get("fingerprint") != cfg.fingerprint():
+        raise PipelineError(f"{path} was not written under this config (fingerprint "
                             f"{cfg.fingerprint()}); {remedy}")
+    return record, meta
 
 
 def _load_splits(cfg, run_dir):
-    """The three data splits, each file first checked against this config's manifest.
-
-    A file is parsed once per process: its split is kept under the file's
-    digest, so a changed file is never served from memory.
-    """
-    manifest_path = os.path.join(run_dir, "data_manifest.json")
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise PipelineError(f"cannot read the data manifest {manifest_path}: {exc}") from None
-    _check_fingerprint(cfg, manifest.get("fingerprint"), f"data manifest {manifest_path}",
-                       "run 'generate-data --overwrite' to rebuild the data")
-    current = {}
-    splits = {}
-    for name, path in _data_paths(run_dir).items():
-        digest = file_sha256(path) if os.path.exists(path) else None
-        if digest is None or digest != manifest["files"].get(name):
-            raise PipelineError(
-                f"data file {path} is missing or does not match its checksum in "
-                f"{manifest_path}; run 'generate-data --overwrite' to rebuild the data"
-            )
-        split = _parsed_splits.get(digest) or _read_only(load_dataset(path))
-        current[digest] = splits[name] = split
-    _parsed_splits.clear()
-    _parsed_splits.update(current)
+    """The three data splits of this config, by name."""
+    splits, _ = _read_record(cfg, os.path.join(run_dir, "data.ckpt"), load_dataset)
     verify_disjoint(list(splits.values()))
     return splits
 
@@ -192,12 +163,7 @@ def save_models(path, cfg: ExperimentConfig, kind, mdh=None, nnd=None):
 
 def load_models(path, cfg: ExperimentConfig, code):
     """The (mdh, nnd) pair a checkpoint of this config holds, ``None`` for a model it lacks."""
-    remedy = f"run '{_WRITER.get(os.path.basename(path), 'run-all')}' to rebuild it"
-    try:
-        params, meta = load_params(path)
-    except (OSError, CheckpointFormatError) as exc:
-        raise PipelineError(f"cannot read checkpoint: {exc}; {remedy}") from None
-    _check_fingerprint(cfg, meta.get("fingerprint"), f"checkpoint {path}", remedy)
+    params, meta = _read_record(cfg, path, load_params)
     models = meta.get("models") or []
     mdh = nnd = None
     if "mdh" in models:
@@ -221,23 +187,14 @@ def load_models(path, cfg: ExperimentConfig, code):
 
 def stage_generate_data(cfg: ExperimentConfig, run_dir, overwrite=False):
     os.makedirs(run_dir, exist_ok=True)
-    paths = _data_paths(run_dir)
-    existing = [p for p in paths.values() if os.path.exists(p)]
-    if existing and not overwrite:
-        raise PipelineError(
-            f"dataset files already exist (e.g. {existing[0]}); pass overwrite to replace them"
-        )
+    path = os.path.join(run_dir, "data.ckpt")
+    if os.path.exists(path) and not overwrite:
+        raise PipelineError(f"{path} already exists; pass overwrite to replace it")
     cfg.save(os.path.join(run_dir, "config.json"))
     open(os.path.join(run_dir, "experiment.log"), "w").close()  # new data, a new log
-    _parsed_splits.clear()
     splits = generate(cfg.split_spec(), cfg.distortion(), cfg.dims(), stage_seed(cfg, "data"))
-    for split in splits:
-        save_dataset(split, paths[split.name])
-    manifest = {"fingerprint": cfg.fingerprint(),
-                "files": {name: file_sha256(path) for name, path in paths.items()}}
-    write_atomic(os.path.join(run_dir, "data_manifest.json"),
-                 (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-    return manifest
+    save_dataset(splits, path, {"fingerprint": cfg.fingerprint()})
+    return {split.name: split for split in splits}
 
 
 def stage_train_mdh(cfg: ExperimentConfig, run_dir):
@@ -247,9 +204,8 @@ def stage_train_mdh(cfg: ExperimentConfig, run_dir):
     write_descriptor(code, os.path.join(run_dir, "code_descriptor.txt"))
     model = _mdh_model(cfg, code, seed=stage_seed(cfg, "mdh"))
     model, log = train_step1(model, splits["train"], cfg, stage_seed(cfg, "mdh"))
-    with open(os.path.join(run_dir, "mdh_log.jsonl"), "w") as fh:
-        for record in log:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_lines(os.path.join(run_dir, "mdh_log.jsonl"),
+                [json.dumps(record, sort_keys=True) for record in log])
     save_models(os.path.join(run_dir, "mdh.ckpt"), cfg, "mdh", mdh=model)
     return log[-1]
 
@@ -272,7 +228,6 @@ def stage_ground_truth(cfg: ExperimentConfig, run_dir):
     acts = _activations(model, nnd_split)
     by_subject = {int(s): acts[nnd_split.subject == s] for s in nnd_split.subject_ids}
     table = make_ground_truth(by_subject, code)
-    table.fingerprint = cfg.fingerprint()
     rate = table.failure_rate
     _log_event(run_dir, f"ground_truth failure_rate={rate!r} "
                         f"labeled={len(table.labels)} excluded={len(table.excluded)}")
@@ -282,18 +237,12 @@ def stage_ground_truth(cfg: ExperimentConfig, run_dir):
             f"ground-truth decode failure rate {rate:.3f} exceeds the "
             f"gt_max_failure_rate gate {cfg.gt_max_failure_rate}; worst subjects: {diag}"
         )
-    table.save(os.path.join(run_dir, "ground_truth.txt"))
+    table.save(os.path.join(run_dir, "ground_truth.ckpt"), {"fingerprint": cfg.fingerprint()})
     return table
 
 
 def _load_ground_truth(cfg: ExperimentConfig, run_dir):
-    path = os.path.join(run_dir, "ground_truth.txt")
-    remedy = "run 'ground-truth' to rebuild it"
-    try:
-        table = GroundTruthTable.load(path)
-    except (OSError, ValueError) as exc:
-        raise PipelineError(f"cannot read ground truth {path}: {exc}; {remedy}") from None
-    _check_fingerprint(cfg, table.fingerprint, f"ground truth {path}", remedy)
+    table, _ = _read_record(cfg, os.path.join(run_dir, "ground_truth.ckpt"), GroundTruthTable.load)
     return table
 
 

@@ -113,15 +113,6 @@ def leave_one_out_prod(graph: TannerGraph, t_edges: Tensor) -> Tensor:
     return make_op(out, (t_edges,), lambda g: (vjp(g),))
 
 
-def _var_sums(graph, x):
-    """Per-variable sums of edge values ``x`` (edges, B), bit for bit ``np.add.at``'s:
-    ``np.bincount`` also adds in edge order, without per-element dispatch.
-    At B = 1 the flat (variable, column) index is ``edge_var`` itself."""
-    b = x.shape[1]
-    idx = graph.edge_var if b == 1 else (graph.edge_var[:, None] * b + np.arange(b)).ravel()
-    return np.bincount(idx, weights=x.ravel(), minlength=graph.n * b).reshape(graph.n, b)
-
-
 def _weighted_vjp(g, x, w):
     """Gradients for (x, w) of w * x from the gradient ``g`` of the product; no w is one."""
     if w is None:
@@ -145,7 +136,7 @@ def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
     else:
         inputs = (llr, w_ch, c_msgs, w_edge)
         wc = c_msgs.data if w_edge is None else w_edge.data * c_msgs.data
-        v = ((wllr + _var_sums(graph, wc))[ev] - wc).clip(-LLR_CLAMP, LLR_CLAMP)
+        v = ((wllr + ad.scatter_add(ev, wc, graph.n))[ev] - wc).clip(-LLR_CLAMP, LLR_CLAMP)
     t = np.tanh(0.5 * v)
     prod, loo_vjp = _loo(graph, t)
     prod = prod.clip(-ATANH_CLAMP, ATANH_CLAMP)
@@ -157,7 +148,7 @@ def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
         g = g * (np.abs(out) < LLR_CLAMP) * 2.0 / (1.0 - prod * prod)
         g = loo_vjp(g * (np.abs(prod) < ATANH_CLAMP)) * 0.5 * (1.0 - t * t)
         g = g * (np.abs(v) < LLR_CLAMP)
-        g_wllr = _var_sums(graph, g)
+        g_wllr = ad.scatter_add(ev, g, graph.n)
         grads = _weighted_vjp(g_wllr, llr, w_ch)
         if c_msgs is not None:
             grads += _weighted_vjp(g_wllr[ev] - g, c_msgs, w_edge)

@@ -252,7 +252,7 @@ def test_benchmark_operating_point(benchmark_runs):
     cfg, run_dir, _ = benchmark_runs[("multi", SEEDS[0])]
     model, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg,
                            build_code(cfg.code_m, cfg.code_t))
-    test = load_dataset(os.path.join(run_dir, "data_test.txt"))
+    test = load_dataset(os.path.join(run_dir, "data.ckpt"))[0]["test"]
     probe = test.select(test.role == "probe")
     with ad.no_grad():
         acts, _ = model.forward(probe.face, probe.iris)
@@ -363,13 +363,13 @@ def test_criterion_10_pipeline_determinism(benchmark_runs, tmp_path_factory):
         name = os.path.basename(path)
         assert filecmp.cmp(path, os.path.join(second_dir, name), shallow=False), name
         compared += 1
-    for name in ("roc_auth_mdh.csv", "roc_auth_mdhnd.csv", "ground_truth.txt",
-                 "data_manifest.json"):
+    for name in ("roc_auth_mdh.csv", "roc_auth_mdhnd.csv", "ground_truth.ckpt",
+                 "data.ckpt"):
         assert filecmp.cmp(os.path.join(first_dir, name),
                            os.path.join(second_dir, name), shallow=False), name
         compared += 1
     assert compared >= 10
-    _report(10, f"{compared} metrics/ROC/table/manifest files bitwise identical across two runs")
+    _report(10, f"{compared} metrics/ROC/ground-truth/data files bitwise identical across two runs")
 
 
 def _latency_for_code(m, t, repetitions=100):

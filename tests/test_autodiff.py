@@ -402,6 +402,42 @@ def test_batch_outer_gradient_and_values():
     assert gradient_check(f, [Tensor(a), Tensor(b)]).max_relative_error < 1e-6
 
 
+def _same_sums(got, want):
+    """Bitwise equal, except which NaN a bucket holds when NaNs of both signs
+    meet in it: ``np.add.at`` keeps the running sum's NaN on 1-D rows and the
+    row's NaN on wider ones; ``np.bincount`` keeps the running sum's."""
+    nan = np.isnan(want)
+    return got.shape == want.shape and np.array_equal(np.isnan(got), nan) and np.array_equal(
+        _bits(np.where(nan, 0.0, got)), _bits(np.where(nan, 0.0, want)))
+
+
+@pytest.mark.parametrize("tail", [(), (1,), (5,), (2, 3)])
+def test_scatter_add_is_bitwise_np_add_at(tail):
+    # unsorted, repeated ids and empty buckets (2, 4 and 6); one row each of
+    # NaN, -NaN, +-inf, +-0.0, the rest random
+    ids = np.array([3, 0, 3, 5, 0, 3, 1, 5, 3, 0, 3])
+    rows = {1: np.nan, 2: np.inf, 3: np.inf, 6: -0.0, 7: -np.inf, 8: 0.0, 9: -np.nan}
+    x = np.random.default_rng(12).normal(0.0, 1e3, (ids.size,) + tail)
+    for row, value in rows.items():
+        x[row] = value
+    want = np.zeros((7,) + tail)
+    with np.errstate(invalid="ignore"):  # inf + -inf in bucket 5
+        np.add.at(want, ids, x)
+    assert _same_sums(ad.scatter_add(ids, x, 7), want)
+    # without a -NaN row every bit agrees, NaNs included
+    x[9] = 1.5
+    want = np.zeros((7,) + tail)
+    with np.errstate(invalid="ignore"):
+        np.add.at(want, ids, x)
+    assert np.array_equal(_bits(ad.scatter_add(ids, x, 7)), _bits(want))
+    # segment_sum's forward and take's backward are that kernel
+    assert np.array_equal(_bits(ad.segment_sum(Tensor(x), ids, 7).data), _bits(want))
+    t = Tensor(np.zeros((7,) + tail), requires_grad=True)
+    with np.errstate(invalid="ignore"):  # the loss multiplies 0 by inf
+        GradientTape(ad.tensor_sum(ad.mul(ad.take(t, ids), Tensor(x)))).backward()
+    assert np.array_equal(_bits(t.grad), _bits(want))
+
+
 def test_forward_and_backward_stay_finite():
     rng = np.random.default_rng(10)
     x = Tensor(rng.uniform(-2, 2, (4, 6)), requires_grad=True)

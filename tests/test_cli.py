@@ -6,8 +6,9 @@ import pytest
 
 from hashdec.cli import main
 from hashdec.config import ExperimentConfig
+from hashdec.nnd import GroundTruthTable
 
-from test_pipeline import tiny_config
+from test_pipeline import flip_byte, tiny_config
 
 
 @pytest.fixture()
@@ -118,12 +119,11 @@ def test_records_of_another_config_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[pipeline]:") and str(tmp_path / "ours" / "mdh.ckpt") in err
 
-    for name in ("data_train.txt", "data_nnd.txt", "data_test.txt", "data_manifest.json"):
-        shutil.copy(tmp_path / "noisier" / name, tmp_path / "ours" / name)
+    shutil.copy(tmp_path / "noisier" / "data.ckpt", tmp_path / "ours" / "data.ckpt")
     assert run("train-mdh", "ours") == 3
     err = capsys.readouterr().err
     assert err.startswith("error[pipeline]:")
-    assert str(tmp_path / "ours" / "data_manifest.json") in err
+    assert str(tmp_path / "ours" / "data.ckpt") in err
 
 
 def test_deleted_record_names_the_command(tmp_path, cfg_file, capsys):
@@ -191,16 +191,16 @@ def test_corrupt_checkpoint_is_refused(tmp_path, cfg_file, capsys):
 
 
 def test_ground_truth_of_another_config_refused(tmp_path, cfg_file, capsys):
-    """ground_truth.txt ends with the fingerprint of its config; a table of
-    another config, or one without the line, stops the stages that read it."""
+    """ground_truth.ckpt names the fingerprint of its config; a table of
+    another config, or one that names none, stops the stages that read it."""
     run = tmp_path / "run"
     for command in ("generate-data", "train-mdh", "ground-truth", "train-nnd"):
         assert main([command, "--config", cfg_file, "--run-dir", str(run)]) == 0
-    gt = run / "ground_truth.txt"
-    lines = gt.read_text().splitlines()
-    assert lines[-1] == f"fingerprint {tiny_config().fingerprint()}"
-    for tail in ([f"fingerprint {tiny_config(seed=6).fingerprint()}"], []):
-        gt.write_text("\n".join(lines[:-1] + tail) + "\n")
+    gt = run / "ground_truth.ckpt"
+    table, meta = GroundTruthTable.load(gt)
+    assert meta == {"kind": "ground_truth", "n": 15, "fingerprint": tiny_config().fingerprint()}
+    for meta in ({"fingerprint": tiny_config(seed=6).fingerprint()}, {}):
+        table.save(gt, meta)
         for command in ("train-nnd", "joint-optimize"):
             capsys.readouterr()
             assert main([command, "--config", cfg_file, "--run-dir", str(run)]) == 3, command
@@ -208,8 +208,51 @@ def test_ground_truth_of_another_config_refused(tmp_path, cfg_file, capsys):
             assert err.startswith("error[pipeline]:") and str(gt) in err, err
 
 
+@pytest.fixture(scope="module")
+def records_run(tmp_path_factory):
+    """A run directory that holds the data, the hashing network and the ground truth."""
+    run = tmp_path_factory.mktemp("records")
+    cfg = str(run / "cfg.json")
+    tiny_config().save(cfg)
+    for command in ("generate-data", "train-mdh", "ground-truth"):
+        assert main([command, "--config", cfg, "--run-dir", str(run / "run")]) == 0
+    return cfg, run / "run"
+
+
+@pytest.mark.parametrize("record, command, writer", [
+    ("ground_truth.ckpt", "train-nnd", "ground-truth"),
+    ("data.ckpt", "train-nnd", "generate-data"),
+    ("data.ckpt", "ground-truth", "generate-data"),
+])
+@pytest.mark.parametrize("damage", ["flipped byte", "another kind"])
+def test_damaged_record_is_refused(records_run, capsys, record, command, writer, damage):
+    """One flipped payload byte, or a whole record of another kind in its
+    place, is refused before a stage uses it, naming the file and the command
+    that rewrites it."""
+    cfg, run = records_run
+    path = run / record
+    clean = path.read_bytes()
+    if damage == "flipped byte":
+        flip_byte(path)
+    else:
+        shutil.copy(run / "mdh.ckpt", path)
+    capsys.readouterr()
+    try:
+        assert main([command, "--config", cfg, "--run-dir", str(run)]) == 3
+    finally:
+        path.write_bytes(clean)
+    err = capsys.readouterr().err
+    assert err.startswith("error[pipeline]:") and str(path) in err, err
+    assert f"run '{writer}" in err, err
+
+
 def test_overwrite_flag_via_cli(tmp_path, cfg_file, capsys):
     run = str(tmp_path / "run")
     assert main(["generate-data", "--config", cfg_file, "--run-dir", run]) == 0
+    data = (tmp_path / "run" / "data.ckpt").read_bytes()
+    capsys.readouterr()
     assert main(["generate-data", "--config", cfg_file, "--run-dir", run]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[pipeline]:") and "data.ckpt already exists" in err, err
+    assert (tmp_path / "run" / "data.ckpt").read_bytes() == data
     assert main(["generate-data", "--config", cfg_file, "--run-dir", run, "--overwrite"]) == 0

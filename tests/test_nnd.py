@@ -4,6 +4,7 @@ import pytest
 from hashdec import autodiff as ad
 from hashdec.autodiff import Tensor, TrainingError, gradient_check
 from hashdec.bch import build_code, encode
+from hashdec.checkpoint import CheckpointFormatError
 from hashdec.config import ConfigError, ExperimentConfig
 from hashdec.nnd import (
     DECODE_CHUNK,
@@ -314,19 +315,13 @@ def test_ground_truth_table_round_trip(tmp_path, hamming74, bch63):
     cw = encode(hamming74, np.array([1, 1, 0, 0], dtype=np.uint8))
     table = make_ground_truth({4: np.stack([_acts_for(hamming74, cw)] * 3)}, hamming74)
     table.excluded.append(9)
-    table.fingerprint = "6f84bf01455adfae"
-    path = tmp_path / "gt.txt"
-    table.save(path)
-    loaded = GroundTruthTable.load(path)
+    path = tmp_path / "ground_truth.ckpt"
+    table.save(path, {"fingerprint": "6f84bf01455adfae"})
+    loaded, meta = GroundTruthTable.load(path)
     assert np.array_equal(loaded.labels[4], cw)
     assert loaded.support[4] == 3 and loaded.failures[4] == 0
     assert loaded.excluded == [9] and loaded.n == 7
-    assert loaded.fingerprint == "6f84bf01455adfae"
-    # the fingerprint is the last line: a file cut at a line boundary has none
-    lines = path.read_text().splitlines()
-    assert lines[-1] == "fingerprint 6f84bf01455adfae"
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    assert GroundTruthTable.load(path).fingerprint is None
+    assert meta == {"kind": "ground_truth", "n": 7, "fingerprint": "6f84bf01455adfae"}
 
     # failure counts and totals, an excluded subject's included, survive too
     rng = np.random.default_rng(9)
@@ -338,7 +333,7 @@ def test_ground_truth_table_round_trip(tmp_path, hamming74, bch63):
     table = make_ground_truth({1: np.stack([good, good, bad]), 2: np.stack([bad, bad])}, bch63)
     assert table.excluded == [2] and table.failure_rate == 3 / 5
     table.save(path)
-    loaded = GroundTruthTable.load(path)
+    loaded, _ = GroundTruthTable.load(path)
     assert loaded.failure_rate == table.failure_rate
     assert loaded.totals == {1: 3, 2: 2} and loaded.failures == {1: 1, 2: 2}
     assert loaded.excluded == [2] and set(loaded.labels) == {1}
@@ -355,25 +350,22 @@ def test_ground_truth_labels_round_trip_at_long_codes(tmp_path, n):
     labels[2][:] = 0
     table = GroundTruthTable(n=n, labels=labels, support=dict.fromkeys(labels, 2),
                              failures=dict.fromkeys(labels, 0), totals=dict.fromkeys(labels, 2))
-    table.save(tmp_path / "gt.txt")
-    loaded = GroundTruthTable.load(tmp_path / "gt.txt")
+    table.save(tmp_path / "ground_truth.ckpt")
+    loaded, _ = GroundTruthTable.load(tmp_path / "ground_truth.ckpt")
     for subject, bits in labels.items():
         assert loaded.labels[subject].dtype == np.uint8
         assert np.array_equal(loaded.labels[subject], bits)
 
 
 def test_ground_truth_label_wider_than_the_code_refused(tmp_path):
-    table = GroundTruthTable(n=63, labels={4: np.ones(63, dtype=np.uint8)},
-                             support={4: 1}, failures={4: 0}, totals={4: 1},
-                             fingerprint=ExperimentConfig().fingerprint())
-    path = tmp_path / "ground_truth.txt"
-    table.save(path)
-    text = path.read_text()
-    path.write_text(text.replace(hex((1 << 63) - 1), hex((1 << 64) - 1)))
-    with pytest.raises(ValueError, match="outside positions 0..62"):
+    table = GroundTruthTable(n=63, labels={4: np.ones(64, dtype=np.uint8)},
+                             support={4: 1}, failures={4: 0}, totals={4: 1})
+    path = tmp_path / "ground_truth.ckpt"
+    table.save(path, {"fingerprint": ExperimentConfig().fingerprint()})
+    with pytest.raises(CheckpointFormatError, match=r"labels of shape \(1, 64\) for n = 63"):
         GroundTruthTable.load(path)
     # the pipeline reports it as a bad record that names the file
-    with pytest.raises(PipelineError, match="ground_truth.txt.*outside positions"):
+    with pytest.raises(PipelineError, match="ground_truth.ckpt.*labels of shape"):
         _load_ground_truth(ExperimentConfig(), tmp_path)
 
 

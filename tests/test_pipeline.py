@@ -1,7 +1,6 @@
 import json
 import os
 import re
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +9,10 @@ import pytest
 from hashdec import autodiff as ad
 from hashdec import pipeline
 from hashdec.bch import build_code
-from hashdec.biodata import file_sha256, load_dataset
+from hashdec.biodata import load_dataset, save_dataset
 from hashdec.checkpoint import load_params, save_params
 from hashdec.config import ConfigError, ExperimentConfig
-from hashdec.evaluation import read_metrics
+from hashdec.evaluation import read_metrics, write_metrics
 from hashdec.mdh import MdhModel
 from hashdec.nnd import GroundTruthTable, NndModel, llr_from_activations, sweep_llr_scale
 from hashdec.pipeline import (
@@ -79,28 +78,39 @@ def test_generate_refuses_overwrite(tmp_path):
     stage_generate_data(cfg, str(tmp_path), overwrite=True)
 
 
+def flip_byte(path, offset=-1):
+    """Flip every bit of one byte of a file, by default its last: a payload byte."""
+    blob = bytearray(Path(path).read_bytes())
+    blob[offset] ^= 0xFF
+    Path(path).write_bytes(bytes(blob))
+
+
 def test_generate_writes_manifest_and_config(tmp_path):
+    # data.ckpt's meta is the data's manifest: its kind and its config
     cfg = tiny_config()
-    manifest = stage_generate_data(cfg, str(tmp_path))
-    assert set(manifest["files"]) == {"train", "nnd", "test"}
-    assert os.path.exists(os.path.join(tmp_path, "config.json"))
-    assert os.path.exists(os.path.join(tmp_path, "data_manifest.json"))
+    splits = stage_generate_data(cfg, str(tmp_path))
+    assert sorted(splits) == ["nnd", "test", "train"]
+    loaded, meta = load_dataset(tmp_path / "data.ckpt")
+    assert meta == {"kind": "data", "fingerprint": cfg.fingerprint()}
+    assert loaded.keys() == splits.keys()
+    assert all(loaded[name] == split for name, split in splits.items())
     reloaded = ExperimentConfig.load(os.path.join(tmp_path, "config.json"))
     assert reloaded.fingerprint() == cfg.fingerprint()
 
 
 def test_manifest_records_checksums(tmp_path):
-    # the fingerprint and one digest per file; no path, so it is run-dir independent
+    # the codec's one checksum covers every split: a byte flipped in any of
+    # them refuses the data, naming the file and the command that rewrites it
     cfg = tiny_config()
-    run_dir = str(tmp_path)
-    manifest = stage_generate_data(cfg, run_dir)
-    with open(os.path.join(run_dir, "data_manifest.json")) as fh:
-        assert json.load(fh) == manifest
-    assert manifest == {
-        "fingerprint": cfg.fingerprint(),
-        "files": {name: file_sha256(os.path.join(run_dir, f"data_{name}.txt"))
-                  for name in ("train", "nnd", "test")},
-    }
+    stage_generate_data(cfg, str(tmp_path))
+    path = tmp_path / "data.ckpt"
+    clean = path.read_bytes()
+    for name in ("train", "nnd", "test"):
+        flip_byte(path, clean.index(f"{name}/face".encode()) + 40)
+        with pytest.raises(PipelineError, match=re.escape(str(path)) + ".*checksum.*generate-data"):
+            pipeline._load_splits(cfg, str(tmp_path))
+        path.write_bytes(clean)
+    assert set(pipeline._load_splits(cfg, str(tmp_path))) == {"train", "nnd", "test"}
 
 
 def test_fingerprint_mismatch_blocks_stage_reuse(tmp_path):
@@ -115,13 +125,8 @@ def test_tampered_data_file_refused(tmp_path):
     cfg = tiny_config()
     run_dir = str(tmp_path)
     stage_generate_data(cfg, run_dir)
-    path = os.path.join(run_dir, "data_nnd.txt")
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    lines[-1] = lines[-1].replace("0", "1", 1)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with pytest.raises(PipelineError, match="data_nnd.txt"):
+    flip_byte(tmp_path / "data.ckpt")
+    with pytest.raises(PipelineError, match="data.ckpt"):
         stage_train_mdh(cfg, run_dir)
 
 
@@ -129,32 +134,10 @@ def test_regenerated_data_is_parsed_again(tmp_path):
     run_dir = str(tmp_path)
     stage_generate_data(tiny_config(), run_dir)
     first = pipeline._load_splits(tiny_config(), run_dir)["train"]
-    assert pipeline._load_splits(tiny_config(), run_dir)["train"] is first
     stage_generate_data(tiny_config(seed=6), run_dir, overwrite=True)
     second = pipeline._load_splits(tiny_config(seed=6), run_dir)["train"]
-    assert second is not first and not np.array_equal(second.face, first.face)
-    assert second == load_dataset(os.path.join(run_dir, "data_train.txt"))
-
-
-def test_loaded_splits_are_read_only(tmp_path):
-    stage_generate_data(tiny_config(), str(tmp_path))
-    for split in pipeline._load_splits(tiny_config(), str(tmp_path)).values():
-        for array in (split.subject, split.role, split.sample_index, split.face, split.iris):
-            assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            split.face[0, 0] = 0.0
-
-
-def test_run_all_parses_each_data_file_once(tmp_path, monkeypatch):
-    parsed = []
-
-    def counting_load(path):
-        parsed.append(os.path.basename(path))
-        return load_dataset(path)
-
-    monkeypatch.setattr(pipeline, "load_dataset", counting_load)
-    run_all(tiny_config(), str(tmp_path), overwrite=True)
-    assert sorted(parsed) == ["data_nnd.txt", "data_test.txt", "data_train.txt"]
+    assert not np.array_equal(second.face, first.face)
+    assert second == load_dataset(os.path.join(run_dir, "data.ckpt"))[0]["train"]
 
 
 def test_checkpoint_code_mismatch_refused(finished_run):
@@ -169,7 +152,7 @@ def test_checkpoint_code_mismatch_refused(finished_run):
 
 
 def test_records_of_the_earlier_format_refused(finished_run, tmp_path):
-    # a checkpoint that lists no models, a manifest that names no config
+    # a checkpoint that lists no models, data that name no config
     cfg, run_dir, _ = finished_run
     params, meta = load_params(os.path.join(run_dir, "mdh.ckpt"))
     path = str(tmp_path / "mdh.ckpt")
@@ -182,15 +165,10 @@ def test_records_of_the_earlier_format_refused(finished_run, tmp_path):
     })
     with pytest.raises(PipelineError, match=re.escape(path)):
         load_models(path, cfg, build_code(cfg.code_m, cfg.code_t))
-    for name in ("data_train.txt", "data_nnd.txt", "data_test.txt"):
-        shutil.copy(os.path.join(run_dir, name), tmp_path / name)
-    manifest = str(tmp_path / "data_manifest.json")
-    with open(manifest, "w") as fh:
-        json.dump({"seed": stage_seed(cfg, "data"), "files": {
-            name: {"path": str(tmp_path / f"data_{name}.txt"),
-                   "sha256": file_sha256(tmp_path / f"data_{name}.txt")}
-            for name in ("train", "nnd", "test")}}, fh)
-    with pytest.raises(PipelineError, match=re.escape(manifest)):
+    splits, _ = load_dataset(os.path.join(run_dir, "data.ckpt"))
+    data = str(tmp_path / "data.ckpt")
+    save_dataset(splits.values(), data, {"seed": stage_seed(cfg, "data")})
+    with pytest.raises(PipelineError, match=re.escape(data)):
         pipeline._load_splits(cfg, str(tmp_path))
 
 
@@ -272,9 +250,9 @@ def test_run_all_artifacts(finished_run):
     cfg, run_dir, results = finished_run
     variants = ("mdh", "ext", "nnd", "mdhnd")
     assert set(os.listdir(run_dir)) - {"bench_mdhnd.txt"} == {
-        "config.json", "data_train.txt", "data_nnd.txt", "data_test.txt", "data_manifest.json",
+        "config.json", "data.ckpt",
         "code_descriptor.txt", "mdh.ckpt", "nnd_pretrained.ckpt", "nnd_finetuned.ckpt",
-        "mdhnd.ckpt", "ground_truth.txt", "mdh_log.jsonl", "experiment.log",
+        "mdhnd.ckpt", "ground_truth.ckpt", "mdh_log.jsonl", "experiment.log",
         *(f"metrics_{mode}_{v}.txt" for mode in ("auth", "ident") for v in variants),
         *(f"roc_auth_{v}.csv" for v in variants),
     }
@@ -283,25 +261,32 @@ def test_run_all_artifacts(finished_run):
 
 
 def test_interrupted_record_write_keeps_the_previous_record(tmp_path, monkeypatch):
-    # a stage killed before its record is moved into place leaves the old
-    # record byte-identical: the manifest, a checkpoint and the ground truth
+    # a stage killed before its file is moved into place leaves the old file
+    # byte-identical: the config, the data, a checkpoint, the ground truth,
+    # a metrics file and a ROC file
     cfg, other = tiny_config(), tiny_config(seed=6)
     run_dir = str(tmp_path)
     for stage in (stage_generate_data, stage_train_mdh, stage_ground_truth):
         stage(cfg, run_dir)
-    names = ("data_manifest.json", "mdh.ckpt", "ground_truth.txt")
+    stage_evaluate(cfg, run_dir, "auth", "mdh")
+    names = ("config.json", "data.ckpt", "mdh.ckpt", "ground_truth.ckpt",
+             "metrics_auth_mdh.txt", "roc_auth_mdh.csv")
     before = {name: (tmp_path / name).read_bytes() for name in names}
+    splits, _ = load_dataset(tmp_path / "data.ckpt")
     mdh, _ = load_models(str(tmp_path / "mdh.ckpt"), cfg, build_code(cfg.code_m, cfg.code_t))
-    table = GroundTruthTable.load(tmp_path / "ground_truth.txt")
-    table.fingerprint = other.fingerprint()
+    table, _ = GroundTruthTable.load(tmp_path / "ground_truth.ckpt")
+    meta = {"fingerprint": other.fingerprint()}
 
     def killed(src, dst):
         raise OSError("interrupted")
 
     monkeypatch.setattr(os, "replace", killed)
     for write in (lambda: stage_generate_data(other, run_dir, overwrite=True),
+                  lambda: save_dataset(splits.values(), tmp_path / "data.ckpt", meta),
                   lambda: save_models(str(tmp_path / "mdh.ckpt"), other, "mdh", mdh=mdh),
-                  lambda: table.save(tmp_path / "ground_truth.txt")):
+                  lambda: table.save(tmp_path / "ground_truth.ckpt", meta),
+                  lambda: write_metrics(tmp_path / "metrics_auth_mdh.txt", {"eer": 0.5}),
+                  lambda: stage_evaluate(cfg, run_dir, "auth", "mdh")):
         with pytest.raises(OSError, match="interrupted"):
             write()
     assert {name: (tmp_path / name).read_bytes() for name in names} == before
@@ -327,9 +312,7 @@ def test_roc_files_written(finished_run):
 
 def test_variant_codes_shapes_and_fallback(finished_run):
     cfg, run_dir, _ = finished_run
-    from hashdec.biodata import load_dataset
-
-    split = load_dataset(os.path.join(run_dir, "data_test.txt"))
+    split = load_dataset(os.path.join(run_dir, "data.ckpt"))[0]["test"]
     for variant in ("mdh", "ext", "nnd", "mdhnd"):
         codes = variant_codes(cfg, run_dir, variant, split)
         assert codes.shape == (split.num_samples, 15)
@@ -349,9 +332,7 @@ def test_variant_codes_shapes_and_fallback(finished_run):
 
 def test_unknown_variant_rejected(finished_run):
     cfg, run_dir, _ = finished_run
-    from hashdec.biodata import load_dataset
-
-    split = load_dataset(os.path.join(run_dir, "data_test.txt"))
+    split = load_dataset(os.path.join(run_dir, "data.ckpt"))[0]["test"]
     with pytest.raises(PipelineError, match="mdhnd"):
         variant_codes(cfg, run_dir, "turbo", split)
     with pytest.raises(PipelineError, match="auth"):
@@ -429,7 +410,7 @@ def test_llr_scale_sweep_is_logged(finished_run):
     mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
     _, pretrained = load_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, code)
     enroll = pipeline._load_splits(cfg, run_dir)["nnd"].by_role("enroll")
-    table = GroundTruthTable.load(os.path.join(run_dir, "ground_truth.txt"))
+    table, _ = GroundTruthTable.load(os.path.join(run_dir, "ground_truth.ckpt"))
     labeled, targets = pipeline._labeled_samples(enroll, table)
     sweep, best = sweep_llr_scale(pretrained, pipeline._activations(mdh, enroll)[labeled], targets)
     log = Path(run_dir, "experiment.log").read_text().splitlines()
