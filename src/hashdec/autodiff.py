@@ -467,32 +467,44 @@ def adam_step(params, state):
     """One Adam update with bias correction.
 
     ``params`` maps names to Tensors whose ``grad`` a backward pass has
-    filled; a parameter without one is refused before anything moves.
-    Parameter data is updated in place and ``state`` advances one step.
+    filled; a parameter without one, or with a non-finite one, is refused
+    before anything moves. Parameter data and both moments are updated in
+    place and ``state`` advances one step.
     """
     for name, p in params.items():
         if p.grad is None:
             raise TrainingError(f"parameter '{name}' has no gradient; run backward first")
+        if not np.isfinite(p.grad).all():
+            raise TrainingError(f"non-finite gradient for parameter '{name}'")
     state.timestep += 1
     t = state.timestep
     b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     for name, p in params.items():
         g = p.grad
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter '{name}'")
         m = state.first_moment.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
+            m = state.first_moment[name] = np.zeros_like(p.data)
+            v = state.second_moment[name] = np.zeros_like(p.data)
         else:
             v = state.second_moment[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.first_moment[name] = m
-        state.second_moment[name] = v
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= state.step_size * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        # the operations and their order are those of the textbook expressions
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # p -= step_size * (m/c1) / (sqrt(v/c2) + eps), so the result is bitwise theirs
+        tmp = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += tmp
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        den = np.divide(v, c2)
+        np.sqrt(den, out=den)
+        den += state.epsilon
+        np.divide(m, c1, out=tmp)
+        tmp *= state.step_size
+        tmp /= den
+        p.data -= tmp
 
 
 # ---------------------------------------------------------------------------

@@ -136,13 +136,17 @@ class BchCode:
             [(g >> d) & 1 for d in range(poly_deg(g) + 1)], dtype=np.uint8
         )
 
+        # decoding tables, built once per code: row j of _powers holds
+        # alpha^(i*j) for i = 1..2t; the Chien search's points alpha^(-j) have
+        # logs -i*j; _exp2 spans two periods, so a sum of two logs needs no modulo
+        logs = np.outer(np.arange(n), np.arange(1, 2 * t + 1))
+        self._powers = field.exp_table[logs % n]
+        self._chien_logs = -logs[:, :t].T % n
+        self._exp2 = np.concatenate([field.exp_table, field.exp_table])
+
         # raw parity checks: row (i-1)*m + b is bit b of alpha^(i*j) for column j
-        raw = np.zeros((2 * t * m, n), dtype=np.uint8)
-        for i in range(1, 2 * t + 1):
-            elems = field.exp_table[(i * np.arange(n)) % field.order]
-            for b in range(m):
-                raw[(i - 1) * m + b] = (elems >> b) & 1
-        self.parity_check_matrix = _rref_gf2(raw)
+        raw = (self._powers.T[:, None, :] >> np.arange(m)[:, None]) & 1
+        self.parity_check_matrix = _rref_gf2(raw.reshape(2 * t * m, n))
         if self.parity_check_matrix.shape[0] != n - k:
             raise AssertionError(
                 f"parity-check rank {self.parity_check_matrix.shape[0]} != n-k = {n - k}"
@@ -191,39 +195,37 @@ def syndromes(code: BchCode, received):
     received = np.asarray(received, dtype=np.uint8)
     if received.shape != (code.n,):
         raise ValueError(f"received length {received.shape} != n = {code.n}")
-    support = np.nonzero(received)[0]
-    if support.size == 0:
-        return np.zeros(2 * code.t, dtype=np.int64)
-    i = np.arange(1, 2 * code.t + 1, dtype=np.int64)
-    powers = (i[:, None] * support[None, :]) % code.field.order
-    terms = code.field.exp_table[powers]
-    return np.bitwise_xor.reduce(terms, axis=1)
+    return np.bitwise_xor.reduce(code._powers[received.nonzero()[0]], axis=0)
 
 
 def decode_hard(code: BchCode, received):
     """Berlekamp-Massey + Chien search; corrects up to t errors or fails."""
     received = np.asarray(received, dtype=np.uint8)
     s = syndromes(code, received)
-    if not np.any(s):
+    if not s.any():
         return DecodeResult(True, received.copy(), 0)
 
-    field = code.field
-    syn = [0] + [int(x) for x in s]  # 1-based
+    # Python lists: Berlekamp-Massey looks up one element at a time
+    exp, log, order = code._exp2.tolist(), code.field.log_table.tolist(), code.n
+
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
+
+    syn = [0] + s.tolist()  # 1-based
     # locator synthesis (coefficients are field elements, index = degree)
     c_poly, b_poly = [1], [1]
     L, gap, b = 0, 1, 1
     for r in range(2 * code.t):
         d = syn[r + 1]
-        for i in range(1, L + 1):
-            if i < len(c_poly) and c_poly[i] and r + 1 - i >= 1:
-                d ^= field.mul(c_poly[i], syn[r + 1 - i])
+        for i in range(1, min(L, len(c_poly) - 1, r) + 1):
+            d ^= mul(c_poly[i], syn[r + 1 - i])
         if d == 0:
             gap += 1
             continue
-        coef = field.div(d, b)
-        shifted = [0] * gap + [field.mul(coef, x) for x in b_poly]
+        coef = exp[log[d] - log[b] + order]
+        shifted = [0] * gap + [mul(coef, x) for x in b_poly]
         if 2 * L <= r:
-            prev = c_poly[:]
+            prev = c_poly
             c_poly = _poly_add(c_poly, shifted)
             L = r + 1 - L
             b_poly, b, gap = prev, d, 1
@@ -238,31 +240,26 @@ def decode_hard(code: BchCode, received):
         return DecodeResult(False, None, 0)
 
     # Chien search: position j is in error iff Lambda(alpha^{-j}) = 0
-    vals = np.full(code.n, c_poly[0], dtype=np.int64)
-    neg_j = (code.field.order - np.arange(code.n)) % code.field.order
-    for i in range(1, deg + 1):
-        if c_poly[i] == 0:
-            continue
-        log_ci = int(field.log_table[c_poly[i]])
-        vals ^= field.exp_table[(log_ci + i * neg_j) % field.order]
-    error_pos = np.nonzero(vals == 0)[0]
+    vals = c_poly[0]
+    for c, chien_logs in zip(c_poly[1:], code._chien_logs):
+        if c:
+            vals = vals ^ code._exp2[log[c] + chien_logs]
+    error_pos = (vals == 0).nonzero()[0]
     if error_pos.size != L:
         return DecodeResult(False, None, 0)
 
+    # the syndromes are linear: the corrected word's are s minus the error rows'
+    if (s ^ np.bitwise_xor.reduce(code._powers[error_pos], axis=0)).any():
+        return DecodeResult(False, None, 0)
     corrected = received.copy()
     corrected[error_pos] ^= 1
-    if np.any(syndromes(code, corrected)):
-        return DecodeResult(False, None, 0)
-    return DecodeResult(True, corrected, int(L))
+    return DecodeResult(True, corrected, L)
 
 
 def _poly_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] ^= x
-    for i, x in enumerate(b):
-        out[i] ^= x
-    return out
+    if len(a) < len(b):
+        a, b = b, a
+    return [x ^ y for x, y in zip(a, b)] + a[len(b):]
 
 
 def extract_message(code: BchCode, codeword):

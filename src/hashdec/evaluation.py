@@ -14,9 +14,6 @@ import numpy as np
 
 from .checkpoint import write_lines
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
-
 def hamming(a, b):
     """Number of differing positions between two equal-length bit vectors."""
     a = np.asarray(a, dtype=np.uint8)
@@ -27,16 +24,25 @@ def hamming(a, b):
 
 
 def pack_codes(codes):
-    return np.packbits(np.asarray(codes, dtype=np.uint8), axis=1)
+    """Each code's bits packed into uint64 words, zero-padded to a whole word."""
+    packed = np.packbits(np.asarray(codes, dtype=np.uint8), axis=1)
+    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
 
 
 def pairwise_hamming(codes_a, codes_b, chunk=256):
-    """Distance matrix between two stacks of equal-length codes."""
+    """Distance matrix between two stacks of equal-length codes.
+
+    Word by word, the popcount of the XOR of two codes' words is added to
+    their distance; the zero padding never differs.
+    """
     pa, pb = pack_codes(codes_a), pack_codes(codes_b)
-    out = np.empty((pa.shape[0], pb.shape[0]), dtype=np.int64)
+    out = np.zeros((pa.shape[0], pb.shape[0]), dtype=np.int64)
     for i in range(0, pa.shape[0], chunk):
-        x = pa[i : i + chunk, None, :] ^ pb[None, :, :]
-        out[i : i + chunk] = _POPCOUNT[x].sum(axis=2)
+        block = out[i : i + chunk]
+        for w in range(pa.shape[1]):
+            block += np.bitwise_count(pa[i : i + chunk, w, None] ^ pb[:, w])
     return out
 
 
@@ -70,7 +76,7 @@ def score_protocol(codes_by_subject, n_subjects, samples_per_subject):
     subjects = sorted(codes_by_subject)
     if len(subjects) != n_subjects:
         raise ValueError(f"expected {n_subjects} subjects, got {len(subjects)}")
-    stacks, owners = [], []
+    stacks = []
     for s in subjects:
         codes = np.asarray(codes_by_subject[s], dtype=np.uint8)
         if codes.ndim != 2 or codes.shape[0] != samples_per_subject:
@@ -79,14 +85,16 @@ def score_protocol(codes_by_subject, n_subjects, samples_per_subject):
                 f"expected {samples_per_subject}"
             )
         stacks.append(codes)
-        owners.append(np.full(codes.shape[0], s))
     codes = np.concatenate(stacks)
-    owners = np.concatenate(owners)
     dist = pairwise_hamming(codes, codes)
-    iu = np.triu_indices(codes.shape[0], k=1)
-    same = owners[iu[0]] == owners[iu[1]]
-    scores = dist[iu]
-    return ScoreSet(scores[same], scores[~same], n_subjects, samples_per_subject)
+    # each subject owns a run of t rows; pairs are listed in row-major order
+    # of the upper triangle, genuine pairs inside a run and impostors past it
+    owner = np.repeat(np.arange(n_subjects), samples_per_subject)
+    rows, cols = np.triu_indices(samples_per_subject, k=1)
+    first = samples_per_subject * np.arange(n_subjects)[:, None]
+    genuine = dist[first + rows, first + cols].ravel()
+    impostor = dist[owner[:, None] < owner[None, :]]
+    return ScoreSet(genuine, impostor, n_subjects, samples_per_subject)
 
 
 @dataclass

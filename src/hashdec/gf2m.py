@@ -56,9 +56,6 @@ class GaloisField:
             raise ZeroDivisionError("zero has no inverse in GF(2^m)")
         return int(self.exp_table[(self.order - self.log_table[a]) % self.order])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow_alpha(self, i):
         """alpha raised to an arbitrary integer exponent."""
         return int(self.exp_table[i % self.order])

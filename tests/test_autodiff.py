@@ -20,6 +20,8 @@ from hashdec.autodiff import (
     sigmoid,
     softmax_cross_entropy,
 )
+from hashdec.config import ExperimentConfig
+from hashdec.mdh import MdhModel
 
 
 def test_matmul_identity():
@@ -254,6 +256,62 @@ def test_adam_nan_gradient_names_parameter():
     p.grad = np.array([np.nan])
     with pytest.raises(TrainingError, match="hash_w"):
         adam_step({"hash_w": p}, AdamState())
+
+
+def test_adam_non_finite_gradient_moves_nothing():
+    # a NaN in a later parameter is refused before the earlier one moves
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    q = Tensor(np.array([3.0]), requires_grad=True)
+    state = AdamState()
+    p.grad, q.grad = np.array([0.5, -0.5]), np.array([0.25])
+    adam_step({"p": p, "q": q}, state)
+    before = (p.data.copy(), q.data.copy(),
+              {k: v.copy() for k, v in state.first_moment.items()},
+              {k: v.copy() for k, v in state.second_moment.items()})
+    for bad in (np.nan, np.inf):
+        q.grad = np.array([bad])
+        with pytest.raises(TrainingError, match="'q'"):
+            adam_step({"p": p, "q": q}, state)
+        assert state.timestep == 1
+        assert np.array_equal(p.data, before[0]) and np.array_equal(q.data, before[1])
+        for moments, saved in zip((state.first_moment, state.second_moment), before[2:]):
+            assert moments.keys() == saved.keys()
+            assert all(np.array_equal(moments[k], saved[k]) for k in saved)
+    fresh = AdamState()
+    with pytest.raises(TrainingError):
+        adam_step({"p": p, "q": q}, fresh)
+    assert fresh.timestep == 0 and not fresh.first_moment and not fresh.second_moment
+
+
+def test_adam_is_bitwise_the_textbook_expressions():
+    # 50 steps on the MDH's parameter shapes at the default config, against
+    # the update written as whole-array expressions
+    cfg = ExperimentConfig()
+    model = MdhModel(cfg.fusion_mode, cfg.face_dim, cfg.iris_dim, cfg.train_subjects, 63,
+                     cfg.feature_dim, cfg.fusion_dim, cfg.encoder_hidden)
+    params = model.parameters()
+    ref = {name: p.data.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(x) for name, x in ref.items()}
+    v = {name: np.zeros_like(x) for name, x in ref.items()}
+    state = AdamState(step_size=cfg.lr)
+    b1, b2 = state.beta1, state.beta2
+    rng = np.random.default_rng(18)
+    for t in range(1, 51):
+        for name, p in params.items():
+            # gradients over many magnitudes, some exactly zero
+            g = rng.standard_normal(p.data.shape) * 10.0 ** rng.integers(-12, 4, p.data.shape)
+            p.grad = np.where(rng.random(p.data.shape) < 0.1, 0.0, g)
+            m[name] = b1 * m[name] + (1.0 - b1) * p.grad
+            v[name] = b2 * v[name] + (1.0 - b2) * p.grad * p.grad
+            m_hat = m[name] / (1.0 - b1**t)
+            v_hat = v[name] / (1.0 - b2**t)
+            ref[name] -= state.step_size * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        adam_step(params, state)
+    assert len(params) == 18
+    for name, p in params.items():
+        assert p.data.tobytes() == ref[name].tobytes()
+        assert state.first_moment[name].tobytes() == m[name].tobytes()
+        assert state.second_moment[name].tobytes() == v[name].tobytes()
 
 
 def test_adam_state_validation():

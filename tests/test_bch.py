@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,20 +171,44 @@ def test_decode_reports_failure_beyond_radius(bch63):
 
 
 def test_decode_matches_brute_force_exhaustively(bch15):
-    cws = bch15.all_codewords()
-    rng = np.random.default_rng(7)
-    picks = rng.choice(len(cws), 16, replace=False)
-    patterns = [np.zeros(15, dtype=np.uint8)]
-    for j in range(15):
-        p = np.zeros(15, dtype=np.uint8)
-        p[j] = 1
-        patterns.append(p)
-    for cw in cws[picks]:
-        for p in patterns:
-            rx = cw ^ p
-            res = decode_hard(bch15, rx)
-            assert res.success
-            assert np.array_equal(res.codeword, brute_force_ml_decode(bch15, rx))
+    # all 2^15 received words: decoding succeeds exactly inside the spheres
+    # of radius t, and there it returns the nearest codeword
+    words = ((np.arange(1 << 15)[:, None] >> np.arange(15)) & 1).astype(np.uint8)
+    corrected = 0
+    for rx in words:
+        nearest = brute_force_ml_decode(bch15, rx)
+        dist = int(np.count_nonzero(nearest != rx))
+        res = decode_hard(bch15, rx)
+        assert res.success == (dist <= bch15.t)
+        if res.success:
+            assert np.array_equal(res.codeword, nearest)
+            assert res.errors_corrected == dist
+            corrected += 1
+    assert corrected == 128 * (1 + 15 + 105)  # 2^k spheres of V(15, 2) words
+
+
+# sha256 of decode_hard's (success, errors_corrected, codeword) on the words
+# below, taken from the decoder that evaluated syndromes and Berlekamp-Massey
+# through numpy scalar lookups; table-driven decoding must not move it
+DECODE_GOLDEN_63 = "d852fc394ccb033b10b41a3992055f06715c75fd81d2ebac2f413f84b945058e"
+
+
+def test_decode_golden_digest(bch63):
+    # alternately a random word and a codeword with 0-5 flipped bits
+    rng = np.random.default_rng(63)
+    digest = hashlib.sha256()
+    for i in range(2000):
+        if i % 2:
+            rx = rng.integers(0, 2, 63).astype(np.uint8)
+        else:
+            rx = encode(bch63, rng.integers(0, 2, bch63.k).astype(np.uint8))
+            rx[rng.choice(63, rng.integers(0, 6), replace=False)] ^= 1
+        res = decode_hard(bch63, rx)
+        digest.update(bytes([res.success, res.errors_corrected]))
+        if res.codeword is not None:
+            assert res.codeword.dtype == np.uint8
+            digest.update(res.codeword.tobytes())
+    assert digest.hexdigest() == DECODE_GOLDEN_63
 
 
 def test_extract_message_rejects_nonzero_syndrome(bch15):

@@ -77,6 +77,38 @@ def test_pairwise_matches_scalar():
             assert d[i, j] == hamming(a[i], b[j])
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 127, 255])
+def test_pairwise_matches_hamming_loop_at_word_and_chunk_edges(n):
+    # codes of one or more 64-bit words, padded or not; stacks of 0 and 1
+    # rows and of either side of the 256-row chunk
+    rng = np.random.default_rng(n)
+    b = rng.integers(0, 2, (5, n)).astype(np.uint8)
+    for rows in (0, 1, 256, 257):
+        a = rng.integers(0, 2, (rows, n)).astype(np.uint8)
+        d = pairwise_hamming(a, b)
+        assert d.dtype == np.int64 and d.shape == (rows, 5)
+        assert d.tolist() == [[hamming(x, y) for y in b] for x in a]
+    assert pairwise_hamming(b, b[:0]).shape == (5, 0)
+    assert pairwise_hamming(b[:1], b[:1]).tolist() == [[0]]
+
+
+def test_score_protocol_lists_pairs_in_row_major_order():
+    # the reference walks the upper triangle of the stacked codes row by row
+    rng = np.random.default_rng(4)
+    t = 4
+    codes = {s: rng.integers(0, 2, (t, 65)).astype(np.uint8) for s in (9, 2, 5)}
+    stacked = np.concatenate([codes[s] for s in sorted(codes)])
+    owner = np.repeat(sorted(codes), t)
+    genuine, impostor = [], []
+    for i in range(len(stacked)):
+        for j in range(i + 1, len(stacked)):
+            (genuine if owner[i] == owner[j] else impostor).append(hamming(stacked[i], stacked[j]))
+    scores = score_protocol(codes, 3, t)
+    assert scores.genuine.tolist() == genuine
+    assert scores.impostor.tolist() == impostor
+    assert scores.genuine.dtype == scores.impostor.dtype == np.int64
+
+
 def test_score_protocol_closed_form_counts():
     rng = np.random.default_rng(2)
     codes = {s: rng.integers(0, 2, (20, 63)).astype(np.uint8) for s in range(70)}
