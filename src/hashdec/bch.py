@@ -13,6 +13,7 @@ silently mapped to a codeword.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -152,6 +153,10 @@ class BchCode:
                 f"parity-check rank {self.parity_check_matrix.shape[0]} != n-k = {n - k}"
             )
         self._codeword_cache = None
+        # a code is shared by every caller of ``build_code``: none may change it
+        for table in (field.exp_table, field.log_table, self.generator_polynomial,
+                      self._powers, self._chien_logs, self._exp2, self.parity_check_matrix):
+            table.flags.writeable = False
 
     def __repr__(self):
         return f"BchCode(n={self.n}, k={self.k}, t={self.t})"
@@ -166,11 +171,17 @@ class BchCode:
             self._codeword_cache = np.stack(
                 [encode(self, row.astype(np.uint8)) for row in bits]
             )
+            self._codeword_cache.flags.writeable = False
         return self._codeword_cache
 
 
+@cache
 def build_code(m, t):
-    """Construct the binary BCH code of length 2^m - 1 correcting t errors."""
+    """The binary BCH code of length 2^m - 1 correcting t errors.
+
+    Built once per (m, t) and process, decoding tables included; every call
+    returns that one read-only code.
+    """
     return BchCode(m, t)
 
 

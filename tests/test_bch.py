@@ -38,6 +38,17 @@ def test_code_table(m, t, n, k):
     assert len(code.generator_polynomial) == n - k + 1
 
 
+def test_build_code_returns_one_read_only_code(bch15):
+    code = build_code(6, 3)
+    assert build_code(6, 3) is code
+    with pytest.raises(ValueError, match="read-only"):
+        code.parity_check_matrix[0, 0] ^= 1
+    with pytest.raises(ValueError, match="read-only"):
+        bch15.all_codewords()[0, 0] = 1
+    for table in (code.generator_polynomial, code.field.exp_table, code.field.log_table):
+        assert not table.flags.writeable
+
+
 @pytest.mark.slow
 def test_code_table_511():
     code = build_code(9, 15)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hashdec import autodiff as ad
+from hashdec import tanner
 from hashdec.autodiff import Tensor, TrainingError, gradient_check
 from hashdec.bch import build_code, encode
 from hashdec.checkpoint import CheckpointFormatError
@@ -76,6 +77,68 @@ def test_untrained_model_equals_bp_on_llr_grid(hamming74):
     grid = np.vstack([grid, [-1e-17, 0, 0, 0, 0, 0, 0]])
     hard_bp, _ = decode_bp_batch(graph, grid, iterations=5)
     assert np.array_equal(model.decode(grid), hard_bp)
+
+
+def _check_major_loo(graph, t):
+    """The leave-one-out product and its VJP on a (check, slot) layout, one
+    accumulate per lane and one running sum per slot: the kernel the
+    slot-major scans replaced, kept to pin them bit for bit."""
+    d = graph.max_check_degree
+    degrees = np.bincount(graph.edge_check, minlength=graph.r)
+    slot = np.arange(graph.num_edges) - (np.cumsum(degrees) - degrees)[graph.edge_check]
+    flat = graph.edge_check * d + slot
+    flat_shape = (graph.r * d,) + t.shape[1:]
+    dense = np.ones(flat_shape)
+    dense[flat] = t
+    dense = dense.reshape((graph.r, d) + t.shape[1:])
+    left = np.ones_like(dense)
+    np.multiply.accumulate(dense[:, :-1], axis=1, out=left[:, 1:])
+    right = np.ones_like(dense)
+    np.multiply.accumulate(dense[:, :0:-1], axis=1, out=right[:, -2::-1])
+    edges = lambda x: x.reshape(flat_shape)[flat]
+
+    def vjp(g):
+        g_dense = np.zeros_like(dense)
+        g_dense.reshape(flat_shape)[flat] = g
+        grad = np.empty_like(dense)
+        acc = np.zeros_like(dense[:, 0])
+        for j in range(d):
+            grad[:, j] = acc * right[:, j]
+            acc = acc * dense[:, j] + g_dense[:, j] * left[:, j]
+        acc = np.zeros_like(dense[:, 0])
+        for j in range(d - 1, -1, -1):
+            grad[:, j] += left[:, j] * acc
+            acc = acc * dense[:, j] + g_dense[:, j] * right[:, j]
+        return edges(grad)
+
+    return edges(left * right), vjp
+
+
+@pytest.mark.parametrize("batch", [1, 64, 512])
+def test_decode_and_gradient_are_bitwise_the_check_major_scans(bch63, monkeypatch, batch):
+    # both sides run this host's tanh/arctanh, so only the scans can differ
+    rng = np.random.default_rng(batch)
+    model = _jittered(NndModel(bch63, iterations=5), rng)
+    llr = awgn_llr(np.zeros((batch, bch63.n), dtype=np.uint8),
+                   rng.uniform(0.5, 1.0, (batch, 1)), rng)
+    targets = Tensor(np.zeros((batch, bch63.n)))
+
+    def run():
+        for t in model.parameters().values():
+            t.grad = None
+        posterior = model.forward(llr)
+        ad.GradientTape(ad.binary_cross_entropy(posterior, targets)).backward()
+        return (model.decode(llr), posterior.data.copy(),
+                [t.grad.copy() for t in model.parameters().values()])
+
+    bits, posterior, grads = run()
+    monkeypatch.setattr(tanner, "_loo", _check_major_loo)
+    ref_bits, ref_posterior, ref_grads = run()
+    assert np.array_equal(bits, ref_bits)
+    assert posterior.tobytes() == ref_posterior.tobytes()
+    assert len(grads) == len(ref_grads) > 0
+    for g, ref in zip(grads, ref_grads):
+        assert g.tobytes() == ref.tobytes()
 
 
 def _jittered(model, rng):

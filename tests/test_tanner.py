@@ -87,13 +87,21 @@ def test_leave_one_out_prod_gradient_matches_finite_differences():
 
 
 def _masked_slot_grad(graph, t, g):
-    """O(d^2) reference backward: mask each slot in turn and rerun both scans."""
-    d = graph.max_check_degree
+    """O(d^2) reference backward: mask each slot in turn and rerun both scans.
+
+    Its dense (check, slot) layout comes from ``graph.edge_check`` alone, so
+    it shares no layout with the code under test.
+    """
+    checks, slots, seen = graph.edge_check, [], {}
+    for c in checks.tolist():
+        slots.append(seen.get(c, 0))
+        seen[c] = slots[-1] + 1
+    d = max(seen.values())
 
     def dense_of(values, fill):
-        out = np.full((graph.r * d,) + values.shape[1:], fill)
-        out[graph.edge_slot_flat] = values
-        return out.reshape((graph.r, d) + values.shape[1:])
+        out = np.full((graph.r, d) + values.shape[1:], fill)
+        out[checks, slots] = values
+        return out
 
     def loo(dense):
         left = np.ones_like(dense)
@@ -109,18 +117,44 @@ def _masked_slot_grad(graph, t, g):
         masked = dense.copy()
         masked[:, j] = 1.0
         grad[:, j] = (g_dense * loo(masked)).sum(axis=1) - g_dense[:, j] * loo_dense[:, j]
-    return grad.reshape((-1,) + t.shape[1:])[graph.edge_slot_flat]
+    return grad[checks, slots]
 
 
 def test_leave_one_out_prod_backward_matches_masked_slot_reference():
-    g = TannerGraph(build_code(6, 3).parity_check_matrix)  # BCH(63,45)
-    rng = np.random.default_rng(4)
-    t = rng.uniform(-1, 1, (g.num_edges, 3))
-    t[np.nonzero(g.edge_check == 2)[0][:2], 0] = 0.0
+    g = TannerGraph(build_code(6, 3).parity_check_matrix)  # BCH(63,45), r = 18
+    # B = 1, 3 and 16 take the accumulate scans, B = 64 the per-slot ones
+    assert 16 * g.r < tanner.SCAN_LANES <= 64 * g.r
+    for batch in (1, 3, 16, 64):
+        rng = np.random.default_rng(4 + batch)
+        t = rng.uniform(-1, 1, (g.num_edges, batch))
+        t[np.nonzero(g.edge_check == 2)[0][:2], 0] = 0.0
+        upstream = rng.standard_normal(t.shape)
+        x = Tensor(t, requires_grad=True)
+        GradientTape(ad.tensor_sum(ad.mul(leave_one_out_prod(g, x), Tensor(upstream)))).backward()
+        assert np.max(np.abs(x.grad - _masked_slot_grad(g, t, upstream))) < 1e-12, batch
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16, 64])
+def test_scan_forms_are_bitwise_equal(monkeypatch, batch):
+    # the same input through the per-slot scans, then through accumulate:
+    # signed zeros, exact zeros and the values of clamped messages included
+    g = TannerGraph(build_code(6, 3).parity_check_matrix)
+    rng = np.random.default_rng(batch)
+    t = rng.uniform(-1, 1, (g.num_edges, batch))
     upstream = rng.standard_normal(t.shape)
-    x = Tensor(t, requires_grad=True)
-    GradientTape(ad.tensor_sum(ad.mul(leave_one_out_prod(g, x), Tensor(upstream)))).backward()
-    assert np.max(np.abs(x.grad - _masked_slot_grad(g, t, upstream))) < 1e-12
+    special = np.array([0.0, -0.0, ATANH_CLAMP, -ATANH_CLAMP,
+                        np.tanh(0.5 * LLR_CLAMP), -np.tanh(0.5 * LLR_CLAMP)])
+    for values in (t, upstream):
+        pick = rng.random(values.shape) < 0.3
+        values[pick] = rng.choice(special, int(pick.sum()))
+    on_check0 = np.nonzero(g.edge_check == 0)[0]
+    t[on_check0[:2], 0] = [0.0, -0.0]  # check 0's products all vanish in word 0
+    results = []
+    for lanes in (0, math.inf):
+        monkeypatch.setattr(tanner, "SCAN_LANES", lanes)
+        out, vjp = tanner._loo(g, t)
+        results.append((out.tobytes(), vjp(upstream).tobytes()))
+    assert results[0] == results[1]
 
 
 # -- the BP round as one primitive against the per-op chain it replaces -------
@@ -174,7 +208,7 @@ def _round_and_grads(round_fn, graph, inputs, coeffs):
 
 
 @pytest.mark.parametrize("case", ["plain", "clamps", "zeros"])
-@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("batch", [1, 3, 160])  # 3 to 480 lanes: both scan forms
 @pytest.mark.parametrize("weights", ["none", "unit", "jittered"])
 @pytest.mark.parametrize("later", [False, True], ids=["first", "later"])
 @pytest.mark.parametrize("h", ["hamming74", "uneven"])
@@ -209,21 +243,23 @@ def test_unrolled_decoder_is_bitwise_the_per_op_chain(monkeypatch):
     graph = TannerGraph(build_code(6, 3).parity_check_matrix)
     rng = np.random.default_rng(8)
     e, n = graph.num_edges, graph.n
-    shapes = [(n, 4)] + [(e, 1)] * 4 + [(n, 1)] * 5 + [(e, 1), (n, 1)]
-    values = [1 + 0.05 * rng.standard_normal(shape) for shape in shapes]
-    values[0] = rng.normal(0.0, 5.0, (n, 4))
-    coeffs = rng.standard_normal((n, 4))
+    shapes = [(e, 1)] * 4 + [(n, 1)] * 5 + [(e, 1), (n, 1)]
+    weights = [1 + 0.05 * rng.standard_normal(shape) for shape in shapes]
 
-    def run():
-        llr, *w = [Tensor(v.copy(), requires_grad=True) for v in values]
+    def run(llr, coeffs):
+        llr, *w = [Tensor(v.copy(), requires_grad=True) for v in [llr] + weights]
         post = bp_forward(graph, llr, 5, [None] + w[:4], w[4:9], w[9], w[10])
         GradientTape(ad.tensor_sum(ad.mul(post, Tensor(coeffs)))).backward()
         return [post.data, llr.grad] + [t.grad for t in w]
 
-    fused = run()
-    monkeypatch.setattr(tanner, "_bp_round", _ref_bp_round)
-    for a, b in zip(fused, run()):
-        assert np.array_equal(a, b)
+    assert 4 * graph.r < tanner.SCAN_LANES <= 64 * graph.r  # both scan forms
+    for batch in (4, 64):
+        llr, coeffs = rng.normal(0.0, 5.0, (n, batch)), rng.standard_normal((n, batch))
+        fused = run(llr, coeffs)
+        with monkeypatch.context() as patched:
+            patched.setattr(tanner, "_bp_round", _ref_bp_round)
+            for a, b in zip(fused, run(llr, coeffs)):
+                assert np.array_equal(a, b)
 
 
 def test_weighted_bp_forward_gradient_matches_finite_differences(hamming_graph):
