@@ -2,9 +2,9 @@
 
 Layout (all integers little-endian uint64, floats little-endian float64):
 
-    magic    8 bytes  b"HDCKPT\\x00\\x01"
+    magic    8 bytes  b"HDCKPT\\x00\\x02" (the last byte is the version)
     meta_len 8 bytes, meta_json utf-8 (free-form metadata dict)
-    checksum 32 bytes sha256 of the payload section
+    checksum 32 bytes sha256 of meta_json followed by the payload
     payload: entry count, then per entry
         name_len, name utf-8, ndim, dims..., values...
 
@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-MAGIC = b"HDCKPT\x00\x01"
+MAGIC = b"HDCKPT\x00\x02"
 
 
 class CheckpointFormatError(ValueError):
@@ -68,8 +68,9 @@ def save_params(path, params, meta=None):
             payload += _pack_u64(dim)
         payload += arr.astype("<f8").tobytes()
     meta_json = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    write_atomic(path, MAGIC, _pack_u64(len(meta_json)), meta_json, digest, payload)
+    digest = hashlib.sha256(meta_json)
+    digest.update(payload)
+    write_atomic(path, MAGIC, _pack_u64(len(meta_json)), meta_json, digest.digest(), payload)
 
 
 def load_params(path):
@@ -91,15 +92,17 @@ def load_params(path):
     meta_len = read_u64()
     if off + meta_len + 32 > len(blob):
         raise CheckpointFormatError(f"{path}: truncated metadata")
+    meta_json = blob[off : off + meta_len]
     try:
-        meta = json.loads(blob[off : off + meta_len].decode("utf-8"))
+        meta = json.loads(meta_json.decode("utf-8"))
     except ValueError:
         raise CheckpointFormatError(f"{path}: unreadable metadata") from None
     off += meta_len
     stored_digest = blob[off : off + 32]
     off += 32
-    payload = blob[off:]
-    if hashlib.sha256(payload).digest() != stored_digest:
+    digest = hashlib.sha256(meta_json)
+    digest.update(memoryview(blob)[off:])  # no copy of the payload
+    if digest.digest() != stored_digest:
         raise CheckpointFormatError(f"{path}: checksum mismatch")
 
     params = {}

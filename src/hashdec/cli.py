@@ -37,7 +37,7 @@ def build_parser():
         ("ground-truth", "step 2: decode hash codes and vote per-subject labels"),
         ("train-nnd", "step 3a: pretrain the decoder on AWGN, then fine-tune"),
         ("joint-optimize", "step 3b: end-to-end optimisation of the composed system"),
-        ("evaluate", "score a system variant on the benchmark"),
+        ("evaluate", "score a system variant: authentication and identification"),
         ("bench", "per-authentication latency of the joint system"),
         ("run-all", "run every stage and evaluation for this config"),
     ):
@@ -47,7 +47,6 @@ def build_parser():
             p.add_argument("--overwrite", action="store_true",
                            help="replace existing dataset files")
         if name == "evaluate":
-            p.add_argument("--mode", choices=("auth", "ident"), required=True)
             p.add_argument("--variant", choices=pipeline.VARIANTS, required=True)
         if name == "bench":
             p.add_argument("--repetitions", type=int, default=200)
@@ -81,9 +80,9 @@ def main(argv=None):
             info = pipeline.stage_joint_optimize(cfg, args.run_dir)
             print(f"joint optimisation: {info}")
         elif args.command == "evaluate":
-            metrics = pipeline.stage_evaluate(cfg, args.run_dir, args.mode, args.variant)
-            for key in sorted(metrics):
-                print(f"{key} {metrics[key]}")
+            for metrics in pipeline.stage_evaluate(cfg, args.run_dir, args.variant):
+                for key in sorted(metrics):
+                    print(f"{key} {metrics[key]}")
         elif args.command == "bench":
             stats = pipeline.stage_bench(cfg, args.run_dir, args.repetitions)
             print(

@@ -199,10 +199,8 @@ def _batches(n, batch_size, rng):
 
 
 def _run_stage(step_fn, cfg: ExperimentConfig, log, phase, beta):
-    """Run one beta stage until the loss stops improving or ``stage_max_steps`` hits.
-
-    Returns True if the stage converged inside the step cap.
-    """
+    """Run one beta stage, a ``step_fn(step)`` call per step, until its loss stops
+    improving or ``stage_max_steps`` hits; a ``stage_done`` record says which."""
     best = np.inf
     best_step = 0
     for step in range(cfg.stage_max_steps):
@@ -212,11 +210,10 @@ def _run_stage(step_fn, cfg: ExperimentConfig, log, phase, beta):
         if step - best_step >= cfg.patience:
             log.append({"event": "stage_done", "phase": phase, "beta": beta,
                         "steps": step + 1, "converged": True, "best_loss": best})
-            return True
+            return
     log.append({"event": "stage_done", "phase": phase, "beta": beta,
                 "steps": cfg.stage_max_steps, "converged": False, "best_loss": best,
                 "warning": "stage hit its step cap before converging"})
-    return False
 
 
 def train_step1(model: MdhModel, dataset, cfg: ExperimentConfig, seed):
@@ -272,19 +269,17 @@ def train_step1(model: MdhModel, dataset, cfg: ExperimentConfig, seed):
     def make_step_fn(params, lr, phase, beta):
         state = ad.AdamState(step_size=lr)
         batches = _batches(n, cfg.batch_size, rng)
-        counter = {"step": 0}
 
-        def step_fn(_stage_step):
+        def step_fn(step):
             idx = next(batches)
             acts, logits = model.forward(face[idx], iris[idx])
             loss, comps = total_loss(logits, acts, one_hot(class_idx[idx], m),
                                      model.weight_tensors(), cfg)
             ad.GradientTape(loss).backward()
             ad.adam_step(params, state)
-            counter["step"] += 1
-            if counter["step"] % LOG_EVERY == 0:
+            if (step + 1) % LOG_EVERY == 0:
                 log.append({"event": "train", "phase": phase, "beta": beta,
-                            "step": counter["step"], **comps})
+                            "step": step + 1, **comps})
             return comps["total"]
 
         return step_fn

@@ -102,18 +102,21 @@ def _log_event(run_dir, text):
         fh.write(text.rstrip("\n") + "\n")
 
 
+def _remedy(path):
+    return f"run '{_WRITER.get(os.path.basename(path), 'run-all')}' to rebuild it"
+
+
 def _read_record(cfg, path, load):
     """``load(path)``'s (record, meta), refused unless the file is whole and
     names this config's fingerprint; the refusal names the command that
     rewrites it."""
-    remedy = f"run '{_WRITER.get(os.path.basename(path), 'run-all')}' to rebuild it"
     try:
         record, meta = load(path)
     except (OSError, CheckpointFormatError) as exc:
-        raise PipelineError(f"unreadable record: {exc}; {remedy}") from None
+        raise PipelineError(f"unreadable record: {exc}; {_remedy(path)}") from None
     if meta.get("fingerprint") != cfg.fingerprint():
         raise PipelineError(f"{path} was not written under this config (fingerprint "
-                            f"{cfg.fingerprint()}); {remedy}")
+                            f"{cfg.fingerprint()}); {_remedy(path)}")
     return record, meta
 
 
@@ -161,10 +164,14 @@ def save_models(path, cfg: ExperimentConfig, kind, mdh=None, nnd=None):
     save_params(path, params, meta)
 
 
-def load_models(path, cfg: ExperimentConfig, code):
-    """The (mdh, nnd) pair a checkpoint of this config holds, ``None`` for a model it lacks."""
+def load_models(path, cfg: ExperimentConfig, code, needs=()):
+    """The (mdh, nnd) pair a checkpoint of this config holds, ``None`` for a
+    model it lacks; a file that lacks a model named in ``needs`` is refused."""
     params, meta = _read_record(cfg, path, load_params)
     models = meta.get("models") or []
+    for name in needs:
+        if name not in models:
+            raise PipelineError(f"checkpoint {path} holds no '{name}' model; {_remedy(path)}")
     mdh = nnd = None
     if "mdh" in models:
         mdh = _mdh_model(cfg, code)
@@ -223,7 +230,7 @@ def stage_ground_truth(cfg: ExperimentConfig, run_dir):
     _require(run_dir, "mdh")
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
-    model, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
+    model, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code, ("mdh",))
     nnd_split = splits["nnd"]
     acts = _activations(model, nnd_split)
     by_subject = {int(s): acts[nnd_split.subject == s] for s in nnd_split.subject_ids}
@@ -251,7 +258,7 @@ def stage_train_nnd(cfg: ExperimentConfig, run_dir):
     splits = _load_splits(cfg, run_dir)
     table = _load_ground_truth(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
-    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
+    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code, ("mdh",))
 
     model = NndModel(code, cfg.nnd_iterations)
     model, curve = pretrain_awgn(model, cfg, stage_seed(cfg, "nnd_pre"))
@@ -293,9 +300,9 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
     splits = _load_splits(cfg, run_dir)
     table = _load_ground_truth(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
-    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
+    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code, ("mdh",))
     mdh.discard_head()
-    _, nndm = load_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, code)
+    _, nndm = load_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, code, ("nnd",))
 
     enroll, probe = (splits["nnd"].by_role(role) for role in ("enroll", "probe"))
     train_mask, tr_y = _labeled_samples(enroll, table)
@@ -352,9 +359,10 @@ def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):
     _require_variant(run_dir, variant)
     code = build_code(cfg.code_m, cfg.code_t)
     ckpt = "mdhnd.ckpt" if variant == "mdhnd" else "mdh.ckpt"
-    mdh, nndm = load_models(os.path.join(run_dir, ckpt), cfg, code)
+    mdh, nndm = load_models(os.path.join(run_dir, ckpt), cfg, code,
+                            ("mdh", "nnd") if variant == "mdhnd" else ("mdh",))
     if variant == "nnd":
-        _, nndm = load_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, code)
+        _, nndm = load_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, code, ("nnd",))
     if variant in ("nnd", "mdhnd"):
         return _decoded_codes(cfg, mdh, nndm, split)
     codes = hard_limit(_activations(mdh, split))
@@ -392,49 +400,35 @@ def enrollment_templates(codes, subjects, roles):
     return np.stack(templates), np.array(ids)
 
 
-def stage_evaluate(cfg: ExperimentConfig, run_dir, mode, variant):
-    """Authentication or identification metrics for one system variant."""
-    if mode not in ("auth", "ident"):
-        raise PipelineError(f"unknown evaluation mode '{mode}' (expected 'auth' or 'ident')")
+def stage_evaluate(cfg: ExperimentConfig, run_dir, variant):
+    """One variant's (auth, ident) metrics in one pass: every test-split pair
+    is scored, and each NND-split probe is matched against enroll templates."""
     _require_variant(run_dir, variant)
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
-    metrics = {
-        "variant": variant,
-        "mode": mode,
-        "fingerprint": cfg.fingerprint(),
-        "code": cfg.code_name(),
-        "fusion_mode": cfg.fusion_mode,
-    }
-    if mode == "auth":
-        split = splits["test"]
-        codes = variant_codes(cfg, run_dir, variant, split)
-        bits, length = _scored_bits(cfg, code, codes)
-        by_subject = {int(s): bits[split.subject == s] for s in split.subject_ids}
-        scores = score_protocol(by_subject, cfg.test_subjects, cfg.samples_per_subject)
-        roc, eer = roc_and_eer(scores, length)
-        metrics.update({
-            "genuine_count": int(scores.genuine.size),
-            "impostor_count": int(scores.impostor.size),
-            "eer": float(eer),
-        })
-        for target in cfg.far_targets:
-            metrics[f"gar_at_far_{target}"] = gar_at_far(roc, target)
-        write_roc_csv(os.path.join(run_dir, f"roc_auth_{variant}.csv"), roc)
-        write_metrics(os.path.join(run_dir, f"metrics_auth_{variant}.txt"), metrics)
-        return metrics
+    header = {"variant": variant, "fingerprint": cfg.fingerprint(), "code": cfg.code_name(),
+              "fusion_mode": cfg.fusion_mode}
+
+    split = splits["test"]
+    bits, length = _scored_bits(cfg, code, variant_codes(cfg, run_dir, variant, split))
+    by_subject = {int(s): bits[split.subject == s] for s in split.subject_ids}
+    scores = score_protocol(by_subject, cfg.test_subjects, cfg.samples_per_subject)
+    roc, eer = roc_and_eer(scores, length)
+    auth = {**header, "mode": "auth", "genuine_count": int(scores.genuine.size),
+            "impostor_count": int(scores.impostor.size), "eer": float(eer)}
+    for target in cfg.far_targets:
+        auth[f"gar_at_far_{target}"] = gar_at_far(roc, target)
+    write_roc_csv(os.path.join(run_dir, f"roc_auth_{variant}.csv"), roc)
+    write_metrics(os.path.join(run_dir, f"metrics_auth_{variant}.txt"), auth)
 
     split = splits["nnd"]
-    codes = variant_codes(cfg, run_dir, variant, split)
-    bits, _ = _scored_bits(cfg, code, codes)
+    bits, _ = _scored_bits(cfg, code, variant_codes(cfg, run_dir, variant, split))
     templates, ids = enrollment_templates(bits, split.subject, split.role)
-    probe_mask = split.role == "probe"
-    accuracy = identification_accuracy(
-        bits[probe_mask], split.subject[probe_mask], templates, ids
-    )
-    metrics["identification_accuracy"] = float(accuracy)
-    write_metrics(os.path.join(run_dir, f"metrics_ident_{variant}.txt"), metrics)
-    return metrics
+    probe = split.role == "probe"
+    accuracy = identification_accuracy(bits[probe], split.subject[probe], templates, ids)
+    ident = {**header, "mode": "ident", "identification_accuracy": float(accuracy)}
+    write_metrics(os.path.join(run_dir, f"metrics_ident_{variant}.txt"), ident)
+    return auth, ident
 
 
 def stage_bench(cfg: ExperimentConfig, run_dir, repetitions=200):
@@ -446,7 +440,7 @@ def stage_bench(cfg: ExperimentConfig, run_dir, repetitions=200):
     _require(run_dir, *_VARIANT_NEEDS["mdhnd"])
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
-    mdh, nndm = load_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, code)
+    mdh, nndm = load_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, code, ("mdh", "nnd"))
     split = splits["test"]
     codes = _decoded_codes(cfg, mdh, nndm, split)
     templates, ids = enrollment_templates(codes, split.subject, split.role)
@@ -497,7 +491,7 @@ def run_all(cfg: ExperimentConfig, run_dir, overwrite=False):
         variants = list(VARIANTS)
     results = {}
     for variant in variants:
-        results[("auth", variant)] = stage_evaluate(cfg, run_dir, "auth", variant)
-        results[("ident", variant)] = stage_evaluate(cfg, run_dir, "ident", variant)
+        for metrics in stage_evaluate(cfg, run_dir, variant):
+            results[(metrics["mode"], variant)] = metrics
     _log_event(run_dir, f"run_all completed in {time.time() - t0:.1f}s")
     return results

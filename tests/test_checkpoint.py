@@ -66,3 +66,26 @@ def test_corrupted_metadata_rejected(tmp_path):
     with pytest.raises(CheckpointFormatError, match="metadata"):
         load_params(path)
 
+
+
+def test_edited_metadata_rejected(tmp_path):
+    # metadata that still parses after an edit fails the checksum, which
+    # covers the metadata bytes as well as the arrays
+    path = tmp_path / "m.ckpt"
+    save_params(path, {"p": np.arange(4.0)}, {"kind": "test", "beta": 64.0})
+    blob = path.read_bytes()
+    assert b'"beta": 64.0' in blob
+    path.write_bytes(blob.replace(b'"beta": 64.0', b'"beta": 14.0'))
+    with pytest.raises(CheckpointFormatError, match="checksum"):
+        load_params(path)
+
+
+def test_other_version_rejected(tmp_path):
+    # a file of another layout version is refused as such, not as corrupt
+    path = tmp_path / "v.ckpt"
+    save_params(path, {"p": np.arange(4.0)})
+    blob = bytearray(path.read_bytes())
+    blob[7] = 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="unsupported version"):
+        load_params(path)

@@ -34,10 +34,16 @@ def test_full_pipeline_through_cli(tmp_path, cfg_file, capsys):
     assert main(["ground-truth", "--config", cfg_file, "--run-dir", run]) == 0
     assert main(["train-nnd", "--config", cfg_file, "--run-dir", run]) == 0
     assert main(["joint-optimize", "--config", cfg_file, "--run-dir", run]) == 0
-    assert main(["evaluate", "--config", cfg_file, "--run-dir", run,
-                 "--mode", "auth", "--variant", "mdhnd"]) == 0
+    assert main(["evaluate", "--config", cfg_file, "--run-dir", run, "--variant", "mdhnd"]) == 0
     out = capsys.readouterr().out
-    assert "eer" in out
+    # one pass writes and prints both modes
+    assert "eer" in out and "identification_accuracy" in out
+    for name in ("metrics_auth_mdhnd.txt", "roc_auth_mdhnd.csv", "metrics_ident_mdhnd.txt"):
+        assert os.path.exists(os.path.join(run, name)), name
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--config", cfg_file, "--run-dir", run,
+              "--mode", "auth", "--variant", "mdhnd"])
+    assert exc.value.code == 2
     assert main(["bench", "--config", cfg_file, "--run-dir", run,
                  "--repetitions", "10"]) == 0
 
@@ -45,7 +51,7 @@ def test_full_pipeline_through_cli(tmp_path, cfg_file, capsys):
 def test_stage_gating_error_is_categorised(tmp_path, cfg_file, capsys):
     # every command that needs the data names generate-data before it reads anything
     run = str(tmp_path / "run")
-    for command in (["train-mdh"], ["evaluate", "--mode", "auth", "--variant", "mdh"], ["bench"]):
+    for command in (["train-mdh"], ["evaluate", "--variant", "mdh"], ["bench"]):
         rc = main([*command, "--config", cfg_file, "--run-dir", run])
         assert rc == 3
         err = capsys.readouterr().err
@@ -57,8 +63,7 @@ def test_missing_checkpoint_names_prerequisite(tmp_path, cfg_file, capsys):
     run = str(tmp_path / "run")
     main(["generate-data", "--config", cfg_file, "--run-dir", run])
     main(["train-mdh", "--config", cfg_file, "--run-dir", run])
-    rc = main(["evaluate", "--config", cfg_file, "--run-dir", run,
-               "--mode", "auth", "--variant", "nnd"])
+    rc = main(["evaluate", "--config", cfg_file, "--run-dir", run, "--variant", "nnd"])
     assert rc == 3
     # names the first missing prerequisite command in stage order
     assert "ground-truth" in capsys.readouterr().err
@@ -66,8 +71,7 @@ def test_missing_checkpoint_names_prerequisite(tmp_path, cfg_file, capsys):
 
 def test_unknown_variant_is_usage_error(cfg_file):
     with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--config", cfg_file, "--run-dir", "/tmp/x",
-              "--mode", "auth", "--variant", "turbo"])
+        main(["evaluate", "--config", cfg_file, "--run-dir", "/tmp/x", "--variant", "turbo"])
     assert exc.value.code == 2
 
 
@@ -148,7 +152,7 @@ def test_missing_pretrained_decoder_names_the_command(tmp_path, cfg_file, capsys
     os.remove(run / "nnd_pretrained.ckpt")
     capsys.readouterr()
     assert main(["evaluate", "--config", cfg_file, "--run-dir", str(run),
-                 "--mode", "auth", "--variant", "nnd"]) == 3
+                 "--variant", "nnd"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error[pipeline]:") and "nnd_pretrained.ckpt" in err, err
     assert "run 'train-nnd' to rebuild it" in err, err
@@ -210,11 +214,12 @@ def test_ground_truth_of_another_config_refused(tmp_path, cfg_file, capsys):
 
 @pytest.fixture(scope="module")
 def records_run(tmp_path_factory):
-    """A run directory that holds the data, the hashing network and the ground truth."""
+    """A run directory that holds the data, the hashing network, the ground
+    truth and both decoders."""
     run = tmp_path_factory.mktemp("records")
     cfg = str(run / "cfg.json")
     tiny_config().save(cfg)
-    for command in ("generate-data", "train-mdh", "ground-truth"):
+    for command in ("generate-data", "train-mdh", "ground-truth", "train-nnd"):
         assert main([command, "--config", cfg, "--run-dir", str(run / "run")]) == 0
     return cfg, run / "run"
 
@@ -223,22 +228,25 @@ def records_run(tmp_path_factory):
     ("ground_truth.ckpt", "train-nnd", "ground-truth"),
     ("data.ckpt", "train-nnd", "generate-data"),
     ("data.ckpt", "ground-truth", "generate-data"),
+    ("mdh.ckpt", "evaluate --variant mdh", "train-mdh"),
+    ("nnd_finetuned.ckpt", "joint-optimize", "train-nnd"),
 ])
 @pytest.mark.parametrize("damage", ["flipped byte", "another kind"])
 def test_damaged_record_is_refused(records_run, capsys, record, command, writer, damage):
     """One flipped payload byte, or a whole record of another kind in its
-    place, is refused before a stage uses it, naming the file and the command
-    that rewrites it."""
+    place (a model checkpoint that lacks the model the stage reads), is
+    refused before a stage uses it, naming the file and the command that
+    rewrites it."""
     cfg, run = records_run
     path = run / record
     clean = path.read_bytes()
     if damage == "flipped byte":
         flip_byte(path)
     else:
-        shutil.copy(run / "mdh.ckpt", path)
+        shutil.copy(run / ("nnd_pretrained.ckpt" if record == "mdh.ckpt" else "mdh.ckpt"), path)
     capsys.readouterr()
     try:
-        assert main([command, "--config", cfg, "--run-dir", str(run)]) == 3
+        assert main([*command.split(), "--config", cfg, "--run-dir", str(run)]) == 3
     finally:
         path.write_bytes(clean)
     err = capsys.readouterr().err

@@ -268,7 +268,7 @@ def test_interrupted_record_write_keeps_the_previous_record(tmp_path, monkeypatc
     run_dir = str(tmp_path)
     for stage in (stage_generate_data, stage_train_mdh, stage_ground_truth):
         stage(cfg, run_dir)
-    stage_evaluate(cfg, run_dir, "auth", "mdh")
+    stage_evaluate(cfg, run_dir, "mdh")
     names = ("config.json", "data.ckpt", "mdh.ckpt", "ground_truth.ckpt",
              "metrics_auth_mdh.txt", "roc_auth_mdh.csv")
     before = {name: (tmp_path / name).read_bytes() for name in names}
@@ -286,7 +286,7 @@ def test_interrupted_record_write_keeps_the_previous_record(tmp_path, monkeypatc
                   lambda: save_models(str(tmp_path / "mdh.ckpt"), other, "mdh", mdh=mdh),
                   lambda: table.save(tmp_path / "ground_truth.ckpt", meta),
                   lambda: write_metrics(tmp_path / "metrics_auth_mdh.txt", {"eer": 0.5}),
-                  lambda: stage_evaluate(cfg, run_dir, "auth", "mdh")):
+                  lambda: stage_evaluate(cfg, run_dir, "mdh")):
         with pytest.raises(OSError, match="interrupted"):
             write()
     assert {name: (tmp_path / name).read_bytes() for name in names} == before
@@ -335,8 +335,8 @@ def test_unknown_variant_rejected(finished_run):
     split = load_dataset(os.path.join(run_dir, "data.ckpt"))[0]["test"]
     with pytest.raises(PipelineError, match="mdhnd"):
         variant_codes(cfg, run_dir, "turbo", split)
-    with pytest.raises(PipelineError, match="auth"):
-        stage_evaluate(cfg, run_dir, "verify", "mdh")
+    with pytest.raises(PipelineError, match="mdhnd"):
+        stage_evaluate(cfg, run_dir, "turbo")
 
 
 def test_joint_zero_steps_is_composition_identity(tmp_path):
