@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import CheckpointFormatError, load_params, save_params
+from .checkpoint import entry, load_params, save_params
 
 
 @dataclass
@@ -170,14 +170,13 @@ def save_dataset(splits, path, meta):
 
 def load_dataset(path):
     """The splits a ``save_dataset`` file holds, by name, and its meta; any
-    other file raises ``CheckpointFormatError``."""
-    params, meta = load_params(path)
-    if meta.get("kind") != "data":
-        raise CheckpointFormatError(f"{path}: a {meta.get('kind')!r} record, not a dataset")
+    other file, or one that lacks an entry, raises ``CheckpointFormatError``."""
+    params, meta = load_params(path, "data")
     splits = {}
     for name in sorted({key.partition("/")[0] for key in params}):
         subject, probe, sample_index, face, iris = (
-            params[f"{name}/{key}"] for key in ("subject", "probe", "sample_index", "face", "iris"))
+            entry(params, f"{name}/{key}", path)
+            for key in ("subject", "probe", "sample_index", "face", "iris"))
         splits[name] = DatasetSplit(name, subject, np.where(probe != 0, "probe", "enroll"),
                                     sample_index, face, iris)
     return splits, meta

@@ -8,8 +8,8 @@ Layout (all integers little-endian uint64, floats little-endian float64):
     payload: entry count, then per entry
         name_len, name utf-8, ndim, dims..., values...
 
-The checksum is verified on load; any mismatch, truncation or unreadable
-metadata raises ``CheckpointFormatError`` rather than returning partial data.
+The checksum is verified on load; any mismatch, truncation, unreadable
+metadata or unexpected ``kind`` raises ``CheckpointFormatError``.
 Every run-directory file but the append-only ``experiment.log`` is written
 through ``write_atomic``: a reader finds the old file or the new one, whole.
 """
@@ -73,8 +73,9 @@ def save_params(path, params, meta=None):
     write_atomic(path, MAGIC, _pack_u64(len(meta_json)), meta_json, digest.digest(), payload)
 
 
-def load_params(path):
-    """Read a checkpoint; returns (params dict of float64 arrays, meta dict)."""
+def load_params(path, kind=None):
+    """(params dict of float64 arrays, meta dict) of a checkpoint; with
+    ``kind``, a file whose metadata names another kind is refused."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
@@ -96,7 +97,9 @@ def load_params(path):
     try:
         meta = json.loads(meta_json.decode("utf-8"))
     except ValueError:
-        raise CheckpointFormatError(f"{path}: unreadable metadata") from None
+        meta = None
+    if not isinstance(meta, dict):
+        raise CheckpointFormatError(f"{path}: unreadable metadata")
     off += meta_len
     stored_digest = blob[off : off + 32]
     off += 32
@@ -104,6 +107,8 @@ def load_params(path):
     digest.update(memoryview(blob)[off:])  # no copy of the payload
     if digest.digest() != stored_digest:
         raise CheckpointFormatError(f"{path}: checksum mismatch")
+    if kind is not None and meta.get("kind") != kind:
+        raise CheckpointFormatError(f"{path}: a {meta.get('kind')!r} record, not a {kind!r} one")
 
     params = {}
     off = len(MAGIC) + 8 + meta_len + 32
@@ -121,3 +126,11 @@ def load_params(path):
         off += nbytes
         params[name] = arr.astype(np.float64)
     return params, meta
+
+
+def entry(mapping, name, path):
+    """``mapping[name]`` of the params or meta read from ``path``, or a
+    ``CheckpointFormatError`` that names the file and the missing entry."""
+    if name not in mapping:
+        raise CheckpointFormatError(f"{path}: no entry {name!r}")
+    return mapping[name]

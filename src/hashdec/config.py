@@ -185,6 +185,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, mapping):
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"a config is a JSON object, not a {type(mapping).__name__!r} value")
         known = {f.name for f in fields(cls)}
         unknown = set(mapping) - known
         if unknown:

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, TrainingError
 from .bch import BchCode, decode_hard
-from .checkpoint import CheckpointFormatError, load_params, save_params
+from .checkpoint import CheckpointFormatError, entry, load_params, save_params
 from .config import ExperimentConfig
 from .tanner import TannerGraph, awgn_llr, bp_forward, hard_decision, LLR_CLAMP
 
@@ -226,17 +226,14 @@ class GroundTruthTable:
 
     @classmethod
     def load(cls, path):
-        """The table a ``save`` file holds and its meta; any other file raises
-        ``CheckpointFormatError``."""
-        params, meta = load_params(path)
-        if meta.get("kind") != "ground_truth":
-            raise CheckpointFormatError(f"{path}: a {meta.get('kind')!r} record, "
-                                        f"not a ground-truth table")
-        n = meta["n"]
-        label = params["label"]
+        """The table a ``save`` file holds and its meta; any other file, or one
+        that lacks an entry, raises ``CheckpointFormatError``."""
+        params, meta = load_params(path, "ground_truth")
+        n = entry(meta, "n", path)
+        label = entry(params, "label", path)
         if label.shape[1:] != (n,):
             raise CheckpointFormatError(f"{path}: labels of shape {label.shape} for n = {n}")
-        col = {key: params[key].astype(np.int64).tolist()
+        col = {key: entry(params, key, path).astype(np.int64).tolist()
                for key in ("subject", "failures", "totals", "labeled", "support", "excluded")}
         subjects, labeled = col["subject"], col["labeled"]
         table = cls(n=n, labels=dict(zip(labeled, label.astype(np.uint8))),

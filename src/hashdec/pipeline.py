@@ -1,17 +1,16 @@
 """Pipeline stages over a run directory: data, hashing net, ground truth,
 decoder training, joint optimisation, evaluation, and latency benchmarks.
 
-A stage has run when its record, the file it writes last (``STAGES``),
-exists; a stage refuses to run until its predecessors' records do. Records
-are replaced atomically, so one that exists is whole. All randomness
-derives from the single config seed, fanned out per stage.
+Every record a stage reads back is a checkpoint (``checkpoint``), the file
+``<kind>.ckpt``; ``_WRITERS`` names the command that writes each kind. A
+stage has run when its record, the file it writes last, exists; a stage
+refuses to run until its predecessors' records do. Records are replaced
+atomically, so one that exists is whole. All randomness derives from the
+single config seed, fanned out per stage.
 
-The config is the one description of a run. Every record a stage reads back
-is a checkpoint (``checkpoint``): the data splits (``data.ckpt``), the models
-and the ground-truth table (``ground_truth.ckpt``). Its meta names the
-fingerprint of the config that wrote it, and ``_read_record`` refuses it
-under any other, like a corrupted one. Architectures are built from the
-config, never from a file's copy.
+The config is the one description of a run. A record's meta names its kind
+and its config's fingerprint; ``_read_record`` refuses it under any other,
+like a corrupted one. Architectures are built from the config and the kind.
 
 Decoder fine-tuning and joint optimisation run ``nnd.train_loop`` on the same
 rows, the labeled samples of the NND split (``_labeled_samples``).
@@ -29,7 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bch import build_code, decode_hard, write_descriptor
 from .biodata import generate, load_dataset, save_dataset, verify_disjoint
-from .checkpoint import CheckpointFormatError, load_params, save_params, write_lines
+from .checkpoint import CheckpointFormatError, entry, load_params, save_params, write_lines
 from .config import ExperimentConfig
 from .evaluation import (
     bench_authentication,
@@ -54,23 +53,17 @@ from .nnd import (
     train_loop,
 )
 
-# each stage's record, the file it writes last, and the command that runs it
-STAGES = {
-    "data": ("data.ckpt", "generate-data"),
-    "mdh": ("mdh.ckpt", "train-mdh"),
-    "ground_truth": ("ground_truth.ckpt", "ground-truth"),
-    "nnd": ("nnd_finetuned.ckpt", "train-nnd"),
-    "joint": ("mdhnd.ckpt", "joint-optimize"),
-}
-# the command that rewrites each record; the pretrained decoder is no stage's record
-_WRITER = dict(STAGES.values()) | {"data.ckpt": "generate-data --overwrite",
-                                   "nnd_pretrained.ckpt": "train-nnd"}
+# each record's kind, in stage order, and the command that writes ``<kind>.ckpt``
+_WRITERS = {"data": "generate-data", "mdh": "train-mdh", "ground_truth": "ground-truth",
+            "nnd_pretrained": "train-nnd", "nnd_finetuned": "train-nnd",
+            "mdhnd": "joint-optimize"}
 VARIANTS = ("mdh", "ext", "nnd", "mdhnd")
+# the records a variant waits for; a missing nnd_pretrained is refused on reading
 _VARIANT_NEEDS = {
     "mdh": ("data", "mdh"),
     "ext": ("data", "mdh"),
-    "nnd": ("data", "mdh", "ground_truth", "nnd"),
-    "mdhnd": ("data", "mdh", "ground_truth", "nnd", "joint"),
+    "nnd": ("data", "mdh", "ground_truth", "nnd_finetuned"),
+    "mdhnd": ("data", "mdh", "ground_truth", "nnd_finetuned", "mdhnd"),
 }
 
 
@@ -89,12 +82,11 @@ def stage_seed(cfg: ExperimentConfig, name):
 # run-directory records
 # ---------------------------------------------------------------------------
 
-def _require(run_dir, *stages):
-    """Refuse, in stage order, a stage whose record is missing from the run directory."""
-    for stage in stages:
-        record, command = STAGES[stage]
-        if not os.path.exists(os.path.join(run_dir, record)):
-            raise PipelineError(f"stage '{stage}' has not run: no {record}; run '{command}' first")
+def _require(run_dir, *kinds):
+    """Refuse, in stage order, the first record of ``kinds`` missing from the run directory."""
+    for kind in kinds:
+        if not os.path.exists(os.path.join(run_dir, f"{kind}.ckpt")):
+            raise PipelineError(f"no {kind}.ckpt in {run_dir}; run '{_WRITERS[kind]}' first")
 
 
 def _log_event(run_dir, text):
@@ -103,26 +95,30 @@ def _log_event(run_dir, text):
 
 
 def _remedy(path):
-    return f"run '{_WRITER.get(os.path.basename(path), 'run-all')}' to rebuild it"
+    kind = os.path.basename(path).removesuffix(".ckpt")
+    command = _WRITERS.get(kind, "run-all") + (" --overwrite" if kind == "data" else "")
+    return f"run '{command}' to rebuild it"
 
 
-def _read_record(cfg, path, load):
-    """``load(path)``'s (record, meta), refused unless the file is whole and
-    names this config's fingerprint; the refusal names the command that
-    rewrites it."""
+def _read_record(cfg, path, load, decode=lambda record, meta: record):
+    """``load(path)``'s (record, meta), the record passed through ``decode``;
+    refused unless the file is whole, names this config's fingerprint and
+    decodes. The refusal names the command that rewrites the file."""
     try:
         record, meta = load(path)
+        if meta.get("fingerprint") == cfg.fingerprint():
+            return decode(record, meta), meta
     except (OSError, CheckpointFormatError) as exc:
         raise PipelineError(f"unreadable record: {exc}; {_remedy(path)}") from None
-    if meta.get("fingerprint") != cfg.fingerprint():
-        raise PipelineError(f"{path} was not written under this config (fingerprint "
-                            f"{cfg.fingerprint()}); {_remedy(path)}")
-    return record, meta
+    raise PipelineError(f"{path} was not written under this config (fingerprint "
+                        f"{cfg.fingerprint()}); {_remedy(path)}")
 
 
 def _load_splits(cfg, run_dir):
     """The three data splits of this config, by name."""
-    splits, _ = _read_record(cfg, os.path.join(run_dir, "data.ckpt"), load_dataset)
+    path = os.path.join(run_dir, "data.ckpt")
+    splits, _ = _read_record(cfg, path, load_dataset, lambda splits, meta: {
+        name: entry(splits, name, path) for name in ("train", "nnd", "test")})
     verify_disjoint(list(splits.values()))
     return splits
 
@@ -131,61 +127,57 @@ def _load_splits(cfg, run_dir):
 # model checkpoints
 # ---------------------------------------------------------------------------
 
-def _by_prefix(mdh, nnd):
-    """Models keyed by parameter-name prefix; only a two-model file prefixes."""
-    if mdh is not None and nnd is not None:
-        return {"mdh/": mdh, "nnd/": nnd}
-    return {"": mdh if nnd is None else nnd}
-
-
 def _mdh_model(cfg: ExperimentConfig, code, seed=0):
     """The hashing network the config describes, for the code's length."""
     return MdhModel(cfg.fusion_mode, cfg.face_dim, cfg.iris_dim, cfg.train_subjects, code.n,
                     cfg.feature_dim, cfg.fusion_dim, cfg.encoder_hidden, seed=seed)
 
 
+def _tensors(mdh, nnd):
+    """Every parameter of the models (``None`` for none) by its checkpoint
+    name, prefixed with ``mdh/`` and ``nnd/`` only when there are both."""
+    both = mdh is not None and nnd is not None
+    by_prefix = {"mdh/": mdh, "nnd/": nnd} if both else {"": nnd if mdh is None else mdh}
+    return {prefix + name: tensor for prefix, model in by_prefix.items()
+            for name, tensor in model.parameters().items()}
+
+
 def save_models(path, cfg: ExperimentConfig, kind, mdh=None, nnd=None):
     """Write the hashing network and/or the decoder to one checkpoint.
 
-    The metadata names the config's fingerprint and the models the file
-    holds, plus the MDH's ``beta`` and head; the config supplies the rest.
-    Parameter names carry ``mdh/`` and ``nnd/`` prefixes only when the file
-    holds both models.
+    The metadata names the kind, the config's fingerprint and, with an MDH,
+    its ``beta``; the config and the kind supply the rest. Parameter names
+    carry ``mdh/`` and ``nnd/`` prefixes only when the file holds both models.
     """
-    meta = {
-        "kind": kind,
-        "fingerprint": cfg.fingerprint(),
-        "models": [name for name, model in (("mdh", mdh), ("nnd", nnd)) if model is not None],
-    }
+    meta = {"kind": kind, "fingerprint": cfg.fingerprint()}
     if mdh is not None:
-        meta.update({"beta": mdh.hashing.beta, "has_head": mdh.has_head})
-    params = {prefix + name: tensor for prefix, model in _by_prefix(mdh, nnd).items()
-              for name, tensor in model.parameters().items()}
-    save_params(path, params, meta)
+        meta["beta"] = mdh.hashing.beta
+    save_params(path, _tensors(mdh, nnd), meta)
 
 
-def load_models(path, cfg: ExperimentConfig, code, needs=()):
-    """The (mdh, nnd) pair a checkpoint of this config holds, ``None`` for a
-    model it lacks; a file that lacks a model named in ``needs`` is refused."""
-    params, meta = _read_record(cfg, path, load_params)
-    models = meta.get("models") or []
-    for name in needs:
-        if name not in models:
-            raise PipelineError(f"checkpoint {path} holds no '{name}' model; {_remedy(path)}")
-    mdh = nnd = None
-    if "mdh" in models:
-        mdh = _mdh_model(cfg, code)
-        mdh.hashing.beta = meta["beta"]
-        if not meta["has_head"]:
+def load_models(path, cfg: ExperimentConfig, code):
+    """The (mdh, nnd) pair a ``<kind>.ckpt`` of this config holds, ``None`` for
+    a model its kind lacks: ``mdh`` the MDH with its head, ``nnd_*`` the NND,
+    ``mdhnd`` both, the MDH headless. Other parameter names or shapes are refused."""
+    kind = os.path.basename(path).removesuffix(".ckpt")
+
+    def decode(params, meta):
+        mdh = _mdh_model(cfg, code) if kind in ("mdh", "mdhnd") else None
+        nnd = NndModel(code, cfg.nnd_iterations) if kind != "mdh" else None
+        if kind == "mdhnd":
             mdh.discard_head()
-    if "nnd" in models:
-        nnd = NndModel(code, cfg.nnd_iterations)
-    if mdh is None and nnd is None:
-        raise PipelineError(f"checkpoint {path} holds neither a hashing network nor a decoder")
-    for prefix, model in _by_prefix(mdh, nnd).items():
-        for name, tensor in model.parameters().items():
-            tensor.data = params[prefix + name].copy()
-    return mdh, nnd
+        tensors = _tensors(mdh, nnd)
+        if ({name: arr.shape for name, arr in params.items()}
+                != {name: tensor.data.shape for name, tensor in tensors.items()}):
+            raise CheckpointFormatError(f"{path}: its parameters are not a {kind!r} record's")
+        for name, tensor in tensors.items():
+            tensor.data = params[name]
+        if mdh is not None:
+            mdh.hashing.beta = entry(meta, "beta", path)
+        return mdh, nnd
+
+    models, _ = _read_record(cfg, path, lambda p: load_params(p, kind), decode)
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +222,7 @@ def stage_ground_truth(cfg: ExperimentConfig, run_dir):
     _require(run_dir, "mdh")
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
-    model, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code, ("mdh",))
+    model, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
     nnd_split = splits["nnd"]
     acts = _activations(model, nnd_split)
     by_subject = {int(s): acts[nnd_split.subject == s] for s in nnd_split.subject_ids}
@@ -258,7 +250,7 @@ def stage_train_nnd(cfg: ExperimentConfig, run_dir):
     splits = _load_splits(cfg, run_dir)
     table = _load_ground_truth(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
-    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code, ("mdh",))
+    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
 
     model = NndModel(code, cfg.nnd_iterations)
     model, curve = pretrain_awgn(model, cfg, stage_seed(cfg, "nnd_pre"))
@@ -296,13 +288,13 @@ def _composed_loss(mdh, nndm, scale):
 
 
 def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
-    _require(run_dir, "mdh", "ground_truth", "nnd")
+    _require(run_dir, "mdh", "ground_truth", "nnd_finetuned")
     splits = _load_splits(cfg, run_dir)
     table = _load_ground_truth(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
-    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code, ("mdh",))
+    mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
     mdh.discard_head()
-    _, nndm = load_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, code, ("nnd",))
+    _, nndm = load_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, code)
 
     enroll, probe = (splits["nnd"].by_role(role) for role in ("enroll", "probe"))
     train_mask, tr_y = _labeled_samples(enroll, table)
@@ -314,11 +306,7 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
     if not val_mask.any():
         val_batch = ((tr_face, tr_iris), tr_y)
 
-    params = {}
-    if not cfg.joint_freeze_mdh:
-        params.update({f"mdh/{k}": v for k, v in mdh.parameters().items()})
-    if not cfg.joint_freeze_nnd:
-        params.update({f"nnd/{k}": v for k, v in nndm.parameters().items()})
+    params = _tensors(None if cfg.joint_freeze_mdh else mdh, None if cfg.joint_freeze_nnd else nndm)
     loss = _composed_loss(mdh, nndm, cfg.llr_scale)
 
     def batch_from(rng):
@@ -359,10 +347,9 @@ def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):
     _require_variant(run_dir, variant)
     code = build_code(cfg.code_m, cfg.code_t)
     ckpt = "mdhnd.ckpt" if variant == "mdhnd" else "mdh.ckpt"
-    mdh, nndm = load_models(os.path.join(run_dir, ckpt), cfg, code,
-                            ("mdh", "nnd") if variant == "mdhnd" else ("mdh",))
+    mdh, nndm = load_models(os.path.join(run_dir, ckpt), cfg, code)
     if variant == "nnd":
-        _, nndm = load_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, code, ("nnd",))
+        _, nndm = load_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, code)
     if variant in ("nnd", "mdhnd"):
         return _decoded_codes(cfg, mdh, nndm, split)
     codes = hard_limit(_activations(mdh, split))
@@ -440,7 +427,7 @@ def stage_bench(cfg: ExperimentConfig, run_dir, repetitions=200):
     _require(run_dir, *_VARIANT_NEEDS["mdhnd"])
     splits = _load_splits(cfg, run_dir)
     code = build_code(cfg.code_m, cfg.code_t)
-    mdh, nndm = load_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, code, ("mdh", "nnd"))
+    mdh, nndm = load_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, code)
     split = splits["test"]
     codes = _decoded_codes(cfg, mdh, nndm, split)
     templates, ids = enrollment_templates(codes, split.subject, split.role)

@@ -65,7 +65,23 @@ def test_corrupted_metadata_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointFormatError, match="metadata"):
         load_params(path)
+    # valid JSON that is not an object, behind a valid checksum
+    save_params(path, {"p": np.arange(4.0)}, ["kind", "test"])
+    with pytest.raises(CheckpointFormatError, match="metadata"):
+        load_params(path, "test")
 
+
+def test_other_kind_rejected(tmp_path):
+    # a reader that names a kind refuses a file whose metadata names another,
+    # or none; a reader that names none reads any kind
+    path = tmp_path / "k.ckpt"
+    save_params(path, {"p": np.arange(4.0)}, {"kind": "test"})
+    assert load_params(path, "test")[1] == load_params(path)[1] == {"kind": "test"}
+    with pytest.raises(CheckpointFormatError, match="a 'test' record, not a 'data' one"):
+        load_params(path, "data")
+    save_params(path, {"p": np.arange(4.0)})
+    with pytest.raises(CheckpointFormatError, match="a None record, not a 'test' one"):
+        load_params(path, "test")
 
 
 def test_edited_metadata_rejected(tmp_path):

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from hashdec.checkpoint import load_params, save_params
 from hashdec.cli import main
 from hashdec.config import ExperimentConfig
 from hashdec.nnd import GroundTruthTable
@@ -98,6 +99,14 @@ def test_bad_config_is_categorised(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2, case
         assert err.startswith("error[config]:") and all(name in err for name in case), err
+        assert not (tmp_path / "r").exists()
+    # valid JSON that is not an object is refused by the type it is
+    for blob, name in (([], "list"), (5, "int"), (None, "NoneType"), ("x", "str")):
+        bad.write_text(json.dumps(blob))
+        rc = main(["generate-data", "--config", str(bad), "--run-dir", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2, blob
+        assert err.startswith("error[config]:") and f"not a {name!r} value" in err, err
         assert not (tmp_path / "r").exists()
 
 
@@ -224,26 +233,55 @@ def records_run(tmp_path_factory):
     return cfg, run / "run"
 
 
-@pytest.mark.parametrize("record, command, writer", [
+_READERS = [
     ("ground_truth.ckpt", "train-nnd", "ground-truth"),
     ("data.ckpt", "train-nnd", "generate-data"),
     ("data.ckpt", "ground-truth", "generate-data"),
     ("mdh.ckpt", "evaluate --variant mdh", "train-mdh"),
     ("nnd_finetuned.ckpt", "joint-optimize", "train-nnd"),
+]
+# a record of the right kind that lacks one entry: a parameter, or a meta key
+_MISSING = {"data.ckpt": "test/iris", "ground_truth.ckpt": "n", "mdh.ckpt": "beta"}
+
+
+def _damage(run, path, damage):
+    """Spoil the record at ``path`` in the way ``damage`` names."""
+    if damage == "flipped byte":
+        flip_byte(path)
+    elif damage == "another kind":
+        shutil.copy(run / ("nnd_pretrained.ckpt" if path.name == "mdh.ckpt" else "mdh.ckpt"), path)
+    elif damage == "the other decoder":
+        pretrained = path.name == "nnd_pretrained.ckpt"
+        shutil.copy(run / ("nnd_finetuned.ckpt" if pretrained else "nnd_pretrained.ckpt"), path)
+    else:  # re-saved with its kind, its fingerprint and a valid checksum
+        params, meta = load_params(path)
+        if damage == "wrong shape":
+            params["hash/w"] = params["hash/w"][:, :3]
+        elif _MISSING[path.name] in params:
+            del params[_MISSING[path.name]]
+        else:
+            del meta[_MISSING[path.name]]
+        save_params(path, params, meta)
+
+
+@pytest.mark.parametrize("damage, record, command, writer", [
+    *((damage, *reader) for damage in ("flipped byte", "another kind") for reader in _READERS),
+    ("missing entry", "data.ckpt", "evaluate --variant mdh", "generate-data"),
+    ("missing entry", "ground_truth.ckpt", "train-nnd", "ground-truth"),
+    ("missing entry", "mdh.ckpt", "evaluate --variant mdh", "train-mdh"),
+    ("the other decoder", "nnd_finetuned.ckpt", "joint-optimize", "train-nnd"),
+    ("the other decoder", "nnd_pretrained.ckpt", "evaluate --variant nnd", "train-nnd"),
+    ("wrong shape", "mdh.ckpt", "evaluate --variant mdh", "train-mdh"),
 ])
-@pytest.mark.parametrize("damage", ["flipped byte", "another kind"])
-def test_damaged_record_is_refused(records_run, capsys, record, command, writer, damage):
-    """One flipped payload byte, or a whole record of another kind in its
-    place (a model checkpoint that lacks the model the stage reads), is
+def test_damaged_record_is_refused(records_run, capsys, damage, record, command, writer):
+    """One flipped payload byte, a record of another kind in its place, one
+    that lacks an entry, or one whose parameters are not its kind's is
     refused before a stage uses it, naming the file and the command that
     rewrites it."""
     cfg, run = records_run
     path = run / record
     clean = path.read_bytes()
-    if damage == "flipped byte":
-        flip_byte(path)
-    else:
-        shutil.copy(run / ("nnd_pretrained.ckpt" if record == "mdh.ckpt" else "mdh.ckpt"), path)
+    _damage(run, path, damage)
     capsys.readouterr()
     try:
         assert main([*command.split(), "--config", cfg, "--run-dir", str(run)]) == 3
@@ -252,6 +290,10 @@ def test_damaged_record_is_refused(records_run, capsys, record, command, writer,
     err = capsys.readouterr().err
     assert err.startswith("error[pipeline]:") and str(path) in err, err
     assert f"run '{writer}" in err, err
+    reason = {"missing entry": f"no entry {_MISSING.get(record)!r}",
+              "the other decoder": f"not a '{path.stem}' one",
+              "wrong shape": f"not a '{path.stem}' record's"}
+    assert reason.get(damage, "") in err, err
 
 
 def test_overwrite_flag_via_cli(tmp_path, cfg_file, capsys):

@@ -152,19 +152,8 @@ def test_checkpoint_code_mismatch_refused(finished_run):
 
 
 def test_records_of_the_earlier_format_refused(finished_run, tmp_path):
-    # a checkpoint that lists no models, data that name no config
+    # data that name no config
     cfg, run_dir, _ = finished_run
-    params, meta = load_params(os.path.join(run_dir, "mdh.ckpt"))
-    path = str(tmp_path / "mdh.ckpt")
-    save_params(path, params, {
-        "kind": "mdh", "fingerprint": cfg.fingerprint(), "code_m": cfg.code_m,
-        "code_t": cfg.code_t, "fusion_mode": cfg.fusion_mode, "face_dim": cfg.face_dim,
-        "iris_dim": cfg.iris_dim, "num_classes": cfg.train_subjects, "code_bits": 15,
-        "feature_dim": cfg.feature_dim, "fusion_dim": cfg.fusion_dim,
-        "encoder_hidden": list(cfg.encoder_hidden), "beta": meta["beta"], "has_head": True,
-    })
-    with pytest.raises(PipelineError, match=re.escape(path)):
-        load_models(path, cfg, build_code(cfg.code_m, cfg.code_t))
     splits, _ = load_dataset(os.path.join(run_dir, "data.ckpt"))
     data = str(tmp_path / "data.ckpt")
     save_dataset(splits.values(), data, {"seed": stage_seed(cfg, "data")})
@@ -197,11 +186,10 @@ def test_checkpoint_round_trip(tmp_path, kind, with_mdh, with_nnd, has_head):
             tensor.data = rng.standard_normal(tensor.data.shape)
     path = str(tmp_path / f"{kind}.ckpt")
     save_models(path, cfg, kind, mdh=mdh, nnd=nnd)
-    # the file names its config and its models; the config gives the rest
+    # the file names its kind and its config; the two give the rest
     meta = load_params(path)[1]
     assert meta == {"kind": kind, "fingerprint": cfg.fingerprint(),
-                    "models": [name for name, m in (("mdh", mdh), ("nnd", nnd)) if m is not None],
-                    **({"beta": 16.0, "has_head": has_head} if with_mdh else {})}
+                    **({"beta": 16.0} if with_mdh else {})}
     mdh_back, nnd_back = load_models(path, cfg, code)
     assert (mdh_back is None) == (mdh is None) and (nnd_back is None) == (nnd is None)
     for model, back in zip(models, [m for m in (mdh_back, nnd_back) if m is not None]):
@@ -236,12 +224,20 @@ def test_checkpoint_names_and_bytes_survive_a_resave(finished_run, tmp_path):
 
 
 def test_checkpoint_without_a_model_refused(tmp_path):
+    # a file of the right kind whose parameters are not exactly its kind's
+    # models': none, another model's, or the MDH with its head beside the NND
     cfg = tiny_config()
-    path = str(tmp_path / "empty.ckpt")
-    for models in ([], ["head"]):
-        save_params(path, {}, {"kind": "mdh", "fingerprint": cfg.fingerprint(), "models": models})
-        with pytest.raises(PipelineError, match=re.escape(path) + " holds neither"):
-            load_models(path, cfg, build_code(cfg.code_m, cfg.code_t))
+    code = build_code(cfg.code_m, cfg.code_t)
+    mdh = pipeline._mdh_model(cfg, code)
+    nnd = NndModel(code, cfg.nnd_iterations)
+    joint = {**{f"mdh/{k}": v for k, v in mdh.parameters().items()},
+             **{f"nnd/{k}": v for k, v in nnd.parameters().items()}}
+    for kind, params in (("mdh", {}), ("mdh", nnd.parameters()),
+                         ("nnd_finetuned", mdh.parameters()), ("mdhnd", joint)):
+        path = str(tmp_path / f"{kind}.ckpt")
+        save_params(path, params, {"kind": kind, "fingerprint": cfg.fingerprint(), "beta": 1.0})
+        with pytest.raises(PipelineError, match=re.escape(path) + f".* not a '{kind}' record's"):
+            load_models(path, cfg, code)
 
 
 def test_run_all_artifacts(finished_run):
@@ -434,9 +430,9 @@ def test_bench_report(finished_run, monkeypatch):
     cfg, run_dir, _ = finished_run
     read = []
 
-    def counting_load(path):
+    def counting_load(path, kind=None):
         read.append(os.path.basename(path))
-        return load_params(path)
+        return load_params(path, kind)
 
     monkeypatch.setattr(pipeline, "load_params", counting_load)
     stats = stage_bench(cfg, run_dir, repetitions=20)
@@ -449,6 +445,28 @@ def test_bench_report(finished_run, monkeypatch):
     steps = [report[f"{k}_median_ms"] for k in ("mdh_forward", "nnd_decode", "hamming")]
     assert all(t > 0 for t in steps)
     assert report["latency_median_ms"] / 4 < sum(steps) < 4 * report["latency_median_ms"]
+
+
+def test_enrollment_templates():
+    # subjects 9 and 4, listed out of order; each has one probe row that
+    # would flip every bit of its template if it were counted
+    codes = np.array([
+        [1, 1, 0, 0],  # 9 enroll
+        [1, 0, 1, 0],  # 9 enroll
+        [0, 0, 0, 1],  # 9 enroll
+        [0, 1, 1, 1],  # 9 probe
+        [1, 1, 0, 0],  # 4 enroll
+        [0, 1, 0, 1],  # 4 enroll: two rows, so a split column is a tie
+        [0, 0, 1, 1],  # 4 probe
+        [0, 0, 1, 1],  # 4 probe
+    ], dtype=np.uint8)
+    subjects = np.array([9, 9, 9, 9, 4, 4, 4, 4])
+    roles = np.array(["enroll"] * 3 + ["probe"] + ["enroll"] * 2 + ["probe"] * 2)
+    templates, ids = pipeline.enrollment_templates(codes, subjects, roles)
+    assert ids.tolist() == [4, 9]
+    assert templates.dtype == np.uint8
+    # subject 4: columns 0 and 3 tie 1-1 and go to 1
+    assert templates.tolist() == [[1, 1, 0, 1], [1, 0, 0, 0]]
 
 
 def test_message_level_scoring(tmp_path):
