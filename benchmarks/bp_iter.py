@@ -15,12 +15,13 @@ seeded AWGN words around the all-zeros codeword and times two operations:
 
 Each sample repeats the operation until 50 ms have passed and keeps the mean
 per call. A point reports the minimum and quartiles of ``REPEATS`` samples,
-whole and divided by the decoder's iterations, the child's peak RSS, the
-frame error rate of the decoded words, and sha256 digests of the decoded bits
-and of the weight gradients, which match across commits that change no arithmetic. The
-record goes to ``BENCH_<date>_bp_iter_<label>.json`` at the repository root;
-the label is the short git sha, with ``-modified`` when ``src/`` differs
-from that commit.
+whole and divided by the decoder's iterations, the minor page faults per call
+over the timed samples (a freed and re-faulted heap shows here), the child's
+peak RSS, the frame error rate of the decoded words, and sha256 digests of
+the decoded bits and of the weight gradients, which match across commits
+that change no arithmetic. The record goes to
+``BENCH_<date>_bp_iter_<label>.json`` at the repository root; the label is
+the short git sha, with ``-modified`` when ``src/`` differs from that commit.
 """
 
 from __future__ import annotations
@@ -61,19 +62,25 @@ def _spread(values):
     return {"min": float(min(values)), "q1": float(q1), "median": float(median), "q3": float(q3)}
 
 
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _sample_ms(op):
-    """``REPEATS`` samples of the mean milliseconds per call of ``op``."""
+    """``REPEATS`` samples of the mean milliseconds per call of ``op``, and the
+    minor page faults per call over those samples."""
     op()  # warm-up
     t0 = time.perf_counter()
     op()
     calls = max(1, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-9)))
     samples = []
+    faults = _minflt()
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(calls):
             op()
         samples.append(1e3 * (time.perf_counter() - t0) / calls)
-    return samples
+    return samples, (_minflt() - faults) / (REPEATS * calls)
 
 
 def measure_point(n, batch):
@@ -107,9 +114,11 @@ def measure_point(n, batch):
               "bits_sha256": hashlib.sha256(bits.tobytes()).hexdigest(),
               "grads_sha256": grads.hexdigest()}
     for name, op in (("forward", lambda: model.decode(llr)), ("forward_backward", forward_backward)):
-        spread = _spread(_sample_ms(op))
+        samples, faults = _sample_ms(op)
+        spread = _spread(samples)
         record[f"{name}_ms"] = spread
         record[f"{name}_per_iter_ms"] = {k: v / ITERATIONS for k, v in spread.items()}
+        record[f"{name}_minflt_per_call"] = faults
     record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return record
 
@@ -133,7 +142,9 @@ def main(argv=None):
             print(f"n={n:3d} B={batch:3d} ms/iter (min, median): "
                   f"forward {p['forward_per_iter_ms']['min']:.3f}, {p['forward_per_iter_ms']['median']:.3f}; "
                   f"forward+backward {p['forward_backward_per_iter_ms']['min']:.3f}, "
-                  f"{p['forward_backward_per_iter_ms']['median']:.3f}", file=sys.stderr)
+                  f"{p['forward_backward_per_iter_ms']['median']:.3f}; minor faults/call: "
+                  f"{p['forward_minflt_per_call']:.0f}, {p['forward_backward_minflt_per_call']:.0f}",
+                  file=sys.stderr)
     sha = _git("rev-parse", "HEAD")
     modified = bool(_git("status", "--porcelain", "--", "src"))
     record = {

@@ -223,9 +223,11 @@ def dense(x, w, b, beta=None):
         raise ValueError(f"tanh bandwidth must be positive, got {beta}")
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {x.data.shape} x {w.data.shape}")
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    out += b.data
     if beta is not None:
-        out = np.tanh(beta * out)
+        out *= beta
+        np.tanh(out, out=out)
 
     def backward(g):
         if beta is not None:
@@ -348,14 +350,14 @@ def take(a, indices):
     """Gather rows along axis 0; duplicate indices accumulate in the backward."""
     indices = np.asarray(indices)
     rows = a.data.shape[0]
-    return make_op(a.data[indices], (a,), lambda g: (scatter_add(indices, g, rows),))
+    return make_op(a.data.take(indices, axis=0), (a,), lambda g: (scatter_add(indices, g, rows),))
 
 
 def segment_sum(a, segment_ids, num_segments):
     """Sum rows of ``a`` into ``num_segments`` buckets along axis 0."""
     segment_ids = np.asarray(segment_ids)
     out = scatter_add(segment_ids, a.data, num_segments)
-    return make_op(out, (a,), lambda g: (g[segment_ids],))
+    return make_op(out, (a,), lambda g: (g.take(segment_ids, axis=0),))
 
 
 def outer_product(a, b):

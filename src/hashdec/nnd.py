@@ -109,8 +109,9 @@ class NndModel:
         """
         llr = np.atleast_2d(np.asarray(llr_batch, dtype=np.float64))
         with ad.no_grad():
-            return np.concatenate([hard_decision(self.posterior(llr[i : i + DECODE_CHUNK]).data)
-                                   for i in range(0, max(len(llr), 1), DECODE_CHUNK)])
+            chunks = [hard_decision(self.posterior(llr[i : i + DECODE_CHUNK]).data)
+                      for i in range(0, max(len(llr), 1), DECODE_CHUNK)]
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def train_loop(params, loss, sample_batch, val_batch, steps, step_size, val_every):

@@ -20,11 +20,18 @@ Its backward applies the chain-rule factors of the chain of up to thirteen
 single-op primitives it replaces, one IEEE step each on the same operands in
 the same order, and a clamp passes the gradient exactly where its output lies
 strictly inside the bounds, so outputs and gradients are bitwise the chain's.
+The posterior, ``_marginalize``, is one primitive in the same way.
 
-Conventions: positive LLR means bit 0 is more likely; channel LLRs are
-clamped to +/-30 on entry, check messages to +/-30 after the atanh, and the
-product fed to atanh to +/-(1 - 1e-12). Clamps call ``ndarray.clip``, which is
-``np.clip`` bit for bit without its Python wrapper.
+Gathers by an edge or slot index call ``ndarray.take`` along axis 0, the same
+copy as fancy indexing at less dispatch cost. Steps work in place on
+temporaries their primitive made and finish them before it returns: no write
+reaches an array that a backward closure reads later.
+
+Conventions: positive LLR means bit 0 is more likely; channel LLRs and
+variable-to-check messages are clamped to +/-30, and the product fed to atanh
+to +/-(1 - 1e-12). Check messages need no clamp: that product bound keeps
+2 atanh under 2 atanh(1 - 1e-12) = 28.3 < 30. Clamps call ``ndarray.clip``,
+which is ``np.clip`` bit for bit without its Python wrapper.
 """
 
 from __future__ import annotations
@@ -77,6 +84,10 @@ class TannerGraph:
         first = np.cumsum(degrees) - degrees  # each check's first edge
         slot = np.arange(self.num_edges) - first[self.edge_check]
         self.edge_slot_flat = slot * self.r + self.edge_check
+        # the inverse map: each flat slot's edge, or num_edges for a padding
+        # slot, which gathers the layout from the edges plus one row of ones
+        self.slot_edge = np.full(self.max_check_degree * self.r, self.num_edges)
+        self.slot_edge[self.edge_slot_flat] = np.arange(self.num_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +106,10 @@ def _loo(graph, t):
     """
     d = graph.max_check_degree
     flat_shape = (d * graph.r,) + t.shape[1:]
-    dense = np.ones(flat_shape)
-    dense[graph.edge_slot_flat] = t
+    dense = np.concatenate((t, np.full((1,) + t.shape[1:], 1.0))).take(graph.slot_edge, axis=0)
     dense = dense.reshape((d, graph.r) + t.shape[1:])
-    left = np.ones_like(dense)
-    right = np.ones_like(dense)
+    left, right = np.empty_like(dense), np.empty_like(dense)
+    left[0] = right[-1] = 1.0
     if dense[0].size < SCAN_LANES:
         np.multiply.accumulate(dense[:-1], axis=0, out=left[1:])  # np.cumprod, unwrapped
         np.multiply.accumulate(dense[:0:-1], axis=0, out=right[-2::-1])
@@ -107,7 +117,7 @@ def _loo(graph, t):
         for j in range(1, d):
             np.multiply(left[j - 1], dense[j - 1], out=left[j])
             np.multiply(right[-j], dense[-j], out=right[-j - 1])
-    edges = lambda x: x.reshape(flat_shape)[graph.edge_slot_flat]
+    edges = lambda x: x.reshape(flat_shape).take(graph.edge_slot_flat, axis=0)
 
     def vjp(g):
         g_left = np.zeros_like(dense)
@@ -154,35 +164,56 @@ def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
     wllr = llr.data if w_ch is None else w_ch.data * llr.data
     if c_msgs is None:
         inputs = (llr, w_ch)
-        v = wllr[ev].clip(-LLR_CLAMP, LLR_CLAMP)
+        v = wllr.take(ev, axis=0)
     else:
         inputs = (llr, w_ch, c_msgs, w_edge)
         wc = c_msgs.data if w_edge is None else w_edge.data * c_msgs.data
-        v = ((wllr + ad.scatter_add(ev, wc, graph.n))[ev] - wc).clip(-LLR_CLAMP, LLR_CLAMP)
-    t = np.tanh(0.5 * v)
+        v = (wllr + ad.scatter_add(ev, wc, graph.n)).take(ev, axis=0)
+        v -= wc
+    v.clip(-LLR_CLAMP, LLR_CLAMP, out=v)
+    t = 0.5 * v
+    np.tanh(t, out=t)
     prod, loo_vjp = _loo(graph, t)
-    prod = prod.clip(-ATANH_CLAMP, ATANH_CLAMP)
-    out = (2.0 * np.arctanh(prod)).clip(-LLR_CLAMP, LLR_CLAMP)
+    prod.clip(-ATANH_CLAMP, ATANH_CLAMP, out=prod)
+    out = np.arctanh(prod)
+    out *= 2.0
 
     def backward(g):
-        # the per-op chain's factors in its order: clamp, 2x, atanh, clamp,
-        # product, tanh(x/2), clamp, then the gather and the weights
-        g = g * (np.abs(out) < LLR_CLAMP) * 2.0 / (1.0 - prod * prod)
-        g = loo_vjp(g * (np.abs(prod) < ATANH_CLAMP)) * 0.5 * (1.0 - t * t)
-        g = g * (np.abs(v) < LLR_CLAMP)
-        g_wllr = ad.scatter_add(ev, g, graph.n)
+        # the per-op chain's factors in its order: 2x, atanh, clamp, product,
+        # tanh(x/2), clamp, then the gather and the weights
+        h = g * 2.0
+        h /= 1.0 - prod * prod
+        h *= np.abs(prod) < ATANH_CLAMP
+        h = loo_vjp(h)
+        h *= 0.5
+        h *= 1.0 - t * t
+        h *= np.abs(v) < LLR_CLAMP
+        g_wllr = ad.scatter_add(ev, h, graph.n)
         grads = _weighted_vjp(g_wllr, llr, w_ch)
         if c_msgs is not None:
-            grads += _weighted_vjp(g_wllr[ev] - g, c_msgs, w_edge)
+            g_wc = g_wllr.take(ev, axis=0)
+            g_wc -= h
+            grads += _weighted_vjp(g_wc, c_msgs, w_edge)
         return tuple(gr for gr, x in zip(grads, inputs) if x is not None)
 
     return make_op(out, tuple(x for x in inputs if x is not None), backward)
 
 
 def _marginalize(graph, c_msgs, llr, w_edge, w_ch):
-    wllr = llr if w_ch is None else ad.mul(w_ch, llr)
-    wc = c_msgs if w_edge is None else ad.mul(w_edge, c_msgs)
-    return ad.add(wllr, ad.segment_sum(wc, graph.edge_var, graph.n))
+    """The posterior: weighted channel LLR plus every weighted incoming check
+    message, as one primitive whose backward applies the per-op chain's
+    factors (``add``, ``segment_sum``, both ``mul``s) in that chain's order."""
+    ev = graph.edge_var
+    inputs = (llr, w_ch, c_msgs, w_edge)
+    wllr = llr.data if w_ch is None else w_ch.data * llr.data
+    wc = c_msgs.data if w_edge is None else w_edge.data * c_msgs.data
+
+    def backward(g):
+        grads = _weighted_vjp(g, llr, w_ch) + _weighted_vjp(g.take(ev, axis=0), c_msgs, w_edge)
+        return tuple(gr for gr, x in zip(grads, inputs) if x is not None)
+
+    return make_op(wllr + ad.scatter_add(ev, wc, graph.n),
+                   tuple(x for x in inputs if x is not None), backward)
 
 
 def bp_forward(graph, llr, iterations, edge_weights=None, channel_weights=None,

@@ -20,8 +20,11 @@ from hashdec.autodiff import (
     sigmoid,
     softmax_cross_entropy,
 )
+from hashdec.bch import build_code
 from hashdec.config import ExperimentConfig
-from hashdec.mdh import MdhModel
+from hashdec.mdh import MdhModel, one_hot, total_loss
+from hashdec.nnd import NndModel
+from hashdec.tanner import SCAN_LANES
 
 
 def test_matmul_identity():
@@ -360,6 +363,39 @@ def test_tape_backward_bitwise_deterministic():
     gx, gw = x.grad.copy(), w.grad.copy()
     tape.backward()
     assert np.array_equal(gx, x.grad) and np.array_equal(gw, w.grad)
+
+
+def _nnd_loss(batch):
+    model = NndModel(build_code(6, 3), iterations=5)
+    rng = np.random.default_rng(batch)
+    for t in model.parameters().values():
+        t.data = t.data * (1.0 + 0.05 * rng.standard_normal(t.data.shape))
+    llr = Tensor(rng.normal(0.0, 3.0, (batch, 63)), requires_grad=True)
+    targets = Tensor(rng.integers(0, 2, (batch, 63)).astype(np.float64))
+    return binary_cross_entropy(model.forward(llr), targets)
+
+
+def _mdh_loss():
+    model = MdhModel("bla", 24, 20, 10, 63, seed=3)
+    rng = np.random.default_rng(5)
+    acts, logits = model.forward(rng.standard_normal((32, 24)), rng.standard_normal((32, 20)))
+    labels = Tensor(one_hot(rng.integers(0, 10, 32), 10))
+    return total_loss(logits, acts, labels, model.weight_tensors(), ExperimentConfig())[0]
+
+
+@pytest.mark.parametrize("loss_of", [lambda: _nnd_loss(4), lambda: _nnd_loss(64), _mdh_loss],
+                         ids=["nnd-B4", "nnd-B64", "mdh"])
+def test_backward_writes_into_no_forward_array(loss_of):
+    # primitives compute in place; a write into an array a backward closure
+    # reads would show as a second pass's gradients differing from the first
+    assert 4 * 18 < SCAN_LANES <= 64 * 18  # BCH(63,45): both scan forms
+    tape = GradientTape(loss_of())
+    forward = [t.data.tobytes() for t in tape.order + tape.leaves]
+    tape.backward()
+    first = [t.grad.tobytes() for t in tape.leaves]
+    tape.backward()
+    assert [t.grad.tobytes() for t in tape.leaves] == first
+    assert [t.data.tobytes() for t in tape.order + tape.leaves] == forward
 
 
 def test_tape_on_a_leaf_result_gives_gradient_one():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,35 @@ def _jittered(model, rng):
     for t in model.parameters().values():
         t.data = t.data * (1.0 + 0.05 * rng.standard_normal(t.data.shape))
     return model
+
+
+# sha256 of the decoded bits and of the weight gradients of one forward and
+# backward pass, per batch size; any change to the decoder's arithmetic or
+# its order of operations moves them (x86-64, numpy 2.4)
+DECODER_GOLDEN_63 = {
+    1: ("bba606d6efb3f0a2b381bc2026056509d7549dd075dd9cb866ed93d3f30f931b",
+        "75e906f52e382c0936fc9e400f4ec971c6acc0610dfc619c5a548d4c1470b6c2"),
+    64: ("20e500d5e4b521e80c59a5504a5859c9139d92e2e620094bf8697ff3aa0c6bb5",
+         "8ff06dad82bf5526d9932c06fb504102fb524c5fd6f892da34803a6dedfd8e7e"),
+    512: ("83d66d2d8b0ea89c8bf7c5d4a4afd0c596573fd9b5959e9c78c27ae0e6c2f4ca",
+          "9a262a2c019d924527e1ece542291c9fbd8d0b381996ab016748ba56fade7350"),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 64, 512])
+def test_decoder_golden_digest(bch63, batch):
+    rng = np.random.default_rng(batch)
+    model = _jittered(NndModel(bch63, iterations=5), rng)
+    sigma = sigma_from_snr_db(3.0, bch63.k / bch63.n)
+    llr = awgn_llr(np.zeros((batch, bch63.n), dtype=np.uint8), sigma, rng)
+    bits = model.decode(llr)
+    targets = Tensor(np.zeros((batch, bch63.n)))
+    ad.GradientTape(ad.binary_cross_entropy(model.forward(llr), targets)).backward()
+    grads = hashlib.sha256()
+    for t in model.parameters().values():
+        grads.update(t.grad.tobytes())
+    digests = (hashlib.sha256(bits.tobytes()).hexdigest(), grads.hexdigest())
+    assert digests == DECODER_GOLDEN_63[batch]
 
 
 def test_decode_in_chunks_equals_row_by_row(bch63, monkeypatch):

@@ -231,10 +231,59 @@ def test_fused_round_is_bitwise_the_per_op_chain(h, later, weights, batch, case)
     v = _ref_var_to_check(graph, *plain).data
     prod = leave_one_out_prod(graph, Tensor(np.tanh(0.5 * v))).data
     if case == "clamps":
-        # the inputs reach the message clamp and the product clamp
+        # the inputs reach the message clamp and the product clamp, and the
+        # round sends the saturated check message, which the reference's
+        # final clamp passed unchanged
         assert np.any(np.abs(v) == LLR_CLAMP) and np.any(np.abs(prod) > ATANH_CLAMP)
+        assert np.any(np.abs(fused) == 2.0 * np.arctanh(ATANH_CLAMP))
     if case == "zeros":
         assert np.count_nonzero(v[graph.edge_check == 0] == 0.0) >= 2
+
+
+def test_check_message_clamp_cannot_bind():
+    # the largest check message is 2 atanh of the clamped product, so a clamp
+    # of check messages at +/-LLR_CLAMP would never act
+    assert 2.0 * np.arctanh(ATANH_CLAMP) < LLR_CLAMP
+
+
+def _ref_marginalize(graph, c_msgs, llr, w_edge, w_ch):
+    """Test-only reference: the posterior as single-op primitives."""
+    wllr = llr if w_ch is None else ad.mul(w_ch, llr)
+    wc = c_msgs if w_edge is None else ad.mul(w_edge, c_msgs)
+    return ad.add(wllr, ad.segment_sum(wc, graph.edge_var, graph.n))
+
+
+@pytest.mark.parametrize("batch", [1, 3, 160])
+@pytest.mark.parametrize("weights", ["none", "unit", "jittered"])
+def test_marginalization_is_bitwise_the_per_op_chain(weights, batch):
+    graph = TannerGraph(_UNEVEN_H)
+    rng = np.random.default_rng([batch, sum(map(ord, weights))])
+    llr, c_msgs, w_edge, w_ch = _round_inputs(graph, True, weights, batch, rng, "plain")
+    inputs = (c_msgs, llr, w_edge, w_ch)
+    coeffs = rng.standard_normal((graph.n, batch))
+    fused, fused_grads = _round_and_grads(tanner._marginalize, graph, inputs, coeffs)
+    for t in inputs:
+        if t is not None:
+            t.grad = None
+    ref, ref_grads = _round_and_grads(_ref_marginalize, graph, inputs, coeffs)
+    assert np.array_equal(fused, ref)
+    for name, a, b in zip(("c_msgs", "llr", "w_edge", "w_ch"), fused_grads, ref_grads):
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+
+
+def test_marginalization_is_one_node_of_the_posterior_tape():
+    graph = TannerGraph(_UNEVEN_H)
+    rng = np.random.default_rng(10)
+    llr = Tensor(rng.normal(0.0, 2.0, (graph.n, 2)), requires_grad=True)
+    w = [Tensor(np.ones(shape), requires_grad=True)
+         for shape in ((graph.num_edges, 1), (graph.n, 1), (graph.n, 1),
+                       (graph.num_edges, 1), (graph.n, 1))]
+    post = bp_forward(graph, llr, 2, [None, w[0]], w[1:3], w[3], w[4])
+    order = GradientTape(ad.tensor_sum(post)).order
+    # the sum, the posterior, two rounds and the channel clamp: the posterior
+    # takes the last round's messages directly
+    assert len(order) == 5 and order[1] is post and order[2] in post.node.inputs
 
 
 def test_unrolled_decoder_is_bitwise_the_per_op_chain(monkeypatch):
