@@ -44,7 +44,7 @@ for variant in order:
     m = results[("ident", variant)]
     print(f"  {label[variant]:30s} accuracy {m['identification_accuracy']:.4f}")
 
-stats = stage_bench(cfg, RUN_DIR, repetitions=100)
-print(f"\nper-authentication latency: mean {stats.mean_ms:.2f} ms, "
-      f"median {stats.median_ms:.2f} ms, p95 {stats.p95_ms:.2f} ms")
+report = stage_bench(cfg, RUN_DIR, repetitions=100)
+print(f"\nper-authentication latency: mean {report['latency_mean_ms']:.2f} ms, "
+      f"median {report['latency_median_ms']:.2f} ms, p95 {report['latency_p95_ms']:.2f} ms")
 print(f"artifacts (metrics, ROC tables, checkpoints, logs) under ./{RUN_DIR}/")

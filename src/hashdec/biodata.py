@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import entry, load_params, save_params
+from .checkpoint import CheckpointFormatError, entry, load_params, save_params
 
 
 @dataclass
@@ -44,6 +44,10 @@ class SplitSpec:
             if end > next_start:
                 raise ValueError(f"{name}: subject id ranges overlap: [{start},{end}) runs "
                                  f"into the next split's ids from {next_start}")
+
+    @property
+    def enroll_samples(self):  # per subject; the rest are probes
+        return int(np.ceil(self.enroll_fraction * self.samples_per_subject))
 
 
 @dataclass
@@ -125,7 +129,7 @@ def generate(spec: SplitSpec, distortion: DistortionModel, dims: DatasetDims, se
     splits = []
     for name, count, start, ss in zip(names, counts, spec.id_starts, seeds):
         rng = np.random.default_rng(ss)
-        n_enroll = int(np.ceil(spec.enroll_fraction * spec.samples_per_subject))
+        n_enroll = spec.enroll_samples
         subj_col, role_col, idx_col, face_col, iris_col = [], [], [], [], []
         for s in range(count):
             subject = start + s
@@ -170,13 +174,16 @@ def save_dataset(splits, path, meta):
 
 def load_dataset(path):
     """The splits a ``save_dataset`` file holds, by name, and its meta; any
-    other file, or one that lacks an entry, raises ``CheckpointFormatError``."""
+    other file, one that lacks an entry, or one whose split columns disagree
+    in length raises ``CheckpointFormatError``."""
     params, meta = load_params(path, "data")
     splits = {}
     for name in sorted({key.partition("/")[0] for key in params}):
         subject, probe, sample_index, face, iris = (
             entry(params, f"{name}/{key}", path)
             for key in ("subject", "probe", "sample_index", "face", "iris"))
+        if any(len(column) != len(subject) for column in (probe, sample_index, face, iris)):
+            raise CheckpointFormatError(f"{path}: the columns of split {name!r} disagree in length")
         splits[name] = DatasetSplit(name, subject, np.where(probe != 0, "probe", "enroll"),
                                     sample_index, face, iris)
     return splits, meta

@@ -84,11 +84,9 @@ def main(argv=None):
                 for key in sorted(metrics):
                     print(f"{key} {metrics[key]}")
         elif args.command == "bench":
-            stats = pipeline.stage_bench(cfg, args.run_dir, args.repetitions)
-            print(
-                f"latency mean {stats.mean_ms:.3f} ms, median {stats.median_ms:.3f} ms, "
-                f"p95 {stats.p95_ms:.3f} ms over {stats.repetitions} repetitions"
-            )
+            report = pipeline.stage_bench(cfg, args.run_dir, args.repetitions)
+            print("latency mean {latency_mean_ms:.3f} ms, median {latency_median_ms:.3f} ms, p95 "
+                  "{latency_p95_ms:.3f} ms over {latency_repetitions} repetitions".format(**report))
         elif args.command == "run-all":
             results = pipeline.run_all(cfg, args.run_dir, overwrite=args.overwrite)
             for (mode, variant), metrics in results.items():

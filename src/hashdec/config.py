@@ -151,10 +151,13 @@ class ExperimentConfig:
             raise ConfigError("joint_freeze_mdh and joint_freeze_nnd: joint optimisation "
                               "with every component frozen is vacuous")
         try:  # constructing these validates their invariants (ranges, overlap)
-            self.split_spec()
+            spec = self.split_spec()
             self.distortion()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if spec.enroll_samples >= self.samples_per_subject:
+            raise ConfigError(f"enroll_fraction and samples_per_subject: all {spec.enroll_samples} "
+                              f"samples of a subject enroll, leaving no probe sample")
 
     # -- component views -----------------------------------------------------
     def split_spec(self):

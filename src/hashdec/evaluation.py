@@ -154,24 +154,9 @@ def identification_accuracy(probe_codes, probe_subjects, enrolled_codes, enrolle
     return float(np.mean(predicted == probe_subjects))
 
 
-@dataclass
-class LatencyStats:
-    mean_ms: float
-    median_ms: float
-    p95_ms: float
-    repetitions: int
-
-    def as_dict(self):
-        return {
-            "latency_mean_ms": self.mean_ms,
-            "latency_median_ms": self.median_ms,
-            "latency_p95_ms": self.p95_ms,
-            "latency_repetitions": self.repetitions,
-        }
-
-
 def bench_authentication(authenticate, queries, repetitions):
-    """Wall-clock statistics for single end-to-end authentications.
+    """Wall-clock statistics for single end-to-end authentications, as the
+    ``latency_*`` report keys (milliseconds, and the repetition count).
 
     ``authenticate`` is a callable taking one element of ``queries``;
     repetitions cycle through the query list.
@@ -186,12 +171,8 @@ def bench_authentication(authenticate, queries, repetitions):
         t0 = time.perf_counter()
         authenticate(q)
         times[i] = (time.perf_counter() - t0) * 1e3
-    return LatencyStats(
-        float(times.mean()),
-        float(np.median(times)),
-        float(np.percentile(times, 95)),
-        repetitions,
-    )
+    return {"latency_mean_ms": float(times.mean()), "latency_median_ms": float(np.median(times)),
+            "latency_p95_ms": float(np.percentile(times, 95)), "latency_repetitions": repetitions}
 
 
 # ---------------------------------------------------------------------------

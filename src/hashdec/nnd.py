@@ -227,8 +227,9 @@ class GroundTruthTable:
 
     @classmethod
     def load(cls, path):
-        """The table a ``save`` file holds and its meta; any other file, or one
-        that lacks an entry, raises ``CheckpointFormatError``."""
+        """The table a ``save`` file holds and its meta; any other file, one
+        that lacks an entry, or one whose per-subject columns disagree in
+        length raises ``CheckpointFormatError``."""
         params, meta = load_params(path, "ground_truth")
         n = entry(meta, "n", path)
         label = entry(params, "label", path)
@@ -237,6 +238,9 @@ class GroundTruthTable:
         col = {key: entry(params, key, path).astype(np.int64).tolist()
                for key in ("subject", "failures", "totals", "labeled", "support", "excluded")}
         subjects, labeled = col["subject"], col["labeled"]
+        if not (len(label) == len(col["support"]) == len(labeled)
+                and len(col["failures"]) == len(col["totals"]) == len(subjects)):
+            raise CheckpointFormatError(f"{path}: its per-subject columns disagree in length")
         table = cls(n=n, labels=dict(zip(labeled, label.astype(np.uint8))),
                     support=dict(zip(labeled, col["support"])),
                     failures=dict(zip(subjects, col["failures"])),

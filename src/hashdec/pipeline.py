@@ -303,8 +303,6 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
         raise PipelineError("joint optimisation has no labeled training samples")
     tr_face, tr_iris = enroll.face[train_mask], enroll.iris[train_mask]
     val_batch = ((probe.face[val_mask], probe.iris[val_mask]), va_y)
-    if not val_mask.any():
-        val_batch = ((tr_face, tr_iris), tr_y)
 
     params = _tensors(None if cfg.joint_freeze_mdh else mdh, None if cfg.joint_freeze_nnd else nndm)
     loss = _composed_loss(mdh, nndm, cfg.llr_scale)
@@ -336,36 +334,34 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _require_variant(run_dir, variant):
+def _variant(cfg: ExperimentConfig, run_dir, variant):
+    """Gate a variant and read each of its checkpoints once: its code, its MDH
+    and its decoder, a function from MDH activations to code bits."""
     if variant not in VARIANTS:
         raise PipelineError(f"unknown variant '{variant}'; expected one of {VARIANTS}")
     _require(run_dir, *_VARIANT_NEEDS[variant])
-
-
-def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):
-    """Binary codes for every sample of a split under one system variant."""
-    _require_variant(run_dir, variant)
     code = build_code(cfg.code_m, cfg.code_t)
     ckpt = "mdhnd.ckpt" if variant == "mdhnd" else "mdh.ckpt"
     mdh, nndm = load_models(os.path.join(run_dir, ckpt), cfg, code)
     if variant == "nnd":
         _, nndm = load_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, code)
-    if variant in ("nnd", "mdhnd"):
-        return _decoded_codes(cfg, mdh, nndm, split)
-    codes = hard_limit(_activations(mdh, split))
-    if variant == "mdh":
-        return codes
-    out = codes.copy()
-    for i in range(codes.shape[0]):
-        res = decode_hard(code, codes[i])
-        if res.success:
-            out[i] = res.codeword
-    return out  # failures keep the raw intermediate code
+    if nndm is not None:
+        return code, mdh, lambda acts: nndm.decode(llr_from_activations(acts, cfg.llr_scale))
+
+    def bm_decode(acts):
+        bits = hard_limit(acts)
+        for row in bits:
+            result = decode_hard(code, row)
+            if result.success:
+                row[:] = result.codeword  # a failure keeps the raw code
+        return bits
+    return code, mdh, hard_limit if variant == "mdh" else bm_decode
 
 
-def _decoded_codes(cfg: ExperimentConfig, mdh, nndm, split):
-    """The decoder's bits for every sample of a split: MDH -> LLRs -> NND."""
-    return nndm.decode(llr_from_activations(_activations(mdh, split), cfg.llr_scale))
+def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):
+    """Binary codes for every sample of a split under one system variant."""
+    _, mdh, decode = _variant(cfg, run_dir, variant)
+    return decode(_activations(mdh, split))
 
 
 def _scored_bits(cfg, code, codes):
@@ -390,14 +386,13 @@ def enrollment_templates(codes, subjects, roles):
 def stage_evaluate(cfg: ExperimentConfig, run_dir, variant):
     """One variant's (auth, ident) metrics in one pass: every test-split pair
     is scored, and each NND-split probe is matched against enroll templates."""
-    _require_variant(run_dir, variant)
+    code, mdh, decode = _variant(cfg, run_dir, variant)
     splits = _load_splits(cfg, run_dir)
-    code = build_code(cfg.code_m, cfg.code_t)
     header = {"variant": variant, "fingerprint": cfg.fingerprint(), "code": cfg.code_name(),
               "fusion_mode": cfg.fusion_mode}
 
     split = splits["test"]
-    bits, length = _scored_bits(cfg, code, variant_codes(cfg, run_dir, variant, split))
+    bits, length = _scored_bits(cfg, code, decode(_activations(mdh, split)))
     by_subject = {int(s): bits[split.subject == s] for s in split.subject_ids}
     scores = score_protocol(by_subject, cfg.test_subjects, cfg.samples_per_subject)
     roc, eer = roc_and_eer(scores, length)
@@ -409,7 +404,7 @@ def stage_evaluate(cfg: ExperimentConfig, run_dir, variant):
     write_metrics(os.path.join(run_dir, f"metrics_auth_{variant}.txt"), auth)
 
     split = splits["nnd"]
-    bits, _ = _scored_bits(cfg, code, variant_codes(cfg, run_dir, variant, split))
+    bits, _ = _scored_bits(cfg, code, decode(_activations(mdh, split)))
     templates, ids = enrollment_templates(bits, split.subject, split.role)
     probe = split.role == "probe"
     accuracy = identification_accuracy(bits[probe], split.subject[probe], templates, ids)
@@ -424,13 +419,10 @@ def stage_bench(cfg: ExperimentConfig, run_dir, repetitions=200):
     ``bench_mdhnd.txt`` also holds the median time of each step of one
     authentication: MDH forward, NND decode (LLR mapping included) and Hamming.
     """
-    _require(run_dir, *_VARIANT_NEEDS["mdhnd"])
-    splits = _load_splits(cfg, run_dir)
-    code = build_code(cfg.code_m, cfg.code_t)
-    mdh, nndm = load_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, code)
-    split = splits["test"]
-    codes = _decoded_codes(cfg, mdh, nndm, split)
-    templates, ids = enrollment_templates(codes, split.subject, split.role)
+    _, mdh, decode = _variant(cfg, run_dir, "mdhnd")
+    split = _load_splits(cfg, run_dir)["test"]
+    templates, ids = enrollment_templates(decode(_activations(mdh, split)), split.subject,
+                                          split.role)
     template_of = dict(zip(ids.tolist(), templates))
     probe_mask = np.nonzero(split.role == "probe")[0]
     queries = [
@@ -445,19 +437,19 @@ def stage_bench(cfg: ExperimentConfig, run_dir, repetitions=200):
         with ad.no_grad():
             acts, _ = mdh.forward(face[None, :], iris[None, :])
         t1 = time.perf_counter()
-        bits = nndm.decode(llr_from_activations(acts.data, cfg.llr_scale))[0]
+        bits = decode(acts.data)[0]
         t2 = time.perf_counter()
         score = hamming(bits, template)
         step_s.append((t1 - t0, t2 - t1, time.perf_counter() - t2))
         return score
 
-    stats = bench_authentication(authenticate, queries, repetitions)
-    report = {"code": cfg.code_name(), "variant": "mdhnd", **stats.as_dict()}
+    report = {"code": cfg.code_name(), "variant": "mdhnd",
+              **bench_authentication(authenticate, queries, repetitions)}
     medians = 1e3 * np.median(step_s, axis=0)
     report.update({f"{step}_median_ms": float(ms)
                    for step, ms in zip(("mdh_forward", "nnd_decode", "hamming"), medians)})
     write_metrics(os.path.join(run_dir, "bench_mdhnd.txt"), report)
-    return stats
+    return report
 
 
 # ---------------------------------------------------------------------------

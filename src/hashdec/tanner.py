@@ -240,7 +240,9 @@ def bp_forward(graph, llr, iterations, edge_weights=None, channel_weights=None,
 # ---------------------------------------------------------------------------
 
 def hard_decision(posterior):
-    """The one hard-decision rule: bit 1 iff the posterior LLR is negative."""
+    """The posterior's hard decision: bit 1 iff the LLR is negative, so 0 is
+    bit 0. Hash codes use the other rule, ``nnd.hard_limit``: bit 1 iff the
+    activation is <= 0, so there 0 is bit 1."""
     return (posterior < 0).astype(np.uint8)
 
 

@@ -404,10 +404,10 @@ def test_criterion_11_latency_report(benchmark_runs):
     for key in ("latency_mean_ms", "latency_median_ms", "latency_p95_ms",
                 "latency_repetitions"):
         assert key in report
-    lines = [f"trained BCH(63,45) system mean {stats.mean_ms:.2f} ms"]
+    lines = [f"trained BCH(63,45) system mean {stats['latency_mean_ms']:.2f} ms"]
     for m, t in ((6, 3), (7, 6), (8, 9)):
         per_code = _latency_for_code(m, t)
-        lines.append(f"BCH({(1 << m) - 1},.) mean {per_code.mean_ms:.2f} ms")
+        lines.append(f"BCH({(1 << m) - 1},.) mean {per_code['latency_mean_ms']:.2f} ms")
     _report(11, "; ".join(lines) + " - reported, not gated")
 
 
@@ -415,6 +415,6 @@ def test_criterion_11_latency_report(benchmark_runs):
 def test_latency_monotone_in_code_size():
     small = _latency_for_code(6, 3, repetitions=300)
     large = _latency_for_code(8, 9, repetitions=300)
-    assert large.mean_ms >= small.mean_ms
-    _report("11 (slow)", f"BCH(255,187) {large.mean_ms:.2f} ms >= "
-                         f"BCH(63,45) {small.mean_ms:.2f} ms per authentication")
+    assert large["latency_mean_ms"] >= small["latency_mean_ms"]
+    _report("11 (slow)", f"BCH(255,187) {large['latency_mean_ms']:.2f} ms >= "
+                         f"BCH(63,45) {small['latency_mean_ms']:.2f} ms per authentication")

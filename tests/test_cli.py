@@ -92,7 +92,9 @@ def test_bad_config_is_categorised(tmp_path, capsys):
              {"joint_freeze_mdh": True, "joint_freeze_nnd": True},
              # data shapes the pipeline cannot use
              {"enroll_fraction": 1.5}, {"face_dim": 0}, {"fusion_dim": 0}, {"feature_dim": 0},
-             {"encoder_hidden": [0]}, {"latent_dim": 0}, {"samples_per_subject": 1}]
+             {"encoder_hidden": [0]}, {"latent_dim": 0}, {"samples_per_subject": 1},
+             # ceil(0.6 * 2) = 2: every sample enrolls, no probe is left
+             {"samples_per_subject": 2, "enroll_fraction": 0.6}]
     for case in cases:
         bad.write_text(json.dumps({**tiny_config().to_dict(), **case}))
         rc = main(["run-all", "--config", str(bad), "--run-dir", str(tmp_path / "r")])
@@ -242,6 +244,8 @@ _READERS = [
 ]
 # a record of the right kind that lacks one entry: a parameter, or a meta key
 _MISSING = {"data.ckpt": "test/iris", "ground_truth.ckpt": "n", "mdh.ckpt": "beta"}
+# a column cut short of the ones it runs beside
+_SHORT = {"data.ckpt": "test/face", "ground_truth.ckpt": "support"}
 
 
 def _damage(run, path, damage):
@@ -257,6 +261,10 @@ def _damage(run, path, damage):
         params, meta = load_params(path)
         if damage == "wrong shape":
             params["hash/w"] = params["hash/w"][:, :3]
+        elif damage == "short column":
+            params[_SHORT[path.name]] = params[_SHORT[path.name]][:-3]
+        elif damage == "short label":
+            params["label"] = params["label"][:-1]
         elif _MISSING[path.name] in params:
             del params[_MISSING[path.name]]
         else:
@@ -272,12 +280,15 @@ def _damage(run, path, damage):
     ("the other decoder", "nnd_finetuned.ckpt", "joint-optimize", "train-nnd"),
     ("the other decoder", "nnd_pretrained.ckpt", "evaluate --variant nnd", "train-nnd"),
     ("wrong shape", "mdh.ckpt", "evaluate --variant mdh", "train-mdh"),
+    ("short column", "data.ckpt", "evaluate --variant mdh", "generate-data"),
+    ("short column", "ground_truth.ckpt", "train-nnd", "ground-truth"),
+    ("short label", "ground_truth.ckpt", "train-nnd", "ground-truth"),
 ])
 def test_damaged_record_is_refused(records_run, capsys, damage, record, command, writer):
     """One flipped payload byte, a record of another kind in its place, one
-    that lacks an entry, or one whose parameters are not its kind's is
-    refused before a stage uses it, naming the file and the command that
-    rewrites it."""
+    that lacks an entry, one whose parameters are not its kind's, or one
+    whose columns disagree in length is refused before a stage uses it,
+    naming the file and the command that rewrites it."""
     cfg, run = records_run
     path = run / record
     clean = path.read_bytes()
@@ -292,7 +303,8 @@ def test_damaged_record_is_refused(records_run, capsys, damage, record, command,
     assert f"run '{writer}" in err, err
     reason = {"missing entry": f"no entry {_MISSING.get(record)!r}",
               "the other decoder": f"not a '{path.stem}' one",
-              "wrong shape": f"not a '{path.stem}' record's"}
+              "wrong shape": f"not a '{path.stem}' record's",
+              "short column": "disagree in length", "short label": "disagree in length"}
     assert reason.get(damage, "") in err, err
 
 

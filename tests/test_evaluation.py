@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hashdec.evaluation import (
-    LatencyStats,
     RocCurve,
     ScoreSet,
     bench_authentication,
@@ -265,8 +264,9 @@ def test_identification_validates_inputs():
 def test_bench_authentication():
     calls = []
     stats = bench_authentication(lambda q: calls.append(q), ["a", "b"], repetitions=10)
-    assert stats.repetitions == 10 and len(calls) == 10
-    assert stats.mean_ms >= 0.0 and stats.p95_ms >= stats.median_ms >= 0.0
+    assert stats["latency_repetitions"] == 10 and len(calls) == 10
+    assert stats["latency_mean_ms"] >= 0.0
+    assert stats["latency_p95_ms"] >= stats["latency_median_ms"] >= 0.0
     with pytest.raises(ValueError, match="repetitions"):
         bench_authentication(lambda q: None, ["a"], repetitions=0)
     with pytest.raises(ValueError, match="query"):
@@ -274,8 +274,8 @@ def test_bench_authentication():
 
 
 def test_metrics_file_round_trip(tmp_path):
-    stats = LatencyStats(1.25, 1.0, 2.5, 100)
-    metrics = {"eer": 0.012345678901234567, "variant": "mdhnd", **stats.as_dict()}
+    metrics = {"eer": 0.012345678901234567, "variant": "mdhnd", "latency_mean_ms": 1.25,
+               "latency_median_ms": 1.0, "latency_p95_ms": 2.5, "latency_repetitions": 100}
     path = tmp_path / "metrics.txt"
     write_metrics(path, metrics)
     loaded = read_metrics(path)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -256,6 +257,41 @@ def test_run_all_artifacts(finished_run):
         assert ("auth", variant) in results and ("ident", variant) in results
 
 
+# sha256 over the name and bytes of every metrics_*.txt and roc_*.csv, in
+# sorted order, then of mdhnd.ckpt, of the tiny config's run_all; any change to
+# what a stage computes or writes moves it (x86-64, numpy 2.4)
+RUN_ALL_GOLDEN_TINY = "042e1e678f02ada75af1e8e092abfe523b5975c30643fc2bc27471fb82b6c2c8"
+
+
+def test_run_all_golden_digest(finished_run):
+    _, run_dir, _ = finished_run
+    names = sorted(name for name in os.listdir(run_dir)
+                   if re.fullmatch(r"metrics_\w+\.txt|roc_\w+\.csv", name))
+    digest = hashlib.sha256()
+    for name in names + ["mdhnd.ckpt"]:
+        digest.update(name.encode())
+        digest.update(Path(run_dir, name).read_bytes())
+    assert len(names) == 12
+    assert digest.hexdigest() == RUN_ALL_GOLDEN_TINY
+
+
+def test_evaluate_reads_each_record_once(finished_run, monkeypatch):
+    cfg, run_dir, _ = finished_run
+    read = []
+
+    def counting_load(path, kind=None):
+        read.append(os.path.basename(path))
+        return load_params(path, kind)
+
+    monkeypatch.setattr(pipeline, "load_params", counting_load)
+    for variant, records in (("mdh", ["mdh.ckpt"]), ("ext", ["mdh.ckpt"]),
+                             ("nnd", ["mdh.ckpt", "nnd_pretrained.ckpt"]),
+                             ("mdhnd", ["mdhnd.ckpt"])):
+        read.clear()
+        stage_evaluate(cfg, run_dir, variant)
+        assert read == records, variant
+
+
 def test_interrupted_record_write_keeps_the_previous_record(tmp_path, monkeypatch):
     # a stage killed before its file is moved into place leaves the old file
     # byte-identical: the config, the data, a checkpoint, the ground truth,
@@ -437,7 +473,7 @@ def test_bench_report(finished_run, monkeypatch):
     monkeypatch.setattr(pipeline, "load_params", counting_load)
     stats = stage_bench(cfg, run_dir, repetitions=20)
     assert read == ["mdhnd.ckpt"]
-    assert stats.repetitions == 20 and stats.mean_ms > 0
+    assert stats["latency_repetitions"] == 20 and stats["latency_mean_ms"] > 0
     report = read_metrics(os.path.join(run_dir, "bench_mdhnd.txt"))
     assert report["latency_repetitions"] == 20
     assert report["latency_mean_ms"] > 0
