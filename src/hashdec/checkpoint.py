@@ -9,7 +9,9 @@ Layout (all integers little-endian uint64, floats little-endian float64):
         name_len, name utf-8, ndim, dims..., values...
 
 The checksum is verified on load; any mismatch, truncation, unreadable
-metadata or unexpected ``kind`` raises ``CheckpointFormatError``.
+metadata, unexpected ``kind``, an entry name that is not utf-8 or repeats,
+a shape numpy cannot hold, or bytes after the last entry raises
+``CheckpointFormatError``.
 Every run-directory file but the append-only ``experiment.log`` is written
 through ``write_atomic``: a reader finds the old file or the new one, whole.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 
@@ -112,19 +115,27 @@ def load_params(path, kind=None):
 
     params = {}
     off = len(MAGIC) + 8 + meta_len + 32
-    count = read_u64()
-    for _ in range(count):
+    for _ in range(read_u64()):
         name_len = read_u64()
-        name = blob[off : off + name_len].decode("utf-8")
+        try:
+            name = blob[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError(f"{path}: an entry name is not utf-8") from None
+        if name in params:
+            raise CheckpointFormatError(f"{path}: entry '{name}' appears twice")
         off += name_len
-        ndim = read_u64()
-        shape = tuple(read_u64() for _ in range(ndim))
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+        shape = tuple(read_u64() for _ in range(read_u64()))
+        nbytes = math.prod(shape) * 8  # a Python int, so a huge shape cannot wrap
         if off + nbytes > len(blob):
             raise CheckpointFormatError(f"{path}: truncated entry '{name}'")
-        arr = np.frombuffer(blob[off : off + nbytes], dtype="<f8").reshape(shape)
+        try:
+            arr = np.frombuffer(blob[off : off + nbytes], dtype="<f8").reshape(shape)
+        except ValueError:  # no values, but dimensions numpy cannot hold
+            raise CheckpointFormatError(f"{path}: entry '{name}' has shape {shape}") from None
         off += nbytes
         params[name] = arr.astype(np.float64)
+    if off != len(blob):
+        raise CheckpointFormatError(f"{path}: {len(blob) - off} bytes after the last entry")
     return params, meta
 
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass, asdict, fields
 from .biodata import SplitSpec, DistortionModel, DatasetDims
 from .checkpoint import write_lines
 
+FUSION_MODES = ("fca", "bla", "face", "iris")
+
 
 class ConfigError(ValueError):
     """Raised for structurally invalid configurations."""
@@ -126,7 +128,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name}: {value!r} is not of its default's type ({f.default!r})")
             if isinstance(f.default, tuple):
                 setattr(self, f.name, tuple(value))
-        if self.fusion_mode not in ("fca", "bla", "face", "iris"):
+        if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"unknown fusion_mode '{self.fusion_mode}'")
         if self.score_on not in ("codeword", "message"):
             raise ConfigError(f"score_on must be 'codeword' or 'message', got '{self.score_on}'")

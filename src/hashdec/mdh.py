@@ -18,134 +18,86 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, TrainingError
-from .config import ExperimentConfig
+from .config import FUSION_MODES, ExperimentConfig
 
-FUSION_MODES = ("fca", "bla", "face", "iris")
 LOG_EVERY = 50  # training steps between two logged loss records
 
 
-def _init_linear(rng, fan_in, fan_out):
+def _linear(rng, prefix, fan_in, fan_out, index=""):
+    """A named affine layer: ``<prefix>/w<index>`` drawn from ``rng`` and scaled
+    by 1/sqrt(fan_in), and a zero bias ``<prefix>/b<index>``."""
     w = Tensor(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in), requires_grad=True)
-    b = Tensor(np.zeros((1, fan_out)), requires_grad=True)
-    return w, b
-
-
-class ModalityEncoder:
-    """MLP encoder: input -> tanh hidden layers -> linear feature vector."""
-
-    def __init__(self, rng, input_dim, hidden, feature_dim):
-        self.feature_dim = feature_dim
-        dims = [input_dim] + list(hidden) + [feature_dim]
-        self.layers = [_init_linear(rng, a, b) for a, b in zip(dims, dims[1:])]
-
-    def forward(self, x):
-        for i, (w, b) in enumerate(self.layers):
-            x = ad.dense(x, w, b, 1.0 if i < len(self.layers) - 1 else None)
-        return x
-
-    def parameters(self, prefix):
-        return {f"{prefix}/{kind}{i}": t for i, layer in enumerate(self.layers)
-                for kind, t in zip("wb", layer)}
-
-
-class FusionLayer:
-    """Joins modality features (concatenation, bilinear, or single) via an FC map."""
-
-    def __init__(self, rng, mode, feature_dim, out_dim):
-        if mode not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode '{mode}' (expected one of {FUSION_MODES})")
-        self.mode = mode
-        in_dim = {"fca": 2 * feature_dim, "bla": feature_dim * feature_dim}.get(mode, feature_dim)
-        self.w, self.b = _init_linear(rng, in_dim, out_dim)
-
-    def forward(self, face_feat, iris_feat):
-        if self.mode == "fca":
-            joined = ad.concat([face_feat, iris_feat], axis=1)
-        elif self.mode == "bla":
-            joined = ad.batch_outer(face_feat, iris_feat)
-        else:
-            joined = face_feat if self.mode == "face" else iris_feat
-        return ad.dense(joined, self.w, self.b, 1.0)
-
-    def parameters(self, prefix="fusion"):
-        return {f"{prefix}/w": self.w, f"{prefix}/b": self.b}
-
-
-class HashingLayer:
-    """FC map to the code length, activated by tanh(beta * x)."""
-
-    def __init__(self, rng, in_dim, code_bits):
-        self.beta = 1.0
-        self.w, self.b = _init_linear(rng, in_dim, code_bits)
-
-    def forward(self, fused):
-        return ad.dense(fused, self.w, self.b, self.beta)
-
-    def calibrate_bias(self, pre_activations):
-        """Centre each unit's pre-activation median so bits start balanced."""
-        self.b.data = self.b.data - np.median(pre_activations, axis=0, keepdims=True)
-
-    def parameters(self, prefix="hash"):
-        return {f"{prefix}/w": self.w, f"{prefix}/b": self.b}
+    return {f"{prefix}/w{index}": w,
+            f"{prefix}/b{index}": Tensor(np.zeros((1, fan_out)), requires_grad=True)}
 
 
 class MdhModel:
     """Encoders + fusion + hashing, with an optional softmax head for training.
 
-    ``mode`` selects the fusion architecture; the unimodal modes ("face",
-    "iris") route a single encoder through the same fusion/hash stack and
-    exist as comparison arms.
+    ``params`` maps every weight to its checkpoint name: ``face_enc/w0``,
+    ``face_enc/b0``, ... and ``iris_enc/...`` (MLPs: tanh hidden layers, then a
+    linear feature layer), ``fusion/w``/``b``, ``hash/w``/``b`` (activated by
+    tanh(beta * x)) and ``head/w``/``b``. ``mode`` selects the fusion: "fca"
+    concatenates the two feature vectors, "bla" takes their outer product, and
+    the unimodal "face" and "iris" arms hold and fuse a single encoder.
     """
 
     def __init__(self, mode, face_dim, iris_dim, num_classes, code_bits,
                  feature_dim=16, fusion_dim=128, hidden=(128, 64), seed=0):
+        if mode not in FUSION_MODES:
+            raise ValueError(f"unknown fusion mode '{mode}' (expected one of {FUSION_MODES})")
         rng = np.random.default_rng(seed)
-        self.num_classes = num_classes
-        face, iris = mode != "iris", mode != "face"
-        self.face_encoder = ModalityEncoder(rng, face_dim, hidden, feature_dim) if face else None
-        self.iris_encoder = ModalityEncoder(rng, iris_dim, hidden, feature_dim) if iris else None
-        self.fusion = FusionLayer(rng, mode, feature_dim, fusion_dim)
-        self.hashing = HashingLayer(rng, fusion_dim, code_bits)
-        self.head_w, self.head_b = _init_linear(rng, code_bits, num_classes)
-        self.has_head = True
+        self.mode, self.num_classes, self.feature_dim = mode, num_classes, feature_dim
+        self.beta = 1.0
+        self.params = {}
+        # modality -> (weight name, bias name, tanh bandwidth or None) per layer,
+        # named once here: formatting them on each forward slows B = 1 serving
+        self.encoders = {}
+        for modality, input_dim in (("face", face_dim), ("iris", iris_dim)):
+            if mode in (modality, "fca", "bla"):
+                dims = [input_dim, *hidden, feature_dim]
+                layers = self.encoders[modality] = []
+                for i, (a, b) in enumerate(zip(dims, dims[1:])):
+                    layer = _linear(rng, f"{modality}_enc", a, b, i)
+                    self.params.update(layer)
+                    layers.append((*layer, 1.0 if i < len(hidden) else None))
+        joined = {"fca": 2 * feature_dim, "bla": feature_dim * feature_dim}.get(mode, feature_dim)
+        for prefix, a, b in (("fusion", joined, fusion_dim), ("hash", fusion_dim, code_bits),
+                             ("head", code_bits, num_classes)):
+            self.params.update(_linear(rng, prefix, a, b))
 
-    # -- parameter books ---------------------------------------------------
-    def encoder_parameters(self):
-        encoders = (("face_enc", self.face_encoder), ("iris_enc", self.iris_encoder))
-        return {name: t for prefix, enc in encoders if enc is not None
-                for name, t in enc.parameters(prefix).items()}
-
-    def jrl_parameters(self):
-        return {**self.fusion.parameters(), **self.hashing.parameters()}
-
-    def head_parameters(self):
-        return {"head/w": self.head_w, "head/b": self.head_b} if self.has_head else {}
-
-    def parameters(self):
-        return {**self.encoder_parameters(), **self.jrl_parameters(), **self.head_parameters()}
+    def parameters(self, prefix=""):
+        return {name: t for name, t in self.params.items() if name.startswith(prefix)}
 
     def weight_tensors(self):
         """Weight matrices (not biases) for the L2 term."""
-        return [t for name, t in self.parameters().items() if "/w" in name]
+        return [t for name, t in self.params.items() if "/w" in name]
 
     def discard_head(self):
-        self.has_head = False
+        del self.params["head/w"], self.params["head/b"]
 
-    # -- forward -----------------------------------------------------------
-    def features(self, face, iris):
-        f = self.face_encoder.forward(face) if self.face_encoder is not None else None
-        i = self.iris_encoder.forward(iris) if self.iris_encoder is not None else None
-        return f, i
+    def encode(self, modality, x):
+        """The ``"face"`` or ``"iris"`` encoder's feature vectors for inputs ``x``."""
+        for w, b, beta in self.encoders[modality]:
+            x = ad.dense(x, self.params[w], self.params[b], beta)
+        return x
+
+    def fuse(self, face, iris):
+        """The fusion layer's output on raw inputs; a unimodal arm reads one of them."""
+        if self.mode == "fca":
+            joined = ad.concat([self.encode("face", face), self.encode("iris", iris)], axis=1)
+        elif self.mode == "bla":
+            joined = ad.batch_outer(self.encode("face", face), self.encode("iris", iris))
+        else:
+            joined = self.encode(self.mode, face if self.mode == "face" else iris)
+        return ad.dense(joined, self.params["fusion/w"], self.params["fusion/b"], 1.0)
 
     def forward(self, face, iris):
         """Hash activations (N, J) in (-1, 1) and, when the head is attached,
         classification logits (N, M)."""
-        f, i = self.features(face, iris)
-        fused = self.fusion.forward(f, i)
-        acts = self.hashing.forward(fused)
-        logits = None
-        if self.has_head:
-            logits = ad.dense(acts, self.head_w, self.head_b)
+        p = self.params
+        acts = ad.dense(self.fuse(face, iris), p["hash/w"], p["hash/b"], self.beta)
+        logits = ad.dense(acts, p["head/w"], p["head/b"]) if "head/w" in p else None
         return acts, logits
 
 
@@ -237,18 +189,15 @@ def train_step1(model: MdhModel, dataset, cfg: ExperimentConfig, seed):
     log = []
 
     # Phase A: per-modality encoder pretraining with throwaway softmax heads
-    for name, encoder, data in (("face", model.face_encoder, face),
-                                ("iris", model.iris_encoder, iris)):
-        if encoder is None:
-            continue
-        head_w, head_b = _init_linear(rng, encoder.feature_dim, m)
-        params = {**encoder.parameters(f"{name}_enc"), "tmp/w": head_w, "tmp/b": head_b}
+    for name in model.encoders:
+        data = face if name == "face" else iris
+        head = _linear(rng, "tmp", model.feature_dim, m)
+        params = {**model.parameters(f"{name}_enc/"), **head}
         state = ad.AdamState(step_size=cfg.lr)
         batches = _batches(n, cfg.batch_size, rng)
         for step in range(cfg.phase_a_steps):
             idx = next(batches)
-            feats = encoder.forward(data[idx])
-            logits = ad.dense(feats, head_w, head_b)
+            logits = ad.dense(model.encode(name, data[idx]), head["tmp/w"], head["tmp/b"])
             loss = ad.softmax_cross_entropy(logits, Tensor(one_hot(class_idx[idx], m)))
             ad.GradientTape(loss).backward()
             ad.adam_step(params, state)
@@ -256,14 +205,13 @@ def train_step1(model: MdhModel, dataset, cfg: ExperimentConfig, seed):
                 log.append({"event": "train", "phase": f"A-{name}", "beta": None,
                             "step": step + 1, "loss": float(loss.data)})
 
-    # balance the hashing units on the pretrained features before training them
+    # centre each hashing unit's pre-activation median on the pretrained
+    # features, so the bits start balanced
+    w, b = model.params["hash/w"], model.params["hash/b"]
     with ad.no_grad():
-        pre = []
-        for i in range(0, n, 512):
-            f, ii = model.features(face[i : i + 512], iris[i : i + 512])
-            fused = model.fusion.forward(f, ii)
-            pre.append(ad.dense(fused, model.hashing.w, model.hashing.b).data)
-        model.hashing.calibrate_bias(np.concatenate(pre))
+        pre = [ad.dense(model.fuse(face[i : i + 512], iris[i : i + 512]), w, b).data
+               for i in range(0, n, 512)]
+    b.data = b.data - np.median(np.concatenate(pre), axis=0, keepdims=True)
 
     # Phases B and C share the minibatch objective; B freezes the encoders
     def make_step_fn(params, lr, phase, beta):
@@ -285,12 +233,12 @@ def train_step1(model: MdhModel, dataset, cfg: ExperimentConfig, seed):
         return step_fn
 
     for phase, params, lr in (
-        ("B", {**model.jrl_parameters(), **model.head_parameters()}, cfg.lr),
+        ("B", {name: t for name, t in model.params.items() if "_enc/" not in name}, cfg.lr),
         ("C", model.parameters(), cfg.lr * cfg.phase_c_lr_factor),
     ):
         # an int bandwidth in the config must still log and checkpoint as a float
         for beta in map(float, cfg.bandwidths):
-            model.hashing.beta = beta
+            model.beta = beta
             _run_stage(make_step_fn(params, lr, phase, beta), cfg, log, phase, beta)
 
     summary = evaluate_hashing(model, face, iris, class_idx)

@@ -210,9 +210,9 @@ class GroundTruthTable:
         return failed / total if total else 0.0
 
     def save(self, path, meta=None):
-        """One checkpoint (``checkpoint``): per-subject counts, then the labeled
-        subjects' support and bits; ``n`` and ``kind`` join ``meta``."""
-        subjects = sorted(set(self.labels) | set(self.totals))
+        """One checkpoint (``checkpoint``): counts for each subject it names,
+        then the labeled ones' support and bits; ``n`` and ``kind`` join ``meta``."""
+        subjects = sorted(set(self.labels) | set(self.totals) | set(self.excluded))
         labeled = sorted(self.labels)
         params = {
             "subject": subjects,
@@ -228,8 +228,8 @@ class GroundTruthTable:
     @classmethod
     def load(cls, path):
         """The table a ``save`` file holds and its meta; any other file, one
-        that lacks an entry, or one whose per-subject columns disagree in
-        length raises ``CheckpointFormatError``."""
+        that lacks an entry, or one whose columns disagree in length or on
+        which subjects are labeled or excluded raises ``CheckpointFormatError``."""
         params, meta = load_params(path, "ground_truth")
         n = entry(meta, "n", path)
         label = entry(params, "label", path)
@@ -241,6 +241,8 @@ class GroundTruthTable:
         if not (len(label) == len(col["support"]) == len(labeled)
                 and len(col["failures"]) == len(col["totals"]) == len(subjects)):
             raise CheckpointFormatError(f"{path}: its per-subject columns disagree in length")
+        if sorted(labeled + col["excluded"]) != subjects:
+            raise CheckpointFormatError(f"{path}: its subjects are not each either labeled or excluded")
         table = cls(n=n, labels=dict(zip(labeled, label.astype(np.uint8))),
                     support=dict(zip(labeled, col["support"])),
                     failures=dict(zip(subjects, col["failures"])),

@@ -151,7 +151,7 @@ def save_models(path, cfg: ExperimentConfig, kind, mdh=None, nnd=None):
     """
     meta = {"kind": kind, "fingerprint": cfg.fingerprint()}
     if mdh is not None:
-        meta["beta"] = mdh.hashing.beta
+        meta["beta"] = mdh.beta
     save_params(path, _tensors(mdh, nnd), meta)
 
 
@@ -173,7 +173,7 @@ def load_models(path, cfg: ExperimentConfig, code):
         for name, tensor in tensors.items():
             tensor.data = params[name]
         if mdh is not None:
-            mdh.hashing.beta = entry(meta, "beta", path)
+            mdh.beta = entry(meta, "beta", path)
         return mdh, nnd
 
     models, _ = _read_record(cfg, path, lambda p: load_params(p, kind), decode)
@@ -315,10 +315,8 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
         # the encoders' gradient on the first batch, drawn from a twin stream
         first = batch_from(np.random.default_rng(stage_seed(cfg, "joint")))
         ad.GradientTape(loss(*first)).backward()
-        enc_norm = float(np.sqrt(sum(
-            float((t.grad ** 2).sum()) for n, t in mdh.parameters().items()
-            if "face_enc" in n or "iris_enc" in n
-        )))
+        enc_norm = float(np.sqrt(sum(float((t.grad ** 2).sum())
+                                     for n, t in mdh.params.items() if "_enc/" in n)))
         _log_event(run_dir, f"joint encoder_grad_norm_step1={enc_norm!r}")
     rng = np.random.default_rng(stage_seed(cfg, "joint"))
     curve = train_loop(params, loss, lambda step: batch_from(rng), val_batch, cfg.joint_steps,

@@ -1,8 +1,11 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from hashdec.autodiff import Tensor
-from hashdec.checkpoint import CheckpointFormatError, load_params, save_params
+from hashdec.checkpoint import MAGIC, CheckpointFormatError, load_params, save_params
 
 
 def test_round_trip_exact(tmp_path):
@@ -105,3 +108,35 @@ def test_other_version_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointFormatError, match="unsupported version"):
         load_params(path)
+
+
+def _crafted(path, payload):
+    """A checkpoint of empty metadata around a hand-made payload, with a valid checksum."""
+    meta = b"{}"
+    digest = hashlib.sha256(meta + payload).digest()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(meta)) + meta + digest + payload)
+    return path
+
+
+def _entry(name, shape, values=b""):
+    dims = b"".join(struct.pack("<Q", d) for d in shape)
+    return struct.pack("<Q", len(name)) + name + struct.pack("<Q", len(shape)) + dims + values
+
+
+@pytest.mark.parametrize("payload, reason", [
+    (struct.pack("<Q", 1) + _entry(b"\xff\xfe", (1,), bytes(8)), "not utf-8"),
+    (struct.pack("<Q", 1) + _entry(b"p", (2**62, 4)), "truncated entry 'p'"),
+    (struct.pack("<Q", 1) + _entry(b"p", (0, 2**62)), r"entry 'p' has shape"),
+    (struct.pack("<Q", 1) + _entry(b"p", (1,), bytes(8)) + b"\x00", "1 bytes after the last entry"),
+    (struct.pack("<Q", 2) + _entry(b"p", (1,), bytes(8)) * 2, "entry 'p' appears twice"),
+], ids=["name not utf-8", "huge shape", "empty huge shape", "trailing bytes", "repeated name"])
+def test_unparsable_payload_rejected(tmp_path, payload, reason):
+    # each payload passes the checksum; the parser itself must refuse it
+    path = _crafted(tmp_path / "x.ckpt", payload)
+    with pytest.raises(CheckpointFormatError, match=reason) as info:
+        load_params(path)
+    assert str(path) in str(info.value)
+    # the same framing around one well-formed entry loads
+    good = _crafted(tmp_path / "ok.ckpt", struct.pack("<Q", 1) + _entry(b"p", (1,), bytes(8)))
+    params, meta = load_params(good)
+    assert meta == {} and list(params) == ["p"] and np.array_equal(params["p"], [0.0])

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from hashdec.checkpoint import load_params, save_params
@@ -265,6 +266,10 @@ def _damage(run, path, damage):
             params[_SHORT[path.name]] = params[_SHORT[path.name]][:-3]
         elif damage == "short label":
             params["label"] = params["label"][:-1]
+        elif damage == "labeled and excluded":
+            params["excluded"] = np.append(params["excluded"], params["labeled"][0])
+        elif damage == "labeled id not a subject":
+            params["labeled"] = np.append(params["labeled"][1:], params["subject"].max() + 1)
         elif _MISSING[path.name] in params:
             del params[_MISSING[path.name]]
         else:
@@ -283,12 +288,14 @@ def _damage(run, path, damage):
     ("short column", "data.ckpt", "evaluate --variant mdh", "generate-data"),
     ("short column", "ground_truth.ckpt", "train-nnd", "ground-truth"),
     ("short label", "ground_truth.ckpt", "train-nnd", "ground-truth"),
+    ("labeled and excluded", "ground_truth.ckpt", "train-nnd", "ground-truth"),
+    ("labeled id not a subject", "ground_truth.ckpt", "train-nnd", "ground-truth"),
 ])
 def test_damaged_record_is_refused(records_run, capsys, damage, record, command, writer):
     """One flipped payload byte, a record of another kind in its place, one
     that lacks an entry, one whose parameters are not its kind's, or one
-    whose columns disagree in length is refused before a stage uses it,
-    naming the file and the command that rewrites it."""
+    whose columns disagree in length or on subjects is refused before a
+    stage uses it, naming the file and the command that rewrites it."""
     cfg, run = records_run
     path = run / record
     clean = path.read_bytes()
@@ -304,7 +311,9 @@ def test_damaged_record_is_refused(records_run, capsys, damage, record, command,
     reason = {"missing entry": f"no entry {_MISSING.get(record)!r}",
               "the other decoder": f"not a '{path.stem}' one",
               "wrong shape": f"not a '{path.stem}' record's",
-              "short column": "disagree in length", "short label": "disagree in length"}
+              "short column": "disagree in length", "short label": "disagree in length",
+              "labeled and excluded": "either labeled or excluded",
+              "labeled id not a subject": "either labeled or excluded"}
     assert reason.get(damage, "") in err, err
 
 

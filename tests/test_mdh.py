@@ -7,16 +7,21 @@ from hashdec import autodiff as ad
 from hashdec.autodiff import Tensor, TrainingError, gradient_check
 from hashdec.biodata import DatasetDims, DistortionModel, SplitSpec, generate
 from hashdec.config import ConfigError, ExperimentConfig
-from hashdec.mdh import FusionLayer, MdhModel, total_loss, train_step1
+from hashdec.mdh import MdhModel, total_loss, train_step1
+
+
+def _fusion_model(mode, d, out_dim, seed=0):
+    """A model whose one-layer encoders map d inputs to d features."""
+    return MdhModel(mode, d, d, num_classes=2, code_bits=3, feature_dim=d, fusion_dim=out_dim,
+                    hidden=(), seed=seed)
 
 
 def _identity_fusion(mode, d):
-    rng = np.random.default_rng(0)
     out_dim = 2 * d if mode == "fca" else d * d
-    layer = FusionLayer(rng, mode, d, out_dim)
-    layer.w.data = np.eye(out_dim)
-    layer.b.data = np.zeros((1, out_dim))
-    return layer
+    model = _fusion_model(mode, d, out_dim)
+    for name in ("face_enc/w0", "iris_enc/w0", "fusion/w"):  # the biases start at zero
+        model.params[name].data = np.eye(model.params[name].data.shape[0])
+    return model
 
 
 def _row(*values):
@@ -24,51 +29,52 @@ def _row(*values):
 
 
 def test_fuse_fca_definition():
-    layer = _identity_fusion("fca", 2)
-    out = layer.forward(_row(1.0, 2.0), _row(3.0, 4.0))
+    model = _identity_fusion("fca", 2)
+    out = model.fuse(_row(1.0, 2.0), _row(3.0, 4.0))
     assert np.allclose(out.data, np.tanh([[1.0, 2.0, 3.0, 4.0]]))
 
 
 def test_fuse_fca_zero_inputs_zero_bias():
-    layer = _identity_fusion("fca", 3)
-    out = layer.forward(_row(0, 0, 0), _row(0, 0, 0))
+    model = _identity_fusion("fca", 3)
+    out = model.fuse(_row(0, 0, 0), _row(0, 0, 0))
     assert np.array_equal(out.data, np.zeros((1, 6)))
 
 
 def test_fuse_bla_outer_product_arithmetic():
-    layer = _identity_fusion("bla", 2)
-    out = layer.forward(_row(1.0, 2.0), _row(3.0, 4.0))
+    model = _identity_fusion("bla", 2)
+    out = model.fuse(_row(1.0, 2.0), _row(3.0, 4.0))
     assert np.allclose(out.data, np.tanh([[3.0, 4.0, 6.0, 8.0]]))
 
 
 def test_fuse_bla_zero_modality_blocks_interaction():
     rng = np.random.default_rng(1)
-    layer = FusionLayer(rng, "bla", 3, 5)
+    model = _fusion_model("bla", 3, 5, seed=1)
     zero_face = _row(0, 0, 0)
-    out1 = layer.forward(zero_face, _row(*rng.standard_normal(3)))
-    out2 = layer.forward(zero_face, _row(*rng.standard_normal(3)))
+    out1 = model.fuse(zero_face, _row(*rng.standard_normal(3)))
+    out2 = model.fuse(zero_face, _row(*rng.standard_normal(3)))
     # bilinear interaction vanishes: output is bias-only however iris varies
     assert np.allclose(out1.data, out2.data)
-    assert np.allclose(out1.data, np.tanh(layer.b.data))
+    assert np.allclose(out1.data, np.tanh(model.params["fusion/b"].data))
 
 
 def test_fusion_mode_mismatch_errors():
     with pytest.raises(ValueError, match="unknown fusion mode"):
-        FusionLayer(np.random.default_rng(0), "cca", 2, 4)
+        _fusion_model("cca", 2, 4)
 
 
 def test_fusion_gradients_both_modes():
     rng = np.random.default_rng(2)
     for mode in ("fca", "bla"):
-        layer = FusionLayer(rng, mode, 3, 4)
+        model = _fusion_model(mode, 3, 4, seed=2)
         f0 = rng.standard_normal((2, 3))
         i0 = rng.standard_normal((2, 3))
 
         def f(tf, ti, w, b):
-            fused = layer.forward(tf, ti)
+            fused = model.fuse(tf, ti)
             return ad.tensor_sum(ad.square(fused))
 
-        report = gradient_check(f, [Tensor(f0), Tensor(i0), layer.w, layer.b])
+        report = gradient_check(f, [Tensor(f0), Tensor(i0), model.params["fusion/w"],
+                                    model.params["fusion/b"]])
         assert report.max_relative_error < 1e-4, mode
 
 
@@ -172,10 +178,10 @@ def test_total_loss_nonfinite_component_raises():
 def test_continuation_monotonicity():
     model = MdhModel("fca", 5, 5, 3, 9, 3, 6, (4,), seed=2)
     face, iris = np.ones((2, 5)), np.full((2, 5), -0.5)
-    model.hashing.beta = 2.0
+    model.beta = 2.0
     with ad.no_grad():
         lo, _ = model.forward(face, iris)
-    model.hashing.beta = 8.0
+    model.beta = 8.0
     with ad.no_grad():
         hi, _ = model.forward(face, iris)
     nonzero = np.abs(lo.data) > 1e-12
@@ -284,5 +290,5 @@ def test_unimodal_modes_train():
     model = MdhModel("face", 10, 10, 8, 15, feature_dim=4, fusion_dim=12,
                      hidden=(12,), seed=1)
     model, log = train_step1(model, train, _FAST, seed=0)
-    assert model.iris_encoder is None
+    assert not model.parameters("iris_enc/")
     assert log[-1]["accuracy"] > 0.5

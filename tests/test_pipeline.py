@@ -162,13 +162,13 @@ def test_records_of_the_earlier_format_refused(finished_run, tmp_path):
         pipeline._load_splits(cfg, str(tmp_path))
 
 
-@pytest.mark.parametrize("kind, with_mdh, with_nnd, has_head", [
+@pytest.mark.parametrize("kind, with_mdh, with_nnd, headed", [
     ("mdh", True, False, True),
     ("nnd_pretrained", False, True, None),
     ("nnd_finetuned", False, True, None),
     ("mdhnd", True, True, False),
 ])
-def test_checkpoint_round_trip(tmp_path, kind, with_mdh, with_nnd, has_head):
+def test_checkpoint_round_trip(tmp_path, kind, with_mdh, with_nnd, headed):
     cfg = tiny_config()
     code = build_code(cfg.code_m, cfg.code_t)
     rng = np.random.default_rng(3)
@@ -176,8 +176,8 @@ def test_checkpoint_round_trip(tmp_path, kind, with_mdh, with_nnd, has_head):
     if with_mdh:
         mdh = MdhModel(cfg.fusion_mode, cfg.face_dim, cfg.iris_dim, cfg.train_subjects, code.n,
                        cfg.feature_dim, cfg.fusion_dim, cfg.encoder_hidden, seed=7)
-        mdh.hashing.beta = 16.0
-        if not has_head:
+        mdh.beta = 16.0
+        if not headed:
             mdh.discard_head()
     if with_nnd:
         nnd = NndModel(code, cfg.nnd_iterations)
@@ -199,7 +199,7 @@ def test_checkpoint_round_trip(tmp_path, kind, with_mdh, with_nnd, has_head):
         for name, tensor in model.parameters().items():
             assert np.array_equal(restored[name].data, tensor.data), name
     if mdh is not None:
-        assert mdh_back.hashing.beta == 16.0 and mdh_back.has_head == has_head
+        assert mdh_back.beta == 16.0 and ("head/w" in mdh_back.params) == headed
     if nnd is not None:
         assert nnd_back.iterations == cfg.nnd_iterations
 
@@ -273,6 +273,27 @@ def test_run_all_golden_digest(finished_run):
         digest.update(Path(run_dir, name).read_bytes())
     assert len(names) == 12
     assert digest.hexdigest() == RUN_ALL_GOLDEN_TINY
+
+
+# sha256 over the names and bytes of mdh.ckpt, then mdh_log.jsonl, of the tiny
+# config's trained hashing network in the fusion modes run_all's digest misses
+MDH_GOLDEN_TINY = {
+    "fca": "1eb581d3760be7aa87151a49a321e97d82ba9f59b48a40be91c0bbf5e0ef9d83",
+    "face": "294bf3ad109b9760938eaddcf5431e231061d0b165da41ee63a9d5a6ae467709",
+    "iris": "5ca212df6d81b41a618d2e475e14926d7faf2b22ae3d076fcefc7e0e3bc4eb61",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MDH_GOLDEN_TINY))
+def test_mdh_golden_digest(tmp_path, mode):
+    cfg, run_dir = tiny_config(fusion_mode=mode), str(tmp_path)
+    stage_generate_data(cfg, run_dir)
+    stage_train_mdh(cfg, run_dir)
+    digest = hashlib.sha256()
+    for name in ("mdh.ckpt", "mdh_log.jsonl"):
+        digest.update(name.encode())
+        digest.update(Path(run_dir, name).read_bytes())
+    assert digest.hexdigest() == MDH_GOLDEN_TINY[mode]
 
 
 def test_evaluate_reads_each_record_once(finished_run, monkeypatch):
@@ -540,7 +561,7 @@ def test_integer_bandwidths_train_as_floats_and_keep_the_fingerprint(tmp_path):
     saved = ExperimentConfig.load(os.path.join(run_dir, "config.json"))
     assert saved.fingerprint() == cfg.fingerprint()
     mdh, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, build_code(cfg.code_m, cfg.code_t))
-    assert mdh.hashing.beta == 2.0
+    assert mdh.beta == 2.0
 
 
 def test_stage_seeds_distinct_and_stable():
