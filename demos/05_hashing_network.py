@@ -15,8 +15,9 @@ from hashdec.mdh import MdhModel, train_step1
 from hashdec.nnd import hard_limit
 
 spec = SplitSpec(train_subjects=40, nnd_subjects=10, test_subjects=10, samples_per_subject=10)
-dims = DatasetDims()
-train, _, test = generate(spec, DistortionModel(), dims, seed=3)
+dims = DatasetDims(latent=32, face=64, iris=64)
+distortion = DistortionModel(sigma_face=0.4, sigma_iris=0.4, gain_jitter=0.05, offset_sigma=0.05)
+train, _, test = generate(spec, distortion, dims, seed=3)
 print(f"benchmark: {spec.train_subjects} training subjects x {spec.samples_per_subject} samples, "
       f"{dims.face}-dim face / {dims.iris}-dim iris vectors")
 

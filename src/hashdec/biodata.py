@@ -24,10 +24,10 @@ from .checkpoint import CheckpointFormatError, entry, load_params, save_params
 class SplitSpec:
     """Subject counts and per-subject sample counts for the three splits."""
 
-    train_subjects: int = 120
-    nnd_subjects: int = 60
-    test_subjects: int = 70
-    samples_per_subject: int = 20
+    train_subjects: int
+    nnd_subjects: int
+    test_subjects: int
+    samples_per_subject: int
     enroll_fraction: float = 0.5
     id_starts: tuple = (0, 10000, 20000)
 
@@ -54,10 +54,10 @@ class SplitSpec:
 class DistortionModel:
     """Per-sample distortion: additive noise, gain jitter, scalar offset."""
 
-    sigma_face: float = 0.4
-    sigma_iris: float = 0.4
-    gain_jitter: float = 0.05
-    offset_sigma: float = 0.05
+    sigma_face: float
+    sigma_iris: float
+    gain_jitter: float
+    offset_sigma: float
 
     def __post_init__(self):
         for name in ("sigma_face", "sigma_iris", "gain_jitter", "offset_sigma"):
@@ -67,9 +67,9 @@ class DistortionModel:
 
 @dataclass
 class DatasetDims:
-    latent: int = 32
-    face: int = 64
-    iris: int = 64
+    latent: int
+    face: int
+    iris: int
 
 
 class DatasetSplit:

@@ -1,11 +1,12 @@
 """Trainable unrolled belief-propagation decoder.
 
-The decoder unrolls T flooding iterations of sum-product BP and makes three
-weight classes learnable: a multiplier per edge and per channel input on
-every variable-to-check layer, and a multiplier per edge and per channel
-input at the final marginalization, followed by a sigmoid so outputs are
-bit probabilities. All weights initialise to one, so an untrained decoder
-reproduces classical BP exactly; training starts from that baseline.
+The decoder unrolls T flooding iterations of sum-product BP and makes its
+weights learnable: a multiplier per edge and per channel input on every
+variable-to-check layer, and a multiplier per edge and per channel input at
+the final marginalization, followed by a sigmoid so outputs are bit
+probabilities. ``NndModel.params`` is ``tanner.unit_weights``' dict, which
+names each weight as the checkpoint does; classical BP is that dict at one,
+so an untrained decoder reproduces it exactly and training starts from it.
 
 ``train_loop`` is the one training loop: pretraining and fine-tuning run it on
 the decoder's cross-entropy with the ``ExperimentConfig``'s ``nnd_*`` settings,
@@ -27,7 +28,7 @@ from .autodiff import Tensor, TrainingError
 from .bch import BchCode, decode_hard
 from .checkpoint import CheckpointFormatError, entry, load_params, save_params
 from .config import ExperimentConfig
-from .tanner import TannerGraph, awgn_llr, bp_forward, hard_decision, LLR_CLAMP
+from .tanner import TannerGraph, awgn_llr, bp_forward, hard_decision, unit_weights, LLR_CLAMP
 
 VAL_EVERY = 25       # decoder training steps between two validation passes
 VAL_WORDS = 512      # AWGN words in the pretraining validation set
@@ -61,24 +62,10 @@ class NndModel:
         self.code = code
         self.graph = TannerGraph(code.parity_check_matrix)
         self.iterations = iterations
-        e, n = self.graph.num_edges, self.graph.n
-        # the first variable layer sees no check messages, so it has no edge weights
-        self.edge_weights = [None] + [
-            Tensor(np.ones((e, 1)), requires_grad=True) for _ in range(iterations - 1)
-        ]
-        self.channel_weights = [Tensor(np.ones((n, 1)), requires_grad=True) for _ in range(iterations)]
-        self.out_edge_weights = Tensor(np.ones((e, 1)), requires_grad=True)
-        self.out_channel_weights = Tensor(np.ones((n, 1)), requires_grad=True)
+        self.params = unit_weights(self.graph, iterations, requires_grad=True)
 
     def parameters(self):
-        params = {}
-        for i in range(self.iterations):
-            if self.edge_weights[i] is not None:
-                params[f"layer{i}/edge"] = self.edge_weights[i]
-            params[f"layer{i}/channel"] = self.channel_weights[i]
-        params["out/edge"] = self.out_edge_weights
-        params["out/channel"] = self.out_channel_weights
-        return params
+        return self.params
 
     def posterior(self, llr):
         """Posterior LLRs (B, n) for a (B, n) Tensor or array; positive favours bit 0."""
@@ -86,16 +73,7 @@ class NndModel:
             llr = Tensor(np.asarray(llr, dtype=np.float64))
         if llr.data.ndim != 2 or llr.data.shape[1] != self.graph.n:
             raise ValueError(f"llr shape {llr.data.shape} is not (B, n) with n = {self.graph.n}")
-        post = bp_forward(
-            self.graph,
-            ad.transpose(llr),
-            self.iterations,
-            edge_weights=self.edge_weights,
-            channel_weights=self.channel_weights,
-            out_edge_weights=self.out_edge_weights,
-            out_channel_weights=self.out_channel_weights,
-        )
-        return ad.transpose(post)
+        return ad.transpose(bp_forward(self.graph, ad.transpose(llr), self.iterations, self.params))
 
     def forward(self, llr):
         """Bit probabilities P(bit = 1) = sigmoid(-posterior), strictly inside (0, 1)."""

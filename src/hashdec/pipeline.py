@@ -369,12 +369,13 @@ def _scored_bits(cfg, code, codes):
 
 
 def enrollment_templates(codes, subjects, roles):
-    """Bitwise-majority template per subject over its enroll-role codes."""
+    """Bitwise-majority template per subject over its enroll-role codes; a
+    subject with no enroll row raises ``ValueError``."""
     templates, ids = [], []
     for s in np.unique(subjects):
         rows = codes[(subjects == s) & (roles == "enroll")]
         if rows.shape[0] == 0:
-            rows = codes[subjects == s]
+            raise ValueError(f"subject {s} has no enroll row to build a template from")
         ones = rows.sum(axis=0)
         templates.append((2 * ones >= rows.shape[0]).astype(np.uint8))
         ids.append(int(s))

@@ -2,11 +2,12 @@
 
 The message-passing core operates on autodiff tensors shaped (edges, batch)
 with a flooding schedule. One round, ``_bp_round``, sends variable-to-check
-then check-to-variable messages. ``bp_forward`` unrolls it, with or without
-the trainable decoder's per-layer weights; the classical ``decode_bp_batch``
-is ``bp_forward`` without weights over a (B, n) batch. A weight of one
-changes no bit and both decoders take bits from the posterior by
-``hard_decision``, so they agree bit for bit when every weight is one.
+then check-to-variable messages. ``bp_forward`` unrolls it under the
+trainable decoder's weights, one dict whose names and shapes
+``unit_weights`` lays out. Classical BP is those weights at one: a weight of
+one changes no bit, so ``decode_bp_batch``, which runs ``bp_forward`` at unit
+weights over a (B, n) batch, and the decoder take the same bits from the
+posterior by ``hard_decision`` when every weight is one.
 
 A round is one primitive. Its numpy forward runs the weighted channel term,
 the per-variable message sum, the gather, the clamps, tanh(x/2), the check's
@@ -146,9 +147,7 @@ def leave_one_out_prod(graph: TannerGraph, t_edges: Tensor) -> Tensor:
 
 
 def _weighted_vjp(g, x, w):
-    """Gradients for (x, w) of w * x from the gradient ``g`` of the product; no w is one."""
-    if w is None:
-        return g, None
+    """Gradients for (x, w) of w * x from the gradient ``g`` of the product."""
     return g * w.data, _unbroadcast(g * x.data, w.data.shape)
 
 
@@ -157,17 +156,17 @@ def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
 
     A variable sends its weighted channel LLR plus the weighted sum of its
     other incoming check messages (the channel term alone in the first round,
-    when ``c_msgs`` is None); a check answers 2 atanh(prod tanh(m/2)) over its
-    other edges. A ``None`` weight is one.
+    when ``c_msgs`` is None and ``w_edge`` is unused); a check answers
+    2 atanh(prod tanh(m/2)) over its other edges.
     """
     ev = graph.edge_var
-    wllr = llr.data if w_ch is None else w_ch.data * llr.data
+    wllr = w_ch.data * llr.data
     if c_msgs is None:
         inputs = (llr, w_ch)
         v = wllr.take(ev, axis=0)
     else:
         inputs = (llr, w_ch, c_msgs, w_edge)
-        wc = c_msgs.data if w_edge is None else w_edge.data * c_msgs.data
+        wc = w_edge.data * c_msgs.data
         v = (wllr + ad.scatter_add(ev, wc, graph.n)).take(ev, axis=0)
         v -= wc
     v.clip(-LLR_CLAMP, LLR_CLAMP, out=v)
@@ -194,9 +193,9 @@ def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
             g_wc = g_wllr.take(ev, axis=0)
             g_wc -= h
             grads += _weighted_vjp(g_wc, c_msgs, w_edge)
-        return tuple(gr for gr, x in zip(grads, inputs) if x is not None)
+        return grads
 
-    return make_op(out, tuple(x for x in inputs if x is not None), backward)
+    return make_op(out, inputs, backward)
 
 
 def _marginalize(graph, c_msgs, llr, w_edge, w_ch):
@@ -204,35 +203,48 @@ def _marginalize(graph, c_msgs, llr, w_edge, w_ch):
     message, as one primitive whose backward applies the per-op chain's
     factors (``add``, ``segment_sum``, both ``mul``s) in that chain's order."""
     ev = graph.edge_var
-    inputs = (llr, w_ch, c_msgs, w_edge)
-    wllr = llr.data if w_ch is None else w_ch.data * llr.data
-    wc = c_msgs.data if w_edge is None else w_edge.data * c_msgs.data
 
     def backward(g):
-        grads = _weighted_vjp(g, llr, w_ch) + _weighted_vjp(g.take(ev, axis=0), c_msgs, w_edge)
-        return tuple(gr for gr, x in zip(grads, inputs) if x is not None)
+        return _weighted_vjp(g, llr, w_ch) + _weighted_vjp(g.take(ev, axis=0), c_msgs, w_edge)
 
-    return make_op(wllr + ad.scatter_add(ev, wc, graph.n),
-                   tuple(x for x in inputs if x is not None), backward)
+    return make_op(w_ch.data * llr.data + ad.scatter_add(ev, w_edge.data * c_msgs.data, graph.n),
+                   (llr, w_ch, c_msgs, w_edge), backward)
 
 
-def bp_forward(graph, llr, iterations, edge_weights=None, channel_weights=None,
-               out_edge_weights=None, out_channel_weights=None):
+def unit_weights(graph, iterations, requires_grad=False):
+    """The decoder's weights by checkpoint name, every one at one.
+
+    ``layer<i>/channel`` (n, 1) weighs round i's channel LLRs and, from round
+    1 on, ``layer<i>/edge`` (edges, 1) its check messages; round 0 has none.
+    ``out/edge`` and ``out/channel`` weigh the posterior's two terms.
+    """
+    ones = lambda rows: Tensor(np.ones((rows, 1)), requires_grad=requires_grad)
+    weights = {}
+    for i in range(iterations):
+        if i:
+            weights[f"layer{i}/edge"] = ones(graph.num_edges)
+        weights[f"layer{i}/channel"] = ones(graph.n)
+    weights["out/edge"] = ones(graph.num_edges)
+    weights["out/channel"] = ones(graph.n)
+    return weights
+
+
+def bp_forward(graph, llr, iterations, weights=None):
     """Unrolled flooding BP returning the posterior LLR tensor, shape (n, B).
 
-    ``llr`` is a Tensor shaped (n, B). Weight arguments are per-layer lists of
-    (num_edges,1) / (n,1) tensors; ``None`` runs the unweighted classical
-    update (identical arithmetic to weights fixed at one).
+    ``llr`` is a Tensor shaped (n, B) and ``weights`` a dict laid out as
+    ``unit_weights``; ``None`` means ``unit_weights``, i.e. classical BP.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if weights is None:
+        weights = unit_weights(graph, iterations)
     llr = ad.clip(llr, -LLR_CLAMP, LLR_CLAMP)
     c_msgs = None
-    for it in range(iterations):
-        we = edge_weights[it] if edge_weights is not None else None
-        wc = channel_weights[it] if channel_weights is not None else None
-        c_msgs = _bp_round(graph, llr, c_msgs, we, wc)
-    return _marginalize(graph, c_msgs, llr, out_edge_weights, out_channel_weights)
+    for i in range(iterations):
+        w_edge = weights[f"layer{i}/edge"] if i else None
+        c_msgs = _bp_round(graph, llr, c_msgs, w_edge, weights[f"layer{i}/channel"])
+    return _marginalize(graph, c_msgs, llr, weights["out/edge"], weights["out/channel"])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +259,7 @@ def hard_decision(posterior):
 
 
 def decode_bp_batch(graph: TannerGraph, llr_batch, iterations=5):
-    """Classical BP, ``bp_forward`` without weights, over a (B, n) batch.
+    """Classical BP, ``bp_forward`` at unit weights, over a (B, n) batch.
 
     Returns the hard decision and the posterior LLRs, both (B, n).
     """

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,16 @@ from hashdec.biodata import (
     save_dataset,
     verify_disjoint,
 )
+from hashdec.config import ExperimentConfig
 
 SMALL = SplitSpec(train_subjects=6, nnd_subjects=3, test_subjects=4, samples_per_subject=5)
 DIMS = DatasetDims(latent=4, face=8, iris=6)
+NOISY = DistortionModel(sigma_face=0.4, sigma_iris=0.4, gain_jitter=0.05, offset_sigma=0.05)
 
 
 def test_default_benchmark_shape():
-    spec = SplitSpec()
-    train, nnd, test = generate(spec, DistortionModel(), DatasetDims(), seed=0)
+    cfg = ExperimentConfig()
+    train, nnd, test = generate(cfg.split_spec(), cfg.distortion(), cfg.dims(), seed=0)
     assert train.subject_ids.size == 120
     assert nnd.subject_ids.size == 60
     assert test.subject_ids.size == 70
@@ -36,16 +40,16 @@ def test_zero_distortion_gives_identical_samples():
 
 
 def test_same_seed_bitwise_identical():
-    a = generate(SMALL, DistortionModel(), DIMS, seed=7)
-    b = generate(SMALL, DistortionModel(), DIMS, seed=7)
+    a = generate(SMALL, NOISY, DIMS, seed=7)
+    b = generate(SMALL, NOISY, DIMS, seed=7)
     for x, y in zip(a, b):
         assert x == y
-    c = generate(SMALL, DistortionModel(), DIMS, seed=8)
+    c = generate(SMALL, NOISY, DIMS, seed=8)
     assert not a[0] == c[0]
 
 
 def test_roles_assigned_per_subject():
-    train, _, _ = generate(SMALL, DistortionModel(), DIMS, seed=2)
+    train, _, _ = generate(SMALL, NOISY, DIMS, seed=2)
     for s in train.subject_ids:
         roles = train.role[train.subject == s]
         assert np.count_nonzero(roles == "enroll") == 3  # ceil(0.5 * 5)
@@ -53,7 +57,7 @@ def test_roles_assigned_per_subject():
 
 
 def test_splits_are_subject_disjoint():
-    splits = generate(SMALL, DistortionModel(), DIMS, seed=3)
+    splits = generate(SMALL, NOISY, DIMS, seed=3)
     verify_disjoint(list(splits))
     clone = splits[0].select(np.ones(splits[0].num_samples, dtype=bool))
     clone.name = "other"
@@ -63,21 +67,21 @@ def test_splits_are_subject_disjoint():
 
 def test_overlapping_id_ranges_rejected():
     with pytest.raises(ValueError, match="overlap"):
-        SplitSpec(train_subjects=100, id_starts=(0, 50, 20000))
+        replace(SMALL, train_subjects=100, id_starts=(0, 50, 20000))
 
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="positive"):
-        SplitSpec(train_subjects=0)
+        replace(SMALL, train_subjects=0)
     with pytest.raises(ValueError, match="enroll_fraction"):
-        SplitSpec(enroll_fraction=1.0)
+        replace(SMALL, enroll_fraction=1.0)
     with pytest.raises(ValueError, match="non-negative"):
-        DistortionModel(sigma_face=-0.1)
+        replace(NOISY, sigma_face=-0.1)
 
 
 def test_round_trip_exact(tmp_path):
     # every array comes back bit for bit, in its own dtype; the meta names the kind
-    splits = generate(SMALL, DistortionModel(), DIMS, seed=4)
+    splits = generate(SMALL, NOISY, DIMS, seed=4)
     path = tmp_path / "data.ckpt"
     save_dataset(splits, path, {"fingerprint": "6f84bf01455adfae"})
     loaded, meta = load_dataset(path)
@@ -93,7 +97,7 @@ def test_round_trip_exact(tmp_path):
 def test_intra_class_tighter_than_inter_class():
     train, _, _ = generate(SplitSpec(train_subjects=20, nnd_subjects=3, test_subjects=3,
                                      samples_per_subject=8),
-                           DistortionModel(), DatasetDims(), seed=5)
+                           NOISY, DatasetDims(latent=32, face=64, iris=64), seed=5)
     for field in ("face", "iris"):
         data = getattr(train, field)
         intra, inter = [], []

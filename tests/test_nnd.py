@@ -49,14 +49,18 @@ def test_single_iteration_structure(hamming74):
     names = set(model.parameters())
     # one variable layer (channel weights only) plus the marginalization
     assert names == {"layer0/channel", "out/edge", "out/channel"}
-    assert model.channel_weights[0].data.shape == (7, 1)
-    assert model.out_edge_weights.data.shape == (12, 1)
+    assert model.params["layer0/channel"].data.shape == (7, 1)
+    assert model.params["out/edge"].data.shape == (12, 1)
 
 
 def test_edge_weight_count_matches_graph(hamming74):
     model = NndModel(hamming74, iterations=4)
     for i in range(1, 4):
-        assert model.edge_weights[i].data.shape == (12, 1)
+        assert model.params[f"layer{i}/edge"].data.shape == (12, 1)
+    # a checkpoint stores the weights in this order; round 0 has no edge weight
+    assert list(model.parameters()) == ["layer0/channel"] + [
+        f"layer{i}/{kind}" for i in range(1, 4) for kind in ("edge", "channel")] + [
+        "out/edge", "out/channel"]
 
 
 def test_untrained_model_equals_classical_bp(bch63):

@@ -526,6 +526,14 @@ def test_enrollment_templates():
     assert templates.tolist() == [[1, 1, 0, 1], [1, 0, 0, 0]]
 
 
+def test_enrollment_templates_refuse_a_subject_without_enroll_rows():
+    # subject 7 has probes only: its template would be built from them
+    codes = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="subject 7"):
+        pipeline.enrollment_templates(codes, np.array([3, 7, 7]),
+                                      np.array(["enroll", "probe", "probe"]))
+
+
 def test_message_level_scoring(tmp_path):
     cfg = tiny_config(score_on="message")
     results = run_all(cfg, str(tmp_path), overwrite=True)

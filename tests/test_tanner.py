@@ -16,6 +16,7 @@ from hashdec.tanner import (
     bp_forward,
     decode_bp_batch,
     leave_one_out_prod,
+    unit_weights,
 )
 
 
@@ -191,20 +192,40 @@ def _round_inputs(graph, later, weights, batch, rng, case):
         # two exact zeros on check 0: its first two variables get no evidence
         llr[on_check0[:2]] = 0.0
         c_msgs[np.isin(graph.edge_var, on_check0[:2])] = 0.0
-    w_edge = w_ch = None
-    if weights != "none":
-        w_edge, w_ch = np.ones((graph.num_edges, 1)), np.ones((graph.n, 1))
-        if weights == "jittered":
-            w_edge = w_edge + 0.1 * rng.standard_normal(w_edge.shape)
-            w_ch = w_ch + 0.1 * rng.standard_normal(w_ch.shape)
+    w_edge, w_ch = np.ones((graph.num_edges, 1)), np.ones((graph.n, 1))
+    if weights == "jittered":
+        w_edge = w_edge + 0.1 * rng.standard_normal(w_edge.shape)
+        w_ch = w_ch + 0.1 * rng.standard_normal(w_ch.shape)
     values = (llr, c_msgs if later else None, w_edge, w_ch)
     return [None if v is None else Tensor(v, requires_grad=True) for v in values]
 
 
 def _round_and_grads(round_fn, graph, inputs, coeffs):
+    for t in inputs:
+        if t is not None:
+            t.grad = None
     out = round_fn(graph, *inputs)
     GradientTape(ad.tensor_sum(ad.mul(out, Tensor(coeffs)))).backward()
     return out.data, [None if t is None else t.grad for t in inputs]
+
+
+def _assert_fused_is_the_chain(fused_fn, ref_fn, graph, inputs, coeffs, names, weights):
+    """Outputs and gradients of ``fused_fn`` and ``ref_fn`` agree bit for bit.
+
+    ``inputs`` end with the two weights. At ``weights == "none"`` the fused
+    primitive runs at unit weights and the chain multiplies by no weight at
+    all, so classical BP is the decoder at one; only the message gradients
+    are compared then.
+    """
+    fused, fused_grads = _round_and_grads(fused_fn, graph, inputs, coeffs)
+    ref_inputs = inputs[:-2] + [None, None] if weights == "none" else inputs
+    ref, ref_grads = _round_and_grads(ref_fn, graph, ref_inputs, coeffs)
+    assert np.array_equal(fused, ref)
+    compared = len(names) - 2 if weights == "none" else len(names)
+    for name, a, b in list(zip(names, fused_grads, ref_grads))[:compared]:
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+    return fused
 
 
 @pytest.mark.parametrize("case", ["plain", "clamps", "zeros"])
@@ -218,15 +239,8 @@ def test_fused_round_is_bitwise_the_per_op_chain(h, later, weights, batch, case)
     rng = np.random.default_rng([sum(map(ord, str(x))) for x in labels])
     inputs = _round_inputs(graph, later, weights, batch, rng, case)
     coeffs = rng.standard_normal((graph.num_edges, batch))
-    fused, fused_grads = _round_and_grads(tanner._bp_round, graph, inputs, coeffs)
-    for t in inputs:
-        if t is not None:
-            t.grad = None
-    ref, ref_grads = _round_and_grads(_ref_bp_round, graph, inputs, coeffs)
-    assert np.array_equal(fused, ref)
-    for name, a, b in zip(("llr", "c_msgs", "w_edge", "w_ch"), fused_grads, ref_grads):
-        assert (a is None) == (b is None), name
-        assert a is None or np.array_equal(a, b), name
+    fused = _assert_fused_is_the_chain(tanner._bp_round, _ref_bp_round, graph, inputs, coeffs,
+                                       ("llr", "c_msgs", "w_edge", "w_ch"), weights)
     plain = [None if t is None else Tensor(t.data) for t in inputs]
     v = _ref_var_to_check(graph, *plain).data
     prod = leave_one_out_prod(graph, Tensor(np.tanh(0.5 * v))).data
@@ -259,27 +273,17 @@ def test_marginalization_is_bitwise_the_per_op_chain(weights, batch):
     graph = TannerGraph(_UNEVEN_H)
     rng = np.random.default_rng([batch, sum(map(ord, weights))])
     llr, c_msgs, w_edge, w_ch = _round_inputs(graph, True, weights, batch, rng, "plain")
-    inputs = (c_msgs, llr, w_edge, w_ch)
     coeffs = rng.standard_normal((graph.n, batch))
-    fused, fused_grads = _round_and_grads(tanner._marginalize, graph, inputs, coeffs)
-    for t in inputs:
-        if t is not None:
-            t.grad = None
-    ref, ref_grads = _round_and_grads(_ref_marginalize, graph, inputs, coeffs)
-    assert np.array_equal(fused, ref)
-    for name, a, b in zip(("c_msgs", "llr", "w_edge", "w_ch"), fused_grads, ref_grads):
-        assert (a is None) == (b is None), name
-        assert a is None or np.array_equal(a, b), name
+    _assert_fused_is_the_chain(tanner._marginalize, _ref_marginalize, graph,
+                               [c_msgs, llr, w_edge, w_ch], coeffs,
+                               ("c_msgs", "llr", "w_edge", "w_ch"), weights)
 
 
 def test_marginalization_is_one_node_of_the_posterior_tape():
     graph = TannerGraph(_UNEVEN_H)
     rng = np.random.default_rng(10)
     llr = Tensor(rng.normal(0.0, 2.0, (graph.n, 2)), requires_grad=True)
-    w = [Tensor(np.ones(shape), requires_grad=True)
-         for shape in ((graph.num_edges, 1), (graph.n, 1), (graph.n, 1),
-                       (graph.num_edges, 1), (graph.n, 1))]
-    post = bp_forward(graph, llr, 2, [None, w[0]], w[1:3], w[3], w[4])
+    post = bp_forward(graph, llr, 2, unit_weights(graph, 2, requires_grad=True))
     order = GradientTape(ad.tensor_sum(post)).order
     # the sum, the posterior, two rounds and the channel clamp: the posterior
     # takes the last round's messages directly
@@ -291,15 +295,16 @@ def test_unrolled_decoder_is_bitwise_the_per_op_chain(monkeypatch):
     # six terms, in the same order as the per-op graph summed them
     graph = TannerGraph(build_code(6, 3).parity_check_matrix)
     rng = np.random.default_rng(8)
-    e, n = graph.num_edges, graph.n
-    shapes = [(e, 1)] * 4 + [(n, 1)] * 5 + [(e, 1), (n, 1)]
-    weights = [1 + 0.05 * rng.standard_normal(shape) for shape in shapes]
+    n = graph.n
+    weights = {name: 1 + 0.05 * rng.standard_normal(t.data.shape)
+               for name, t in unit_weights(graph, 5).items()}
 
     def run(llr, coeffs):
-        llr, *w = [Tensor(v.copy(), requires_grad=True) for v in [llr] + weights]
-        post = bp_forward(graph, llr, 5, [None] + w[:4], w[4:9], w[9], w[10])
+        llr = Tensor(llr.copy(), requires_grad=True)
+        w = {name: Tensor(v.copy(), requires_grad=True) for name, v in weights.items()}
+        post = bp_forward(graph, llr, 5, w)
         GradientTape(ad.tensor_sum(ad.mul(post, Tensor(coeffs)))).backward()
-        return [post.data, llr.grad] + [t.grad for t in w]
+        return [post.data, llr.grad] + [t.grad for t in w.values()]
 
     assert 4 * graph.r < tanner.SCAN_LANES <= 64 * graph.r  # both scan forms
     for batch in (4, 64):
@@ -315,13 +320,12 @@ def test_weighted_bp_forward_gradient_matches_finite_differences(hamming_graph):
     g = hamming_graph
     rng = np.random.default_rng(9)
     llr = Tensor(rng.uniform(-2.0, 2.0, (g.n, 2)))
-    weights = [Tensor(1 + 0.1 * rng.standard_normal(shape))
-               for shape in ((g.num_edges, 1), (g.n, 1), (g.n, 1), (g.num_edges, 1), (g.n, 1))]
+    shapes = {name: t.data.shape for name, t in unit_weights(g, 2).items()}
+    weights = [Tensor(1 + 0.1 * rng.standard_normal(shape)) for shape in shapes.values()]
     coeffs = Tensor(rng.standard_normal((g.n, 2)))
 
-    def f(llr, w_edge1, w_ch0, w_ch1, w_out_edge, w_out_ch):
-        post = bp_forward(g, llr, 2, [None, w_edge1], [w_ch0, w_ch1], w_out_edge, w_out_ch)
-        return ad.tensor_sum(ad.mul(post, coeffs))
+    def f(llr, *w):
+        return ad.tensor_sum(ad.mul(bp_forward(g, llr, 2, dict(zip(shapes, w))), coeffs))
 
     report = gradient_check(f, [llr, *weights])
     assert report.max_relative_error < 1e-6, report.per_input
