@@ -62,7 +62,7 @@ class NndModel:
         self.code = code
         self.graph = TannerGraph(code.parity_check_matrix)
         self.iterations = iterations
-        self.params = unit_weights(self.graph, iterations, requires_grad=True)
+        self.params = unit_weights(self.graph, iterations)
 
     def parameters(self):
         return self.params

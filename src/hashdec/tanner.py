@@ -211,14 +211,15 @@ def _marginalize(graph, c_msgs, llr, w_edge, w_ch):
                    (llr, w_ch, c_msgs, w_edge), backward)
 
 
-def unit_weights(graph, iterations, requires_grad=False):
+def unit_weights(graph, iterations):
     """The decoder's weights by checkpoint name, every one at one.
 
     ``layer<i>/channel`` (n, 1) weighs round i's channel LLRs and, from round
     1 on, ``layer<i>/edge`` (edges, 1) its check messages; round 0 has none.
-    ``out/edge`` and ``out/channel`` weigh the posterior's two terms.
+    ``out/edge`` and ``out/channel`` weigh the posterior's two terms. Each is
+    a trainable leaf; under ``ad.no_grad`` no tape is built through it.
     """
-    ones = lambda rows: Tensor(np.ones((rows, 1)), requires_grad=requires_grad)
+    ones = lambda rows: Tensor(np.ones((rows, 1)), requires_grad=True)
     weights = {}
     for i in range(iterations):
         if i:
@@ -229,16 +230,14 @@ def unit_weights(graph, iterations, requires_grad=False):
     return weights
 
 
-def bp_forward(graph, llr, iterations, weights=None):
+def bp_forward(graph, llr, iterations, weights):
     """Unrolled flooding BP returning the posterior LLR tensor, shape (n, B).
 
     ``llr`` is a Tensor shaped (n, B) and ``weights`` a dict laid out as
-    ``unit_weights``; ``None`` means ``unit_weights``, i.e. classical BP.
+    ``unit_weights``; ``unit_weights`` itself is classical BP.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if weights is None:
-        weights = unit_weights(graph, iterations)
     llr = ad.clip(llr, -LLR_CLAMP, LLR_CLAMP)
     c_msgs = None
     for i in range(iterations):
@@ -267,7 +266,8 @@ def decode_bp_batch(graph: TannerGraph, llr_batch, iterations=5):
     if llr_batch.ndim != 2 or llr_batch.shape[1] != graph.n:
         raise ValueError(f"llr shape {llr_batch.shape} is not (B, n) with n = {graph.n}")
     with ad.no_grad():
-        post = bp_forward(graph, Tensor(llr_batch.T.copy()), iterations).data
+        post = bp_forward(graph, Tensor(llr_batch.T.copy()), iterations,
+                          unit_weights(graph, iterations)).data
     return hard_decision(post.T), post.T
 
 

@@ -132,6 +132,9 @@ def test_criterion_2_slow_tier_bch_511():
 
 
 def test_criterion_3_untrained_decoder_equals_bp():
+    # decode_bp_batch and the untrained model both run bp_forward at unit
+    # weights, so this pins NndModel.decode's plumbing; test_tanner shows unit
+    # weights equal the unweighted per-op chain bit for bit
     t0 = time.time()
     code = build_code(6, 3)
     graph = TannerGraph(code.parity_check_matrix)

@@ -64,6 +64,10 @@ def test_edge_weight_count_matches_graph(hamming74):
 
 
 def test_untrained_model_equals_classical_bp(bch63):
+    """Both sides run ``bp_forward`` at unit weights: this pins
+    ``NndModel.decode``'s plumbing (chunks, transposes, hard decision). That
+    unit weights are classical BP bit for bit is shown against the unweighted
+    per-op chain in ``test_tanner``."""
     graph = TannerGraph(bch63.parity_check_matrix)
     model = NndModel(bch63, iterations=5)
     rng = np.random.default_rng(0)
@@ -79,7 +83,8 @@ def test_untrained_model_equals_bp_on_llr_grid(hamming74):
     graph = TannerGraph(hamming74.parity_check_matrix)
     model = NndModel(hamming74, iterations=5)
     grid = np.array(np.meshgrid(*[[-2.0, 0.5]] * 7)).reshape(7, -1).T
-    # a posterior just below zero is bit 1 for both decoders
+    # both sides run bp_forward at unit weights, as above; a posterior just
+    # below zero is bit 1 for both
     grid = np.vstack([grid, [-1e-17, 0, 0, 0, 0, 0, 0]])
     hard_bp, _ = decode_bp_batch(graph, grid, iterations=5)
     assert np.array_equal(model.decode(grid), hard_bp)
@@ -267,7 +272,8 @@ def test_pretrain_initial_loss_equals_classical_bp_loss(bch63):
     cfg = ExperimentConfig(nnd_snr_range_db=(2.0, 4.0), nnd_pretrain_steps=0)
     model = NndModel(bch63, iterations=5)
     _, curve = pretrain_awgn(model, cfg, seed=6)
-    # recompute by hand: same validation words through plain BP posteriors
+    # recompute by hand: same validation words through decode_bp_batch's
+    # posteriors, bp_forward at unit weights
     rng = np.random.default_rng(6 + 1)
     rate = bch63.k / bch63.n
     sigmas = np.array([sigma_from_snr_db(s, rate) for s in cfg.nnd_snr_range_db])

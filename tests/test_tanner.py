@@ -283,7 +283,7 @@ def test_marginalization_is_one_node_of_the_posterior_tape():
     graph = TannerGraph(_UNEVEN_H)
     rng = np.random.default_rng(10)
     llr = Tensor(rng.normal(0.0, 2.0, (graph.n, 2)), requires_grad=True)
-    post = bp_forward(graph, llr, 2, unit_weights(graph, 2, requires_grad=True))
+    post = bp_forward(graph, llr, 2, unit_weights(graph, 2))
     order = GradientTape(ad.tensor_sum(post)).order
     # the sum, the posterior, two rounds and the channel clamp: the posterior
     # takes the last round's messages directly
