@@ -21,7 +21,8 @@ train, _, test = generate(spec, distortion, dims, seed=3)
 print(f"benchmark: {spec.train_subjects} training subjects x {spec.samples_per_subject} samples, "
       f"{dims.face}-dim face / {dims.iris}-dim iris vectors")
 
-model = MdhModel("bla", dims.face, dims.iris, spec.train_subjects, code_bits=63, seed=3)
+model = MdhModel("bla", dims.face, dims.iris, spec.train_subjects, code_bits=63, feature_dim=16,
+                 fusion_dim=128, hidden=(128, 64), seed=3)
 cfg = ExperimentConfig(stage_max_steps=250)
 print(f"continuation ladder on the hashing tanh bandwidth: {cfg.bandwidths}")
 

@@ -12,9 +12,9 @@ so an untrained decoder reproduces it exactly and training starts from it.
 the decoder's cross-entropy with the ``ExperimentConfig``'s ``nnd_*`` settings,
 the pipeline's joint optimisation on MDH + NND.
 
-Also hosts the ground-truth machinery: hard-limiting hash activations,
-decoding them with the conventional hard-decision decoder, and a per-subject
-plurality vote over the successfully decoded codewords.
+Also hosts the conventional hard-decision decoder over hard-limited hash
+activations, ``bm_decode`` (the ``ext`` variant's and the ground truth's), and
+the per-subject plurality vote over the codewords it corrects.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def llr_from_activations(activations, scale):
 class NndModel:
     """Unrolled weighted BP decoder for one BCH code."""
 
-    def __init__(self, code: BchCode, iterations=5):
+    def __init__(self, code: BchCode, iterations):
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
         self.code = code
@@ -233,40 +233,45 @@ def hard_limit(activations):
     return (np.asarray(activations) <= 0).astype(np.uint8)
 
 
-def make_ground_truth(outputs_by_subject, code: BchCode):
-    """Decode every sample and vote per subject for its label codeword.
+def bm_decode(code: BchCode, activations):
+    """The conventional hard-decision decoder on (N, n) activations: (bits, ok).
+    Each hard-limited row that ``decode_hard`` corrects becomes its codeword and
+    is marked in ``ok``; a row that fails keeps its raw code."""
+    bits = hard_limit(activations)
+    ok = np.zeros(len(bits), dtype=bool)
+    for i, row in enumerate(bits):
+        result = decode_hard(code, row)
+        if result.success:
+            row[:] = result.codeword
+            ok[i] = True
+    return bits, ok
 
-    ``outputs_by_subject`` maps subject id -> (num_samples, n) activation
-    array. Samples that fail to decode are excluded from the vote; subjects
-    whose samples all fail are excluded and reported on the table. Modal
-    ties break toward the lexicographically smallest codeword.
-    """
+
+def make_ground_truth(activations, subjects, code: BchCode):
+    """``bm_decode`` every (N, n) row of activations and vote per subject, the
+    row's entry in ``subjects``, for its label codeword. Rows that fail to decode
+    are left out of the vote; subjects whose rows all fail are excluded and
+    reported on the table. Modal ties break toward the lexicographically
+    smallest codeword, the first that ``np.unique`` returns."""
+    activations, subjects = np.asarray(activations, dtype=np.float64), np.asarray(subjects)
+    if activations.shape[1:] != (code.n,) or not len(activations):
+        raise ValueError(f"activations of shape {activations.shape} are not (N >= 1, n = {code.n})")
+    if subjects.shape != activations.shape[:1]:
+        raise ValueError(f"{subjects.size} subject ids for {len(activations)} samples")
+    bits, ok = bm_decode(code, activations)
     table = GroundTruthTable(n=code.n)
-    for subject in sorted(outputs_by_subject):
-        samples = np.atleast_2d(np.asarray(outputs_by_subject[subject], dtype=np.float64))
-        if samples.shape[0] == 0:
-            raise ValueError(f"subject {subject} has no samples")
-        if samples.shape[1] != code.n:
-            raise ValueError(
-                f"subject {subject}: sample length {samples.shape[1]} != n = {code.n}"
-            )
-        counts = {}
-        failures = 0
-        for row in samples:
-            res = decode_hard(code, hard_limit(row))
-            if res.success:
-                key = tuple(res.codeword.tolist())
-                counts[key] = counts.get(key, 0) + 1
-            else:
-                failures += 1
-        table.totals[subject] = samples.shape[0]
-        table.failures[subject] = failures
-        if not counts:
+    for subject in np.unique(subjects).tolist():
+        rows = subjects == subject
+        decoded = rows & ok
+        table.totals[subject] = int(rows.sum())
+        table.failures[subject] = int(rows.sum() - decoded.sum())
+        if not decoded.any():
             table.excluded.append(subject)
             continue
-        best = min(counts, key=lambda cw: (-counts[cw], cw))
-        table.labels[subject] = np.array(best, dtype=np.uint8)
-        table.support[subject] = counts[best]
+        words, counts = np.unique(bits[decoded], axis=0, return_counts=True)
+        best = int(np.argmax(counts))
+        table.labels[subject] = words[best]
+        table.support[subject] = int(counts[best])
     if not table.labels:
         raise RuntimeError("ground-truth generation failed for every subject")
     return table

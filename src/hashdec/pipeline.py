@@ -13,7 +13,8 @@ and its config's fingerprint; ``_read_record`` refuses it under any other,
 like a corrupted one. Architectures are built from the config and the kind.
 
 Decoder fine-tuning and joint optimisation run ``nnd.train_loop`` on the same
-rows, the labeled samples of the NND split (``_labeled_samples``).
+rows, the labeled samples of the NND split (``_labeled_samples``). Each variant
+is a ``VARIANTS`` row; ``ext`` runs the ground truth's decoder, ``nnd.bm_decode``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bch import build_code, decode_hard, write_descriptor
+from .bch import build_code, write_descriptor
 from .biodata import generate, load_dataset, save_dataset, verify_disjoint
 from .checkpoint import CheckpointFormatError, entry, load_params, save_params, write_lines
 from .config import ExperimentConfig
@@ -40,10 +41,11 @@ from .evaluation import (
     write_metrics,
     write_roc_csv,
 )
-from .mdh import MdhModel, train_step1
+from .mdh import MdhModel, in_chunks, train_step1
 from .nnd import (
     GroundTruthTable,
     NndModel,
+    bm_decode,
     finetune_biometric,
     hard_limit,
     llr_from_activations,
@@ -57,13 +59,14 @@ from .nnd import (
 _WRITERS = {"data": "generate-data", "mdh": "train-mdh", "ground_truth": "ground-truth",
             "nnd_pretrained": "train-nnd", "nnd_finetuned": "train-nnd",
             "mdhnd": "joint-optimize"}
-VARIANTS = ("mdh", "ext", "nnd", "mdhnd")
-# the records a variant waits for; a missing nnd_pretrained is refused on reading
-_VARIANT_NEEDS = {
-    "mdh": ("data", "mdh"),
-    "ext": ("data", "mdh"),
-    "nnd": ("data", "mdh", "ground_truth", "nnd_finetuned"),
-    "mdhnd": ("data", "mdh", "ground_truth", "nnd_finetuned", "mdhnd"),
+# each system variant: the records it waits for (a missing nnd_pretrained is
+# refused on reading), the record its MDH is read from, and its decoder: None
+# for the raw code, "bm" for ``bm_decode``, else the record its NND is read from
+VARIANTS = {
+    "mdh": (("data", "mdh"), "mdh", None),
+    "ext": (("data", "mdh"), "mdh", "bm"),
+    "nnd": (("data", "mdh", "ground_truth", "nnd_finetuned"), "mdh", "nnd_pretrained"),
+    "mdhnd": (("data", "mdh", "ground_truth", "nnd_finetuned", "mdhnd"), "mdhnd", "mdhnd"),
 }
 
 
@@ -209,13 +212,9 @@ def stage_train_mdh(cfg: ExperimentConfig, run_dir):
     return log[-1]
 
 
-def _activations(model: MdhModel, split, batch=512):
-    acts = []
-    with ad.no_grad():
-        for i in range(0, split.num_samples, batch):
-            a, _ = model.forward(split.face[i : i + batch], split.iris[i : i + batch])
-            acts.append(a.data)
-    return np.concatenate(acts)
+def _activations(model: MdhModel, split):
+    chunks = in_chunks(model.forward, split.face, split.iris)
+    return np.concatenate([acts.data for acts, _ in chunks])
 
 
 def stage_ground_truth(cfg: ExperimentConfig, run_dir):
@@ -224,9 +223,7 @@ def stage_ground_truth(cfg: ExperimentConfig, run_dir):
     code = build_code(cfg.code_m, cfg.code_t)
     model, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
     nnd_split = splits["nnd"]
-    acts = _activations(model, nnd_split)
-    by_subject = {int(s): acts[nnd_split.subject == s] for s in nnd_split.subject_ids}
-    table = make_ground_truth(by_subject, code)
+    table = make_ground_truth(_activations(model, nnd_split), nnd_split.subject, code)
     rate = table.failure_rate
     _log_event(run_dir, f"ground_truth failure_rate={rate!r} "
                         f"labeled={len(table.labels)} excluded={len(table.excluded)}")
@@ -333,27 +330,21 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
 # ---------------------------------------------------------------------------
 
 def _variant(cfg: ExperimentConfig, run_dir, variant):
-    """Gate a variant and read each of its checkpoints once: its code, its MDH
-    and its decoder, a function from MDH activations to code bits."""
+    """Gate a variant by its ``VARIANTS`` row and read each checkpoint once: its
+    code, its MDH and its decoder, a function from MDH activations to code bits."""
     if variant not in VARIANTS:
-        raise PipelineError(f"unknown variant '{variant}'; expected one of {VARIANTS}")
-    _require(run_dir, *_VARIANT_NEEDS[variant])
+        raise PipelineError(f"unknown variant '{variant}'; expected one of {tuple(VARIANTS)}")
+    needs, mdh_kind, decoder = VARIANTS[variant]
+    _require(run_dir, *needs)
     code = build_code(cfg.code_m, cfg.code_t)
-    ckpt = "mdhnd.ckpt" if variant == "mdhnd" else "mdh.ckpt"
-    mdh, nndm = load_models(os.path.join(run_dir, ckpt), cfg, code)
-    if variant == "nnd":
-        _, nndm = load_models(os.path.join(run_dir, "nnd_pretrained.ckpt"), cfg, code)
-    if nndm is not None:
-        return code, mdh, lambda acts: nndm.decode(llr_from_activations(acts, cfg.llr_scale))
-
-    def bm_decode(acts):
-        bits = hard_limit(acts)
-        for row in bits:
-            result = decode_hard(code, row)
-            if result.success:
-                row[:] = result.codeword  # a failure keeps the raw code
-        return bits
-    return code, mdh, hard_limit if variant == "mdh" else bm_decode
+    mdh, nndm = load_models(os.path.join(run_dir, f"{mdh_kind}.ckpt"), cfg, code)
+    if decoder is None:
+        return code, mdh, hard_limit
+    if decoder == "bm":
+        return code, mdh, lambda acts: bm_decode(code, acts)[0]
+    if decoder != mdh_kind:
+        _, nndm = load_models(os.path.join(run_dir, f"{decoder}.ckpt"), cfg, code)
+    return code, mdh, lambda acts: nndm.decode(llr_from_activations(acts, cfg.llr_scale))
 
 
 def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):

@@ -257,7 +257,7 @@ def hard_decision(posterior):
     return (posterior < 0).astype(np.uint8)
 
 
-def decode_bp_batch(graph: TannerGraph, llr_batch, iterations=5):
+def decode_bp_batch(graph: TannerGraph, llr_batch, iterations):
     """Classical BP, ``bp_forward`` at unit weights, over a (B, n) batch.
 
     Returns the hard decision and the posterior LLRs, both (B, n).

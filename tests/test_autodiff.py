@@ -376,7 +376,7 @@ def _nnd_loss(batch):
 
 
 def _mdh_loss():
-    model = MdhModel("bla", 24, 20, 10, 63, seed=3)
+    model = MdhModel("bla", 24, 20, 10, 63, feature_dim=16, fusion_dim=128, hidden=(128, 64), seed=3)
     rng = np.random.default_rng(5)
     acts, logits = model.forward(rng.standard_normal((32, 24)), rng.standard_normal((32, 20)))
     labels = Tensor(one_hot(rng.integers(0, 10, 32), 10))

@@ -2,11 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hashdec import autodiff as ad
 from hashdec import tanner
 from hashdec.autodiff import Tensor, TrainingError, gradient_check
-from hashdec.bch import build_code, encode
+from hashdec.bch import build_code, decode_hard, encode, syndromes
 from hashdec.checkpoint import CheckpointFormatError
 from hashdec.config import ConfigError, ExperimentConfig
 from hashdec.nnd import (
@@ -14,6 +15,7 @@ from hashdec.nnd import (
     VAL_WORDS,
     GroundTruthTable,
     NndModel,
+    bm_decode,
     codeword_error_rate,
     finetune_biometric,
     hard_limit,
@@ -346,9 +348,37 @@ def _acts_for(code, cw, margin=0.9):
     return np.where(cw == 0, margin, -margin)
 
 
+def _far_from(code, good, rng, flips=25):
+    """``good`` with ``flips`` of its signs flipped, at random positions."""
+    bad = good.copy()
+    far = rng.choice(code.n, flips, replace=False)
+    bad[far] = -bad[far]
+    return bad
+
+
+def test_bm_decode_is_decode_hard_per_row(bch63):
+    rng = np.random.default_rng(12)
+    rows = []
+    for flips in range(8):  # within and beyond t = 3
+        cw = encode(bch63, rng.integers(0, 2, 45).astype(np.uint8))
+        good = np.where(cw == 0, 0.9, -0.9)
+        rows.append(_far_from(bch63, good, rng, flips) if flips else good)
+    acts = np.stack(rows)
+    bits, ok = bm_decode(bch63, acts)
+    assert bits.dtype == np.uint8 and ok.dtype == bool and bits.shape == acts.shape
+    assert ok[:4].all() and not ok.all()
+    for row, word, decoded in zip(acts, bits, ok):
+        result = decode_hard(bch63, hard_limit(row))
+        assert decoded == result.success
+        if decoded:
+            assert np.array_equal(word, result.codeword) and not syndromes(bch63, word).any()
+        else:
+            assert np.array_equal(word, hard_limit(row))
+
+
 def test_ground_truth_unanimous(hamming74):
     cw = encode(hamming74, np.array([1, 0, 1, 1], dtype=np.uint8))
-    table = make_ground_truth({5: np.stack([_acts_for(hamming74, cw)] * 4)}, hamming74)
+    table = make_ground_truth(np.stack([_acts_for(hamming74, cw)] * 4), [5] * 4, hamming74)
     assert np.array_equal(table.labels[5], cw)
     assert table.support[5] == 4 and table.failures[5] == 0
 
@@ -357,7 +387,7 @@ def test_ground_truth_plurality(hamming74):
     a = encode(hamming74, np.array([1, 0, 0, 0], dtype=np.uint8))
     b = encode(hamming74, np.array([0, 1, 0, 0], dtype=np.uint8))
     rows = np.stack([_acts_for(hamming74, a), _acts_for(hamming74, a), _acts_for(hamming74, b)])
-    table = make_ground_truth({1: rows}, hamming74)
+    table = make_ground_truth(rows, [1, 1, 1], hamming74)
     assert np.array_equal(table.labels[1], a)
     assert table.support[1] == 2
 
@@ -366,7 +396,7 @@ def test_ground_truth_tie_breaks_lexicographically(hamming74):
     msgs = [np.array([1, 0, 0, 0], np.uint8), np.array([0, 1, 0, 0], np.uint8)]
     a, b = (encode(hamming74, m) for m in msgs)
     rows = np.stack([_acts_for(hamming74, w) for w in (a, a, b, b)])
-    table = make_ground_truth({1: rows}, hamming74)
+    table = make_ground_truth(rows, [1] * 4, hamming74)
     expected = min((tuple(a), tuple(b)))
     assert tuple(table.labels[1]) == expected
 
@@ -374,10 +404,14 @@ def test_ground_truth_tie_breaks_lexicographically(hamming74):
 def test_ground_truth_order_invariance(hamming74):
     rng = np.random.default_rng(8)
     cws = [encode(hamming74, rng.integers(0, 2, 4).astype(np.uint8)) for _ in range(3)]
-    rows = np.stack([_acts_for(hamming74, cws[i]) for i in (0, 0, 1, 2, 1, 0)])
-    t1 = make_ground_truth({3: rows}, hamming74)
-    t2 = make_ground_truth({3: rows[::-1]}, hamming74)
-    assert np.array_equal(t1.labels[3], t2.labels[3])
+    rows = np.stack([_acts_for(hamming74, cws[i]) for i in (0, 0, 1, 2, 1, 0, 2, 2)])
+    subjects = np.array([3, 3, 3, 3, 3, 3, 4, 4])
+    perm = rng.permutation(len(rows))
+    t1 = make_ground_truth(rows, subjects, hamming74)
+    t2 = make_ground_truth(rows[perm], subjects[perm], hamming74)
+    for subject in (3, 4):
+        assert np.array_equal(t1.labels[subject], t2.labels[subject])
+    assert t1.support == t2.support and t1.totals == t2.totals
 
 
 def test_ground_truth_failures_excluded(bch63):
@@ -385,39 +419,87 @@ def test_ground_truth_failures_excluded(bch63):
     cw = encode(bch63, rng.integers(0, 2, 45).astype(np.uint8))
     good = np.where(cw == 0, 0.9, -0.9)
     # a word > t flips away from every codeword in its sphere fails to decode
-    bad = good.copy()
-    far = rng.choice(63, 25, replace=False)
-    bad[far] = -bad[far]
-    from hashdec.bch import decode_hard
-
+    bad = _far_from(bch63, good, rng)
     assert not decode_hard(bch63, hard_limit(bad)).success
-    table = make_ground_truth({1: np.stack([good, bad]), 2: np.stack([bad, bad])}, bch63)
+    table = make_ground_truth(np.stack([good, bad, bad, bad]), [1, 1, 2, 2], bch63)
     assert table.failures[1] == 1 and np.array_equal(table.labels[1], cw)
     assert table.excluded == [2]
     assert 2 not in table.labels
 
 
 def test_ground_truth_empty_subject_rejected(hamming74):
-    with pytest.raises(ValueError, match="no samples"):
-        make_ground_truth({1: np.zeros((0, 7))}, hamming74)
+    # a subject can only appear with rows; what is refused is input that is
+    # not (N >= 1, n) or whose subject ids are not one per row
+    for shape in ((0, 7), (3, 6), (7,)):
+        with pytest.raises(ValueError, match=r"not \(N >= 1, n = 7\)"):
+            make_ground_truth(np.zeros(shape), [1] * (shape[0] if len(shape) == 2 else 1), hamming74)
+    with pytest.raises(ValueError, match="2 subject ids for 3 samples"):
+        make_ground_truth(np.ones((3, 7)), [1, 1], hamming74)
 
 
 def test_ground_truth_all_failed_raises(bch63):
     rng = np.random.default_rng(10)
     rows = rng.uniform(-1, 1, (3, 63))
     # craft rows that certainly fail by checking first
-    from hashdec.bch import decode_hard
-
     bad = [r for r in rows if not decode_hard(bch63, hard_limit(r)).success]
     if not bad:
         pytest.skip("random rows all decoded (astronomically unlikely)")
     with pytest.raises(RuntimeError, match="every subject"):
-        make_ground_truth({1: np.stack(bad)}, bch63)
+        make_ground_truth(np.stack(bad), [1] * len(bad), bch63)
+
+
+def _dict_vote(code, activations, subjects):
+    """The ground-truth vote as a per-subject dict of codeword counts, the
+    modal codeword chosen by ``min`` over (-count, word): the reference."""
+    labels, support, failures = {}, {}, {}
+    for subject in sorted(set(subjects)):
+        counts = {}
+        failures[subject] = 0
+        for row in activations[np.asarray(subjects) == subject]:
+            res = decode_hard(code, hard_limit(row))
+            if res.success:
+                key = tuple(res.codeword.tolist())
+                counts[key] = counts.get(key, 0) + 1
+            else:
+                failures[subject] += 1
+        if counts:
+            labels[subject] = min(counts, key=lambda cw: (-counts[cw], cw))
+            support[subject] = counts[labels[subject]]
+    return labels, support, failures
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.sets(st.integers(0, 14), max_size=4)), min_size=1, max_size=24))
+def test_ground_truth_vote_is_the_dict_rule(samples):
+    # BCH(15,7), t = 2: up to 2 flips decode back, 3-4 may fail or land on
+    # another codeword; four messages per subject make ties common
+    code = test_ground_truth_vote_is_the_dict_rule.code
+    rows, subjects = [], []
+    for subject, message, flips in samples:
+        cw = encode(code, ((message * 37 >> np.arange(code.k)) & 1).astype(np.uint8))
+        acts = np.where(cw == 0, 0.9, -0.9)
+        acts[sorted(flips)] *= -1
+        rows.append(acts)
+        subjects.append(subject)
+    rows = np.stack(rows)
+    labels, support, failures = _dict_vote(code, rows, subjects)
+    if not labels:
+        with pytest.raises(RuntimeError, match="every subject"):
+            make_ground_truth(rows, subjects, code)
+        return
+    table = make_ground_truth(rows, subjects, code)
+    assert {s: tuple(w.tolist()) for s, w in table.labels.items()} == labels
+    assert table.support == support and table.failures == failures
+    assert table.excluded == sorted(set(failures) - set(labels))
+
+
+test_ground_truth_vote_is_the_dict_rule.code = build_code(4, 2)
 
 
 def test_ground_truth_table_round_trip(tmp_path, hamming74, bch63):
     cw = encode(hamming74, np.array([1, 1, 0, 0], dtype=np.uint8))
-    table = make_ground_truth({4: np.stack([_acts_for(hamming74, cw)] * 3)}, hamming74)
+    table = make_ground_truth(np.stack([_acts_for(hamming74, cw)] * 3), [4] * 3, hamming74)
     table.excluded.append(9)
     path = tmp_path / "ground_truth.ckpt"
     table.save(path, {"fingerprint": "6f84bf01455adfae"})
@@ -431,10 +513,8 @@ def test_ground_truth_table_round_trip(tmp_path, hamming74, bch63):
     rng = np.random.default_rng(9)
     cw63 = encode(bch63, rng.integers(0, 2, 45).astype(np.uint8))
     good = np.where(cw63 == 0, 0.9, -0.9)
-    bad = good.copy()
-    far = rng.choice(63, 25, replace=False)
-    bad[far] = -bad[far]
-    table = make_ground_truth({1: np.stack([good, good, bad]), 2: np.stack([bad, bad])}, bch63)
+    bad = _far_from(bch63, good, rng)
+    table = make_ground_truth(np.stack([good, good, bad, bad, bad]), [1, 1, 1, 2, 2], bch63)
     assert table.excluded == [2] and table.failure_rate == 3 / 5
     table.save(path)
     loaded, _ = GroundTruthTable.load(path)

@@ -385,10 +385,13 @@ def test_variant_codes_shapes_and_fallback(finished_run):
 
 def test_unknown_variant_rejected(finished_run):
     cfg, run_dir, _ = finished_run
+    # the table's order is the CLI's choices and run_all's evaluation order
+    assert list(pipeline.VARIANTS) == ["mdh", "ext", "nnd", "mdhnd"]
     split = load_dataset(os.path.join(run_dir, "data.ckpt"))[0]["test"]
-    with pytest.raises(PipelineError, match="mdhnd"):
+    expected = r"unknown variant 'turbo'; expected one of \('mdh', 'ext', 'nnd', 'mdhnd'\)"
+    with pytest.raises(PipelineError, match=expected):
         variant_codes(cfg, run_dir, "turbo", split)
-    with pytest.raises(PipelineError, match="mdhnd"):
+    with pytest.raises(PipelineError, match=expected):
         stage_evaluate(cfg, run_dir, "turbo")
 
 
