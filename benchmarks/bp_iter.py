@@ -9,7 +9,8 @@ Each point of the grid BCH(63,45), BCH(127,85), BCH(255,187) x B = 1, 64,
 builds the code's ``NndModel`` with every weight moved off one, draws B
 seeded AWGN words around the all-zeros codeword and times two operations:
 
-- ``forward``: ``NndModel.decode``, no gradient recorded;
+- ``forward``: ``NndModel.decode``, no gradient recorded, so B = 512 runs
+  in blocks of ``tanner.DECODE_BLOCK`` words;
 - ``forward_backward``: ``NndModel.forward``, the bitwise cross-entropy
   against the all-zeros word and ``GradientTape.backward``.
 

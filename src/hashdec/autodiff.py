@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,25 @@ class no_grad:
     def __exit__(self, *exc):
         _grad_mode.enabled = self._prev
         return False
+
+
+def grad_enabled():
+    """Whether primitives in this thread record a tape: false under ``no_grad``."""
+    return _grad_mode.enabled
+
+
+@contextmanager
+def frozen(tensors):
+    """Record no tape through ``tensors`` inside the block: their
+    ``requires_grad`` is cleared, then restored on the way out."""
+    saved = [(t, t.requires_grad) for t in tensors]
+    for t, _ in saved:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in saved:
+            t.requires_grad = flag
 
 
 class _Node:

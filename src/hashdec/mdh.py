@@ -221,7 +221,8 @@ def train_step1(model: MdhModel, dataset, cfg: ExperimentConfig, seed):
     pre = in_chunks(lambda face, iris: ad.dense(model.fuse(face, iris), w, b).data, face, iris)
     b.data = b.data - np.median(np.concatenate(pre), axis=0, keepdims=True)
 
-    # Phases B and C share the minibatch objective; B freezes the encoders
+    # Phases B and C share the minibatch objective; B freezes the encoders,
+    # so no tape runs through them
     def make_step_fn(params, lr, phase, beta):
         state = ad.AdamState(step_size=lr)
         batches = _batches(n, cfg.batch_size, rng)
@@ -244,10 +245,11 @@ def train_step1(model: MdhModel, dataset, cfg: ExperimentConfig, seed):
         ("B", {name: t for name, t in model.params.items() if "_enc/" not in name}, cfg.lr),
         ("C", model.parameters(), cfg.lr * cfg.phase_c_lr_factor),
     ):
-        # an int bandwidth in the config must still log and checkpoint as a float
-        for beta in map(float, cfg.bandwidths):
-            model.beta = beta
-            _run_stage(make_step_fn(params, lr, phase, beta), cfg, log, phase, beta)
+        with ad.frozen(t for name, t in model.params.items() if name not in params):
+            # an int bandwidth in the config must still log and checkpoint as a float
+            for beta in map(float, cfg.bandwidths):
+                model.beta = beta
+                _run_stage(make_step_fn(params, lr, phase, beta), cfg, log, phase, beta)
 
     summary = evaluate_hashing(model, face, iris, class_idx)
     log.append({"event": "summary", **summary})

@@ -7,6 +7,9 @@ the final marginalization, followed by a sigmoid so outputs are bit
 probabilities. ``NndModel.params`` is ``tanner.unit_weights``' dict, which
 names each weight as the checkpoint does; classical BP is that dict at one,
 so an untrained decoder reproduces it exactly and training starts from it.
+Every pass that records no graph (``decode``, the validation losses of
+``train_loop``) runs in ``tanner.DECODE_BLOCK``-word blocks inside
+``bp_forward``.
 
 ``train_loop`` is the one training loop: pretraining and fine-tuning run it on
 the decoder's cross-entropy with the ``ExperimentConfig``'s ``nnd_*`` settings,
@@ -33,7 +36,6 @@ from .tanner import TannerGraph, awgn_llr, bp_forward, hard_decision, unit_weigh
 VAL_EVERY = 25       # decoder training steps between two validation passes
 VAL_WORDS = 512      # AWGN words in the pretraining validation set
 VAL_FRACTION = 0.1   # share of fine-tuning samples held out for validation
-DECODE_CHUNK = 512   # words per BP pass in ``NndModel.decode``; bounds peak memory
 
 
 def sigma_from_snr_db(snr_db, rate):
@@ -80,16 +82,10 @@ class NndModel:
         return ad.sigmoid(ad.neg(self.posterior(llr)))
 
     def decode(self, llr_batch):
-        """``tanner.hard_decision`` of a (B, n) batch's posterior, recording no graph.
-
-        BP treats each word alone, so decoding ``DECODE_CHUNK`` words at a time
-        changes no bit and bounds the memory one round holds.
-        """
-        llr = np.atleast_2d(np.asarray(llr_batch, dtype=np.float64))
+        """``tanner.hard_decision`` of a (B, n) batch's posterior, recording no
+        graph, so ``bp_forward`` runs it in ``tanner.DECODE_BLOCK``-word blocks."""
         with ad.no_grad():
-            chunks = [hard_decision(self.posterior(llr[i : i + DECODE_CHUNK]).data)
-                      for i in range(0, max(len(llr), 1), DECODE_CHUNK)]
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+            return hard_decision(self.posterior(np.atleast_2d(llr_batch)).data)
 
 
 def train_loop(params, loss, sample_batch, val_batch, steps, step_size, val_every):

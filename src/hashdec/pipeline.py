@@ -302,22 +302,25 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
     val_batch = ((probe.face[val_mask], probe.iris[val_mask]), va_y)
 
     params = _tensors(None if cfg.joint_freeze_mdh else mdh, None if cfg.joint_freeze_nnd else nndm)
+    frozen = [t for model, freeze in ((mdh, cfg.joint_freeze_mdh), (nndm, cfg.joint_freeze_nnd))
+              if freeze for t in model.parameters().values()]
     loss = _composed_loss(mdh, nndm, cfg.llr_scale)
 
     def batch_from(rng):
         idx = rng.integers(0, tr_y.shape[0], size=min(cfg.joint_batch_size, tr_y.shape[0]))
         return (tr_face[idx], tr_iris[idx]), tr_y[idx]
 
-    if cfg.joint_steps and not cfg.joint_freeze_mdh:
-        # the encoders' gradient on the first batch, drawn from a twin stream
-        first = batch_from(np.random.default_rng(stage_seed(cfg, "joint")))
-        ad.GradientTape(loss(*first)).backward()
-        enc_norm = float(np.sqrt(sum(float((t.grad ** 2).sum())
-                                     for n, t in mdh.params.items() if "_enc/" in n)))
-        _log_event(run_dir, f"joint encoder_grad_norm_step1={enc_norm!r}")
-    rng = np.random.default_rng(stage_seed(cfg, "joint"))
-    curve = train_loop(params, loss, lambda step: batch_from(rng), val_batch, cfg.joint_steps,
-                       cfg.joint_step_size, 10)
+    with ad.frozen(frozen):  # no tape runs through the frozen model
+        if cfg.joint_steps and not cfg.joint_freeze_mdh:
+            # the encoders' gradient on the first batch, drawn from a twin stream
+            first = batch_from(np.random.default_rng(stage_seed(cfg, "joint")))
+            ad.GradientTape(loss(*first)).backward()
+            enc_norm = float(np.sqrt(sum(float((t.grad ** 2).sum())
+                                         for n, t in mdh.params.items() if "_enc/" in n)))
+            _log_event(run_dir, f"joint encoder_grad_norm_step1={enc_norm!r}")
+        rng = np.random.default_rng(stage_seed(cfg, "joint"))
+        curve = train_loop(params, loss, lambda step: batch_from(rng), val_batch,
+                           cfg.joint_steps, cfg.joint_step_size, 10)
     initial_val, best_val = curve[0], min(curve)
     _log_event(run_dir, f"joint val_loss_initial={initial_val!r} val_loss_best={best_val!r}")
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -292,3 +293,47 @@ def test_unimodal_modes_train():
     model, log = train_step1(model, train, _FAST, seed=0)
     assert not model.parameters("iris_enc/")
     assert log[-1]["accuracy"] > 0.5
+
+
+def _phase_b_steps(monkeypatch, model, cfg):
+    """Per phase-B step of ``train_step1``: the trained gradients, the tape's
+    node count and whether a node takes an encoder tensor as input."""
+    encoders = [t for name, t in model.params.items() if "_enc/" in name]
+    tapes, steps = [], []
+
+    class Recorded(ad.GradientTape):
+        def __init__(self, result):
+            super().__init__(result)
+            tapes.append(self)
+
+    adam_step = ad.adam_step
+
+    def recorded_step(params, state):
+        if "hash/w" in params and "face_enc/w0" not in params:
+            inputs = [x for t in tapes[-1].order for x in t.node.inputs]
+            steps.append(({name: p.grad.copy() for name, p in params.items()},
+                          len(tapes[-1].order),
+                          any(x is enc for x in inputs for enc in encoders)))
+        return adam_step(params, state)
+
+    monkeypatch.setattr(ad, "GradientTape", Recorded)
+    monkeypatch.setattr(ad, "adam_step", recorded_step)
+    train_step1(model, _tiny_dataset(), cfg, seed=0)
+    monkeypatch.undo()
+    return steps
+
+
+def test_phase_b_records_no_tape_through_the_frozen_encoders(monkeypatch):
+    cfg = ExperimentConfig(phase_a_steps=5, bandwidths=(1.0, 8.0), patience=3,
+                           stage_max_steps=4)
+    model = _tiny_model()
+    frozen = _phase_b_steps(monkeypatch, model, cfg)
+    # the same run with the encoders left trainable: the old phase B
+    monkeypatch.setattr(ad, "frozen", lambda tensors: contextlib.nullcontext())
+    recording = _phase_b_steps(monkeypatch, _tiny_model(), cfg)
+    assert len(frozen) == len(recording) == 8
+    for (grads, nodes, through), (old_grads, old_nodes, old_through) in zip(frozen, recording):
+        assert grads.keys() == old_grads.keys()
+        assert all(grads[k].tobytes() == old_grads[k].tobytes() for k in grads)
+        assert not through and old_through and nodes < old_nodes
+    assert all(t.requires_grad for t in model.params.values())

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hashdec import autodiff as ad
-from hashdec import tanner
+from hashdec import nnd, tanner
 from hashdec.autodiff import Tensor, TrainingError, gradient_check
 from hashdec.bch import build_code, decode_hard, encode, syndromes
 from hashdec.checkpoint import CheckpointFormatError
 from hashdec.config import ConfigError, ExperimentConfig
 from hashdec.nnd import (
-    DECODE_CHUNK,
     VAL_WORDS,
     GroundTruthTable,
     NndModel,
@@ -193,17 +192,17 @@ def test_decode_in_chunks_equals_row_by_row(bch63, monkeypatch):
     rng = np.random.default_rng(11)
     model = _jittered(NndModel(bch63, iterations=5), rng)
     llrs = rng.normal(0.0, 3.0, (1100, 63))
-    # two full chunks and a partial one
-    sizes = []
-    posterior = NndModel.posterior
-
-    def counted(self, llr):
-        sizes.append(len(llr))
-        return posterior(self, llr)
-
-    monkeypatch.setattr(NndModel, "posterior", counted)
+    # full blocks and a partial one, each one pass of the unrolled rounds
+    # within one ``bp_forward`` call, as a tracer wrapping it counts
+    calls, sizes = [], []
+    forward, unrolled = nnd.bp_forward, tanner._unrolled
+    monkeypatch.setattr(nnd, "bp_forward", lambda *a: calls.append(1) or forward(*a))
+    monkeypatch.setattr(tanner, "_unrolled",
+                        lambda g, llr, *a: sizes.append(llr.data.shape[1]) or unrolled(g, llr, *a))
     bits = model.decode(llrs)
-    assert sizes == [DECODE_CHUNK, DECODE_CHUNK, 1100 - 2 * DECODE_CHUNK]
+    full, rest = divmod(1100, tanner.DECODE_BLOCK)
+    assert rest and sizes == [tanner.DECODE_BLOCK] * full + [rest]
+    assert calls == [1]
     monkeypatch.undo()
     assert bits.shape == (1100, 63) and bits.dtype == np.uint8
     for i in range(1100):

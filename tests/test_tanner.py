@@ -15,6 +15,7 @@ from hashdec.tanner import (
     awgn_llr,
     bp_forward,
     decode_bp_batch,
+    hard_decision,
     leave_one_out_prod,
     unit_weights,
 )
@@ -452,6 +453,29 @@ def test_batch_decode_matches_single(hamming_graph):
         hard, soft = decode_bp_batch(hamming_graph, llrs[i : i + 1], iterations=4)
         assert np.array_equal(hard_b[i], hard[0])
         assert np.array_equal(soft_b[i], soft[0])
+
+
+@pytest.mark.parametrize("m, t", [(6, 3), (7, 6), (8, 9)], ids=["n63", "n127", "n255"])
+def test_no_grad_blocks_are_bitwise_one_pass(m, t):
+    code = build_code(m, t)
+    graph = TannerGraph(code.parity_check_matrix)
+    rng = np.random.default_rng(m)
+    unit, weights = unit_weights(graph, 5), unit_weights(graph, 5)
+    for w in weights.values():
+        w.data = w.data * (1.0 + 0.05 * rng.standard_normal(w.data.shape))
+    block = tanner.DECODE_BLOCK
+    for words in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        # (words, n) as the decoder holds them, some beyond the clamp
+        x = rng.normal(1.0, 4.0, (words, graph.n)) * rng.choice([1.0, 10.0], (words, graph.n))
+        with ad.no_grad():
+            one_pass = tanner._unrolled(graph, Tensor(x.T), 5, weights).data
+            post = bp_forward(graph, Tensor(x.T), 5, weights).data
+            unit_pass = tanner._unrolled(graph, Tensor(x.T), 5, unit).data
+        assert post.shape == (graph.n, words) and post.tobytes() == one_pass.tobytes(), words
+        hard, soft = decode_bp_batch(graph, x, iterations=5)
+        assert hard.shape == soft.shape == (words, graph.n), words
+        assert soft.tobytes() == unit_pass.T.tobytes(), words
+        assert np.array_equal(hard, hard_decision(unit_pass.T)), words
 
 
 def test_coded_ber_beats_uncoded_at_moderate_noise(hamming74, hamming_graph):
