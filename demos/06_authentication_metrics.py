@@ -19,13 +19,13 @@ codes = {}
 for s in range(70):
     flips = rng.random((20, 63)) < 0.08  # ~5 bit flips per sample
     codes[s] = centers[s] ^ flips.astype(np.uint8)
-scores = score_protocol(codes, 70, 20)
-print(f"genuine scores : {scores.genuine.size:>7} = 70*20*19/2")
-print(f"impostor scores: {scores.impostor.size:>7} = 70*69*400/2")
-print(f"genuine mean distance {scores.genuine.mean():5.2f}, "
-      f"impostor mean {scores.impostor.mean():5.2f}")
+genuine, impostor = score_protocol(codes, 70, 20)
+print(f"genuine scores : {genuine.size:>7} = 70*20*19/2")
+print(f"impostor scores: {impostor.size:>7} = 70*69*400/2")
+print(f"genuine mean distance {genuine.mean():5.2f}, "
+      f"impostor mean {impostor.mean():5.2f}")
 
-roc, eer = roc_and_eer(scores, 63)
+roc, eer = roc_and_eer(genuine, impostor, 63)
 print(f"\nEER = {eer:.4%} (interpolated at the FAR/FRR crossing)")
 for target in (0.01, 0.001, 0.0001):
     print(f"GAR at FAR <= {target:g}: {gar_at_far(roc, target):.4f}")

@@ -33,7 +33,6 @@ from .biodata import DatasetDims, DistortionModel, SplitSpec, generate, load_dat
 from .config import ExperimentConfig
 from .evaluation import (
     RocCurve,
-    ScoreSet,
     gar_at_far,
     hamming,
     identification_accuracy,

@@ -31,44 +31,28 @@ def pack_codes(codes):
     return words.view(np.uint64)
 
 
-def pairwise_hamming(codes_a, codes_b, chunk=256):
-    """Distance matrix between two stacks of equal-length codes.
+PAIRWISE_ROWS = 256  # rows of ``codes_a`` per block: bounds each XOR temporary
+
+
+def pairwise_hamming(codes_a, codes_b):
+    """Distance matrix between two stacks of equal-length codes, as uint16:
+    no code length that ``gf2m`` allows exceeds 1023 bits.
 
     Word by word, the popcount of the XOR of two codes' words is added to
     their distance; the zero padding never differs.
     """
     pa, pb = pack_codes(codes_a), pack_codes(codes_b)
-    out = np.zeros((pa.shape[0], pb.shape[0]), dtype=np.int64)
-    for i in range(0, pa.shape[0], chunk):
-        block = out[i : i + chunk]
+    out = np.zeros((pa.shape[0], pb.shape[0]), dtype=np.uint16)
+    for i in range(0, pa.shape[0], PAIRWISE_ROWS):
+        block = out[i : i + PAIRWISE_ROWS]
         for w in range(pa.shape[1]):
-            block += np.bitwise_count(pa[i : i + chunk, w, None] ^ pb[:, w])
+            block += np.bitwise_count(pa[i : i + PAIRWISE_ROWS, w, None] ^ pb[:, w])
     return out
 
 
-@dataclass
-class ScoreSet:
-    """Genuine and impostor Hamming scores for an N-subject, t-sample protocol."""
-
-    genuine: np.ndarray
-    impostor: np.ndarray
-    n_subjects: int
-    samples_per_subject: int
-
-    def __post_init__(self):
-        n, t = self.n_subjects, self.samples_per_subject
-        if self.genuine.size != n * t * (t - 1) // 2:
-            raise ValueError(
-                f"genuine count {self.genuine.size} != Nt(t-1)/2 = {n * t * (t - 1) // 2}"
-            )
-        if self.impostor.size != n * (n - 1) * t * t // 2:
-            raise ValueError(
-                f"impostor count {self.impostor.size} != N(N-1)t^2/2 = {n * (n - 1) * t * t // 2}"
-            )
-
-
 def score_protocol(codes_by_subject, n_subjects, samples_per_subject):
-    """All intra-subject and inter-subject unordered pair distances.
+    """The (genuine, impostor) distances of all intra-subject and all
+    inter-subject unordered pairs: Nt(t-1)/2 and N(N-1)t^2/2 of them.
 
     ``codes_by_subject`` maps subject -> (t, n) bit array; every subject must
     contribute exactly ``samples_per_subject`` codes.
@@ -94,7 +78,7 @@ def score_protocol(codes_by_subject, n_subjects, samples_per_subject):
     first = samples_per_subject * np.arange(n_subjects)[:, None]
     genuine = dist[first + rows, first + cols].ravel()
     impostor = dist[owner[:, None] < owner[None, :]]
-    return ScoreSet(genuine, impostor, n_subjects, samples_per_subject)
+    return genuine, impostor
 
 
 @dataclass
@@ -106,26 +90,32 @@ class RocCurve:
     gar: np.ndarray
 
 
-def roc_and_eer(scores: ScoreSet, n):
+def roc_and_eer(genuine, impostor, n):
     """Threshold sweep plus the interpolated equal error rate.
 
     FAR(tau) is the fraction of impostor scores <= tau, GAR likewise for
     genuine scores, FRR = 1 - GAR. The EER interpolates linearly between the
     two adjacent integer thresholds where FAR - FRR changes sign.
     """
-    if scores.genuine.size == 0 or scores.impostor.size == 0:
+    gen, imp = np.sort(genuine), np.sort(impostor)
+    if gen.size == 0 or imp.size == 0:
         raise ValueError("roc_and_eer requires nonempty genuine and impostor score lists")
-    thresholds = np.arange(-1, n + 1)
-    gen = np.sort(scores.genuine)
-    imp = np.sort(scores.impostor)
-    gar = np.searchsorted(gen, thresholds, side="right") / gen.size
-    far = np.searchsorted(imp, thresholds, side="right") / imp.size
+    gar, far = _share_at_or_below(gen, n), _share_at_or_below(imp, n)
     frr = 1.0 - gar
     f = far - frr
     idx = int(np.argmax(f >= 0.0))  # f(-1) = -1, f(n) = +1: a crossing always exists
     lam = -f[idx - 1] / (f[idx] - f[idx - 1])
     eer = far[idx - 1] + lam * (far[idx] - far[idx - 1])
-    return RocCurve(thresholds, far, gar), float(eer)
+    return RocCurve(np.arange(-1, n + 1), far, gar), float(eer)
+
+
+def _share_at_or_below(sorted_scores, n):
+    """The share of the sorted integer scores <= tau for each tau from -1 to n.
+    The grid takes the scores' dtype, so a uint16 list is searched, not widened."""
+    grid = np.arange(n + 1, dtype=sorted_scores.dtype)
+    count = np.concatenate((np.searchsorted(sorted_scores, grid[:1]),
+                            np.searchsorted(sorted_scores, grid, side="right")))
+    return count / sorted_scores.size
 
 
 def gar_at_far(roc: RocCurve, far_target):

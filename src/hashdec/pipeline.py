@@ -20,6 +20,7 @@ is a ``VARIANTS`` row; ``ext`` runs the ground truth's decoder, ``nnd.bm_decode`
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 
@@ -161,7 +162,8 @@ def save_models(path, cfg: ExperimentConfig, kind, mdh=None, nnd=None):
 def load_models(path, cfg: ExperimentConfig, code):
     """The (mdh, nnd) pair a ``<kind>.ckpt`` of this config holds, ``None`` for
     a model its kind lacks: ``mdh`` the MDH with its head, ``nnd_*`` the NND,
-    ``mdhnd`` both, the MDH headless. Other parameter names or shapes are refused."""
+    ``mdhnd`` both, the MDH headless. Other parameter names or shapes, and a
+    ``beta`` that is not a finite positive number, are refused."""
     kind = os.path.basename(path).removesuffix(".ckpt")
 
     def decode(params, meta):
@@ -176,7 +178,11 @@ def load_models(path, cfg: ExperimentConfig, code):
         for name, tensor in tensors.items():
             tensor.data = params[name]
         if mdh is not None:
-            mdh.beta = entry(meta, "beta", path)
+            beta = entry(meta, "beta", path)
+            if (isinstance(beta, bool) or not isinstance(beta, (int, float))
+                    or not math.isfinite(beta) or beta <= 0):
+                raise CheckpointFormatError(f"{path}: beta {beta!r} is not a finite positive number")
+            mdh.beta = beta
         return mdh, nnd
 
     models, _ = _read_record(cfg, path, lambda p: load_params(p, kind), decode)
@@ -387,10 +393,10 @@ def stage_evaluate(cfg: ExperimentConfig, run_dir, variant):
     split = splits["test"]
     bits, length = _scored_bits(cfg, code, decode(_activations(mdh, split)))
     by_subject = {int(s): bits[split.subject == s] for s in split.subject_ids}
-    scores = score_protocol(by_subject, cfg.test_subjects, cfg.samples_per_subject)
-    roc, eer = roc_and_eer(scores, length)
-    auth = {**header, "mode": "auth", "genuine_count": int(scores.genuine.size),
-            "impostor_count": int(scores.impostor.size), "eer": float(eer)}
+    genuine, impostor = score_protocol(by_subject, cfg.test_subjects, cfg.samples_per_subject)
+    roc, eer = roc_and_eer(genuine, impostor, length)
+    auth = {**header, "mode": "auth", "genuine_count": genuine.size,
+            "impostor_count": impostor.size, "eer": float(eer)}
     for target in cfg.far_targets:
         auth[f"gar_at_far_{target}"] = gar_at_far(roc, target)
     write_roc_csv(os.path.join(run_dir, f"roc_auth_{variant}.csv"), roc)

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from hashdec.evaluation import (
     RocCurve,
-    ScoreSet,
     bench_authentication,
     gar_at_far,
     hamming,
@@ -32,16 +31,6 @@ def sweep_oracle(genuine, impostor, n):
             lam = -f0 / (f1 - f0)
             return far0 + lam * (far1 - far0)
     raise AssertionError("no crossing found")
-
-
-def _scores(genuine, impostor):
-    """ScoreSet carrying arbitrary score lists (bypasses protocol counting)."""
-    s = ScoreSet.__new__(ScoreSet)
-    s.genuine = np.asarray(genuine)
-    s.impostor = np.asarray(impostor)
-    s.n_subjects = 0
-    s.samples_per_subject = 0
-    return s
 
 
 def test_hamming_basics():
@@ -79,13 +68,13 @@ def test_pairwise_matches_scalar():
 @pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 127, 255])
 def test_pairwise_matches_hamming_loop_at_word_and_chunk_edges(n):
     # codes of one or more 64-bit words, padded or not; stacks of 0 and 1
-    # rows and of either side of the 256-row chunk
+    # rows and of either side of a PAIRWISE_ROWS block
     rng = np.random.default_rng(n)
     b = rng.integers(0, 2, (5, n)).astype(np.uint8)
     for rows in (0, 1, 256, 257):
         a = rng.integers(0, 2, (rows, n)).astype(np.uint8)
         d = pairwise_hamming(a, b)
-        assert d.dtype == np.int64 and d.shape == (rows, 5)
+        assert d.dtype == np.uint16 and d.shape == (rows, 5)
         assert d.tolist() == [[hamming(x, y) for y in b] for x in a]
     assert pairwise_hamming(b, b[:0]).shape == (5, 0)
     assert pairwise_hamming(b[:1], b[:1]).tolist() == [[0]]
@@ -102,33 +91,33 @@ def test_score_protocol_lists_pairs_in_row_major_order():
     for i in range(len(stacked)):
         for j in range(i + 1, len(stacked)):
             (genuine if owner[i] == owner[j] else impostor).append(hamming(stacked[i], stacked[j]))
-    scores = score_protocol(codes, 3, t)
-    assert scores.genuine.tolist() == genuine
-    assert scores.impostor.tolist() == impostor
-    assert scores.genuine.dtype == scores.impostor.dtype == np.int64
+    got_genuine, got_impostor = score_protocol(codes, 3, t)
+    assert got_genuine.tolist() == genuine
+    assert got_impostor.tolist() == impostor
+    assert got_genuine.dtype == got_impostor.dtype == np.uint16
 
 
 def test_score_protocol_closed_form_counts():
     rng = np.random.default_rng(2)
     codes = {s: rng.integers(0, 2, (20, 63)).astype(np.uint8) for s in range(70)}
-    scores = score_protocol(codes, 70, 20)
-    assert scores.genuine.size == 13_300
-    assert scores.impostor.size == 966_000
+    genuine, impostor = score_protocol(codes, 70, 20)
+    assert genuine.size == 13_300
+    assert impostor.size == 966_000
 
 
 def test_score_protocol_hand_case():
     z = np.zeros(4, dtype=np.uint8)
     o = np.ones(4, dtype=np.uint8)
     codes = {0: np.stack([z, z]), 1: np.stack([o, o])}
-    scores = score_protocol(codes, 2, 2)
-    assert sorted(scores.genuine.tolist()) == [0, 0]
-    assert sorted(scores.impostor.tolist()) == [4, 4, 4, 4]
+    genuine, impostor = score_protocol(codes, 2, 2)
+    assert sorted(genuine.tolist()) == [0, 0]
+    assert sorted(impostor.tolist()) == [4, 4, 4, 4]
 
 
 def test_score_protocol_single_subject_has_no_impostors():
     codes = {0: np.zeros((3, 8), dtype=np.uint8)}
-    scores = score_protocol(codes, 1, 3)
-    assert scores.genuine.size == 3 and scores.impostor.size == 0
+    genuine, impostor = score_protocol(codes, 1, 3)
+    assert genuine.size == 3 and impostor.size == 0
 
 
 def test_score_protocol_rejects_ragged_input():
@@ -139,13 +128,8 @@ def test_score_protocol_rejects_ragged_input():
         score_protocol(codes, 3, 3)
 
 
-def test_scoreset_validates_counts():
-    with pytest.raises(ValueError, match="genuine count"):
-        ScoreSet(np.zeros(5), np.zeros(4), 2, 2)
-
-
 def test_eer_perfect_separation():
-    roc, eer = roc_and_eer(_scores(np.zeros(6, dtype=int), np.full(12, 20, dtype=int)), 20)
+    roc, eer = roc_and_eer(np.zeros(6, dtype=int), np.full(12, 20, dtype=int), 20)
     assert eer == 0.0
     assert roc.far[0] == 0.0 and roc.gar[-1] == 1.0
 
@@ -154,7 +138,7 @@ def test_eer_identical_distributions():
     rng = np.random.default_rng(3)
     base = rng.integers(0, 21, 100)
     # identical genuine and impostor distributions cross at 0.5
-    _, eer = roc_and_eer(_scores(base, base.copy()), 20)
+    _, eer = roc_and_eer(base, base.copy(), 20)
     assert eer == pytest.approx(0.5, abs=0.01)
 
 
@@ -163,7 +147,7 @@ def test_eer_hand_case_frozen():
     # interpolates to exactly 1/4 (computed with the sweep oracle)
     genuine = np.array([1, 1, 3])
     impostor = np.array([2, 4, 4, 5])
-    _, eer = roc_and_eer(_scores(genuine, impostor), 6)
+    _, eer = roc_and_eer(genuine, impostor, 6)
     oracle = sweep_oracle(genuine.tolist(), impostor.tolist(), 6)
     assert eer == pytest.approx(0.25, abs=1e-12)
     assert eer == pytest.approx(oracle, abs=1e-12)
@@ -171,10 +155,22 @@ def test_eer_hand_case_frozen():
 
 def test_eer_monotone_curves():
     rng = np.random.default_rng(4)
-    roc, _ = roc_and_eer(_scores(rng.integers(0, 10, 6), rng.integers(5, 30, 12)), 30)
+    roc, _ = roc_and_eer(rng.integers(0, 10, 6), rng.integers(5, 30, 12), 30)
     assert np.all(np.diff(roc.far) >= 0)
     assert np.all(np.diff(roc.gar) >= 0)
     assert roc.thresholds[0] == -1 and roc.thresholds[-1] == 30
+
+
+def test_roc_is_the_same_bytes_for_int64_and_uint16_scores():
+    rng = np.random.default_rng(6)
+    genuine = rng.integers(0, 20, 300)
+    impostor = rng.integers(10, 64, 2_000)
+    wide, eer_wide = roc_and_eer(genuine, impostor, 63)
+    narrow, eer_narrow = roc_and_eer(genuine.astype(np.uint16), impostor.astype(np.uint16), 63)
+    for field in ("thresholds", "far", "gar"):
+        a, b = getattr(wide, field), getattr(narrow, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert eer_wide == eer_narrow
 
 
 @settings(max_examples=120, deadline=None)
@@ -183,7 +179,7 @@ def test_eer_matches_sweep_oracle(data):
     n = data.draw(st.integers(4, 40))
     genuine = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=60))
     impostor = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=60))
-    _, eer = roc_and_eer(_scores(genuine, impostor), n)
+    _, eer = roc_and_eer(genuine, impostor, n)
     assert eer == pytest.approx(sweep_oracle(genuine, impostor, n), abs=1e-12)
     assert 0.0 <= eer <= 1.0
 
@@ -193,20 +189,20 @@ def test_eer_symmetry_under_reflection():
     n = 24
     genuine = rng.integers(0, 8, 40)
     impostor = rng.integers(6, n + 1, 40)
-    _, e1 = roc_and_eer(_scores(genuine, impostor), n)
-    _, e2 = roc_and_eer(_scores(n - impostor, n - genuine), n)
+    _, e1 = roc_and_eer(genuine, impostor, n)
+    _, e2 = roc_and_eer(n - impostor, n - genuine, n)
     assert e1 == pytest.approx(e2, abs=1e-12)
 
 
 def test_roc_requires_nonempty_lists():
     with pytest.raises(ValueError, match="nonempty"):
-        roc_and_eer(_scores(np.array([1]), np.array([], dtype=int)), 4)
+        roc_and_eer(np.array([1]), np.array([], dtype=int), 4)
 
 
 def test_gar_at_far_rules():
     genuine = np.array([1, 1, 3])
     impostor = np.array([2, 4, 4, 5])
-    roc, _ = roc_and_eer(_scores(genuine, impostor), 6)
+    roc, _ = roc_and_eer(genuine, impostor, 6)
     # largest threshold with FAR <= 0.25 is tau=3, where GAR = 1
     assert gar_at_far(roc, 0.25) == 1.0
     assert gar_at_far(roc, 0.999) == 1.0  # target above max achievable FAR

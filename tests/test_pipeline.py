@@ -241,6 +241,19 @@ def test_checkpoint_without_a_model_refused(tmp_path):
             load_models(path, cfg, code)
 
 
+@pytest.mark.parametrize("beta", [None, 0, -1.0, "x", True, float("nan"), float("inf")])
+def test_checkpoint_with_a_bad_beta_refused(tmp_path, beta):
+    # beta scales the hash layer's tanh: a record without a finite positive
+    # one would score another network, or none at all
+    cfg = tiny_config()
+    code = build_code(cfg.code_m, cfg.code_t)
+    path = str(tmp_path / "mdh.ckpt")
+    save_params(path, pipeline._mdh_model(cfg, code).parameters(),
+                {"kind": "mdh", "fingerprint": cfg.fingerprint(), "beta": beta})
+    with pytest.raises(PipelineError, match=re.escape(path) + ": beta .* not a finite positive"):
+        load_models(path, cfg, code)
+
+
 def test_run_all_artifacts(finished_run):
     # exactly the files README lists: no stage-marker file, no leftover temp
     # file; bench_mdhnd.txt is written by ``bench``, which another test runs here
