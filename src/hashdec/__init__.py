@@ -39,7 +39,7 @@ from .evaluation import (
     roc_and_eer,
     score_protocol,
 )
-from .gf2m import GaloisField, build_field
+from .gf2m import GaloisField
 from .mdh import MdhModel, total_loss, train_step1
 from .nnd import (
     GroundTruthTable,

@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LOG_FLOOR = 1e-300  # clamp for log arguments; keeps losses finite
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999  # Adam's moment decay rates (Kingma & Ba's defaults)
+ADAM_EPSILON = 1e-8  # Adam's denominator floor
+GRADIENT_CHECK_STEP = 1e-5  # central-difference half-width of ``gradient_check``
 
 
 class TrainingError(RuntimeError):
@@ -267,26 +270,20 @@ def reshape(a, shape):
     return make_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def concat(tensors, axis=0):
+def concat(tensors):
+    """Join 2-D tensors side by side, along axis 1."""
     tensors = [_wrap(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
 
     def backward(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=1))
 
-    return make_op(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+    return make_op(np.concatenate([t.data for t in tensors], axis=1), tensors, backward)
 
 
-def tensor_sum(a, axis=None):
+def tensor_sum(a):
     shape = a.data.shape
-
-    def backward(g):
-        if axis is None:
-            return (np.full(shape, float(g)),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return make_op(a.data.sum(axis=axis), (a,), backward)
+    return make_op(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
 
 
 def mean(a, axis=None):
@@ -452,13 +449,10 @@ def binary_cross_entropy(outputs, targets):
     o, y = outputs.data, targets.data
     if o.shape != y.shape:
         raise ValueError(f"outputs/targets shape mismatch: {o.shape} vs {y.shape}")
-    if np.any(o <= 0.0) or np.any(o >= 1.0):
+    if np.any(o <= 0.0) or np.any(o >= 1.0):  # so both logs below are finite
         raise ValueError("binary_cross_entropy outputs must lie strictly in (0, 1)")
     n = o.size
-    loss = -np.sum(
-        y * np.log(np.maximum(o, LOG_FLOOR))
-        + (1.0 - y) * np.log(np.maximum(1.0 - o, LOG_FLOOR))
-    ) / n
+    loss = -np.sum(y * np.log(o) + (1.0 - y) * np.log(1.0 - o)) / n
     return make_op(loss, (outputs,), lambda g: (float(g) * (o - y) / (o * (1.0 - o)) / n,))
 
 
@@ -468,21 +462,16 @@ def binary_cross_entropy(outputs, targets):
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators and hyper-parameters."""
+    """Adam's step size and moment accumulators."""
 
     step_size: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     timestep: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("Adam betas must lie in [0, 1)")
-        if self.epsilon <= 0.0 or self.step_size <= 0.0:
-            raise ValueError("Adam step size and epsilon must be positive")
+        if not self.step_size > 0.0:
+            raise ValueError(f"Adam step size must be positive, got {self.step_size!r}")
 
 
 def adam_step(params, state):
@@ -500,7 +489,7 @@ def adam_step(params, state):
             raise TrainingError(f"non-finite gradient for parameter '{name}'")
     state.timestep += 1
     t = state.timestep
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     for name, p in params.items():
         g = p.grad
@@ -522,7 +511,7 @@ def adam_step(params, state):
         v += tmp
         den = np.divide(v, c2)
         np.sqrt(den, out=den)
-        den += state.epsilon
+        den += ADAM_EPSILON
         np.divide(m, c1, out=tmp)
         tmp *= state.step_size
         tmp /= den
@@ -539,7 +528,7 @@ class GradientCheckReport:
     per_input: list
 
 
-def gradient_check(fn, inputs, step=1e-5):
+def gradient_check(fn, inputs):
     """Compare reverse-mode gradients of ``fn`` against central differences.
 
     ``fn`` maps the given Tensors to a scalar Tensor. Returns a report with
@@ -562,14 +551,14 @@ def gradient_check(fn, inputs, step=1e-5):
         fd = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + GRADIENT_CHECK_STEP
             with no_grad():
                 hi = float(fn(*inputs).data)
-            flat[i] = orig - step
+            flat[i] = orig - GRADIENT_CHECK_STEP
             with no_grad():
                 lo = float(fn(*inputs).data)
             flat[i] = orig
-            fd[i] = (hi - lo) / (2.0 * step)
+            fd[i] = (hi - lo) / (2.0 * GRADIENT_CHECK_STEP)
         fd = fd.reshape(t.data.shape)
         denom = np.maximum(np.maximum(np.abs(analytic[idx]), np.abs(fd)), 1e-8)
         rel = float(np.max(np.abs(analytic[idx] - fd) / denom)) if fd.size else 0.0

@@ -18,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from .checkpoint import write_lines
-from .gf2m import GaloisField, build_field
+from .gf2m import GaloisField
 
 BRUTE_FORCE_MAX_K = 16
 
@@ -114,7 +114,7 @@ class BchCode:
     def __init__(self, m, t):
         if t < 1:
             raise ValueError(f"designed correction radius must be >= 1, got {t}")
-        field = build_field(m)
+        field = GaloisField(m)
         n = field.order
         if 2 * t >= n:
             raise ValueError(f"2t = {2 * t} leaves no code of length n = {n}")

@@ -19,6 +19,8 @@ import numpy as np
 
 from .checkpoint import CheckpointFormatError, entry, load_params, save_params
 
+ID_STARTS = (0, 10000, 20000)  # first subject id of the train, nnd and test splits
+
 
 @dataclass
 class SplitSpec:
@@ -29,7 +31,6 @@ class SplitSpec:
     test_subjects: int
     samples_per_subject: int
     enroll_fraction: float = 0.5
-    id_starts: tuple = (0, 10000, 20000)
 
     def __post_init__(self):
         names = ("train_subjects", "nnd_subjects", "test_subjects")
@@ -39,8 +40,8 @@ class SplitSpec:
         if not 0.0 < self.enroll_fraction < 1.0:
             raise ValueError(f"enroll_fraction: must lie strictly between 0 and 1, "
                              f"got {self.enroll_fraction!r}")
-        ends = [start + getattr(self, name) for start, name in zip(self.id_starts, names)]
-        for name, start, end, next_start in zip(names, self.id_starts, ends, self.id_starts[1:]):
+        ends = [start + getattr(self, name) for start, name in zip(ID_STARTS, names)]
+        for name, start, end, next_start in zip(names, ID_STARTS, ends, ID_STARTS[1:]):
             if end > next_start:
                 raise ValueError(f"{name}: subject id ranges overlap: [{start},{end}) runs "
                                  f"into the next split's ids from {next_start}")
@@ -127,7 +128,7 @@ def generate(spec: SplitSpec, distortion: DistortionModel, dims: DatasetDims, se
     names = ("train", "nnd", "test")
     counts = (spec.train_subjects, spec.nnd_subjects, spec.test_subjects)
     splits = []
-    for name, count, start, ss in zip(names, counts, spec.id_starts, seeds):
+    for name, count, start, ss in zip(names, counts, ID_STARTS, seeds):
         rng = np.random.default_rng(ss)
         n_enroll = spec.enroll_samples
         subj_col, role_col, idx_col, face_col, iris_col = [], [], [], [], []

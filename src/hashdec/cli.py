@@ -16,6 +16,14 @@ from . import pipeline
 from .pipeline import PipelineError
 
 
+def _positive_int(text):
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--run-dir", required=True, help="directory holding this run's artifacts")
@@ -49,7 +57,7 @@ def build_parser():
         if name == "evaluate":
             p.add_argument("--variant", choices=pipeline.VARIANTS, required=True)
         if name == "bench":
-            p.add_argument("--repetitions", type=int, default=200)
+            p.add_argument("--repetitions", type=_positive_int, default=200)
     return parser
 
 

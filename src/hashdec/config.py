@@ -3,7 +3,8 @@
 Every field has a default; a config file only needs the fields it overrides.
 The record is the only home of every setting: the training functions of
 ``mdh`` and ``nnd`` read their fields from it, and ``__post_init__`` refuses a
-mistyped or out-of-range value before any stage runs. The fingerprint is a
+mistyped, non-finite or out-of-range value, and a code with no BCH design,
+before any stage runs. The fingerprint is a
 stable hash of the complete resolved config; every run-directory record
 names it and is read back only under the same config.
 """
@@ -12,8 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, asdict, fields
 
+from .bch import build_code
 from .biodata import SplitSpec, DistortionModel, DatasetDims
 from .checkpoint import write_lines
 
@@ -38,7 +41,7 @@ _RANGES = (
     (("w_quant", "w_ent", "l2"), lambda v: v >= 0, "loss weights must be non-negative"),
     (("w_cls",), lambda v: v > 0, "classification weight must be positive during hashing training"),
     (("phase_a_steps", "patience", "stage_max_steps", "nnd_pretrain_steps",
-      "nnd_finetune_steps", "joint_steps"), lambda v: v >= 0, "must be >= 0"),
+      "nnd_finetune_steps", "joint_steps", "eps_loss", "seed"), lambda v: v >= 0, "must be >= 0"),
     (("batch_size", "nnd_batch_size", "joint_batch_size", "nnd_iterations"),
      lambda v: v >= 1, "must be >= 1"),
     (("lr", "phase_c_lr_factor", "nnd_step_size", "joint_step_size", "llr_scale"),
@@ -128,6 +131,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name}: {value!r} is not of its default's type ({f.default!r})")
             if isinstance(f.default, tuple):
                 setattr(self, f.name, tuple(value))
+            items = value if isinstance(value, (list, tuple)) else (value,)
+            if not all(math.isfinite(v) for v in items if isinstance(v, float)):
+                raise ConfigError(f"{f.name}: must be finite, got {value!r}")
         if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"unknown fusion_mode '{self.fusion_mode}'")
         if self.score_on not in ("codeword", "message"):
@@ -157,6 +163,10 @@ class ExperimentConfig:
             self.distortion()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        try:  # cached, so the stages reuse the code built here
+            build_code(self.code_m, self.code_t)
+        except ValueError as exc:
+            raise ConfigError(f"code_m and code_t: no BCH code: {exc}") from None
         if spec.enroll_samples >= self.samples_per_subject:
             raise ConfigError(f"enroll_fraction and samples_per_subject: all {spec.enroll_samples} "
                               f"samples of a subject enroll, leaving no probe sample")

@@ -24,11 +24,14 @@ PRIMITIVE_POLYS = {
 
 
 class GaloisField:
-    """GF(2^m) with exp/log tables generated by the primitive element alpha."""
+    """GF(2^m) with exp/log tables generated by the primitive element alpha
+    of ``PRIMITIVE_POLYS[m]``, the conventional polynomial for m."""
 
-    def __init__(self, m, primitive_polynomial):
+    def __init__(self, m):
+        if not 2 <= m <= 10:
+            raise ValueError(f"extension degree must satisfy 2 <= m <= 10, got {m}")
         self.m = m
-        self.primitive_polynomial = primitive_polynomial
+        self.primitive_polynomial = primitive_polynomial = PRIMITIVE_POLYS[m]
         self.order = (1 << m) - 1  # size of the multiplicative group
         exp = np.zeros(self.order, dtype=np.int64)
         log = np.zeros(self.order + 1, dtype=np.int64)
@@ -60,9 +63,3 @@ class GaloisField:
         """alpha raised to an arbitrary integer exponent."""
         return int(self.exp_table[i % self.order])
 
-
-def build_field(m):
-    """Build GF(2^m) from the conventional primitive polynomial for m."""
-    if not 2 <= m <= 10:
-        raise ValueError(f"extension degree must satisfy 2 <= m <= 10, got {m}")
-    return GaloisField(m, PRIMITIVE_POLYS[m])

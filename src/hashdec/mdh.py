@@ -95,7 +95,7 @@ class MdhModel:
     def fuse(self, face, iris):
         """The fusion layer's output on raw inputs; a unimodal arm reads one of them."""
         if self.mode == "fca":
-            joined = ad.concat([self.encode("face", face), self.encode("iris", iris)], axis=1)
+            joined = ad.concat([self.encode("face", face), self.encode("iris", iris)])
         elif self.mode == "bla":
             joined = ad.batch_outer(self.encode("face", face), self.encode("iris", iris))
         else:
@@ -256,7 +256,7 @@ def train_step1(model: MdhModel, dataset, cfg: ExperimentConfig, seed):
     return model, log
 
 
-def evaluate_hashing(model: MdhModel, face, iris, class_idx=None):
+def evaluate_hashing(model: MdhModel, face, iris, class_idx):
     """Accuracy, saturation fraction and worst per-bit imbalance on a dataset."""
     outputs = in_chunks(model.forward, face, iris)
     acts = np.concatenate([acts.data for acts, _ in outputs])
@@ -269,7 +269,6 @@ def evaluate_hashing(model: MdhModel, face, iris, class_idx=None):
         "balance_per_bit_max": float(per_bit.max()),
         "balance_per_sample_max": float(np.max(np.abs(acts.mean(axis=1)))),
     }
-    if class_idx is not None and outputs[0][1] is not None:
-        logits = np.concatenate([logits.data for _, logits in outputs])
-        out["accuracy"] = float(np.mean(np.argmax(logits, axis=1) == class_idx))
+    logits = np.concatenate([logits.data for _, logits in outputs])
+    out["accuracy"] = float(np.mean(np.argmax(logits, axis=1) == class_idx))
     return out

@@ -77,8 +77,8 @@ class PipelineError(RuntimeError):
 
 def stage_seed(cfg: ExperimentConfig, name):
     """Deterministic per-stage seed derived from the master seed."""
-    idx = {"data": 0, "mdh": 1, "ground_truth": 2, "nnd_pre": 3,
-           "nnd_ft": 4, "joint": 5}[name]
+    # index 2 is unused, so that every stage keeps its seed
+    idx = {"data": 0, "mdh": 1, "nnd_pre": 3, "nnd_ft": 4, "joint": 5}[name]
     return int(np.random.SeedSequence([cfg.seed, idx]).generate_state(1)[0])
 
 
@@ -412,7 +412,7 @@ def stage_evaluate(cfg: ExperimentConfig, run_dir, variant):
     return auth, ident
 
 
-def stage_bench(cfg: ExperimentConfig, run_dir, repetitions=200):
+def stage_bench(cfg: ExperimentConfig, run_dir, repetitions):
     """Wall-clock per-authentication latency of the jointly optimised system.
 
     ``bench_mdhnd.txt`` also holds the median time of each step of one

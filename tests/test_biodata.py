@@ -67,7 +67,7 @@ def test_splits_are_subject_disjoint():
 
 def test_overlapping_id_ranges_rejected():
     with pytest.raises(ValueError, match="overlap"):
-        replace(SMALL, train_subjects=100, id_starts=(0, 50, 20000))
+        replace(SMALL, train_subjects=10_001)
 
 
 def test_spec_validation():

@@ -77,6 +77,17 @@ def test_unknown_variant_is_usage_error(cfg_file):
     assert exc.value.code == 2
 
 
+def test_nonpositive_repetitions_is_usage_error(tmp_path, cfg_file, capsys):
+    # refused by the parser, before any record is read or written
+    run = tmp_path / "run"
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", cfg_file, "--run-dir", str(run), "--repetitions", value])
+        assert exc.value.code == 2
+        assert "--repetitions: must be >= 1" in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_bad_config_is_categorised(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"fusion_mode\": \"cca\"}")
@@ -95,7 +106,16 @@ def test_bad_config_is_categorised(tmp_path, capsys):
              {"enroll_fraction": 1.5}, {"face_dim": 0}, {"fusion_dim": 0}, {"feature_dim": 0},
              {"encoder_hidden": [0]}, {"latent_dim": 0}, {"samples_per_subject": 1},
              # ceil(0.6 * 2) = 2: every sample enrolls, no probe is left
-             {"samples_per_subject": 2, "enroll_fraction": 0.6}]
+             {"samples_per_subject": 2, "enroll_fraction": 0.6},
+             # no BCH code of these parameters
+             {"code_t": 0}, {"code_t": 40}, {"code_m": 1}, {"code_m": 11}, {"code_m": -1},
+             {"code_m": 10**10},
+             {"seed": -1}, {"eps_loss": -1e-4},
+             # non-finite floats, alone or in a tuple
+             {"eps_loss": float("nan")}, {"gain_jitter": float("nan")},
+             {"sigma_face": float("nan")}, {"bandwidths": [1, float("nan")]},
+             {"nnd_snr_range_db": [float("nan")]}, {"offset_sigma": float("inf")},
+             {"lr": float("inf")}, {"llr_scale": float("inf")}]
     for case in cases:
         bad.write_text(json.dumps({**tiny_config().to_dict(), **case}))
         rc = main(["run-all", "--config", str(bad), "--run-dir", str(tmp_path / "r")])

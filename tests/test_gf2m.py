@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from hashdec.gf2m import PRIMITIVE_POLYS, build_field
+from hashdec.gf2m import PRIMITIVE_POLYS, GaloisField
 
 
 def test_alpha_relation_m4():
     # under x^4 + x + 1, alpha^4 = alpha + 1 = 0b0011
-    f = build_field(4)
+    f = GaloisField(4)
     assert f.exp_table[4] == 0b0011
 
 
 def test_alpha_has_full_multiplicative_order():
-    f = build_field(4)
+    f = GaloisField(4)
     x = 1
     seen = set()
     for i in range(15):
@@ -21,13 +21,13 @@ def test_alpha_has_full_multiplicative_order():
 
 
 def test_log_exp_inverse_m6():
-    f = build_field(6)
+    f = GaloisField(6)
     assert f.log_table[f.exp_table[7]] == 7
 
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_tables_are_mutually_inverse(m):
-    f = build_field(m)
+    f = GaloisField(m)
     for a in range(1, (1 << m)):
         if a > f.order:
             break
@@ -36,13 +36,13 @@ def test_tables_are_mutually_inverse(m):
 
 def test_m_out_of_range():
     with pytest.raises(ValueError, match="2 <= m <= 10"):
-        build_field(1)
+        GaloisField(1)
     with pytest.raises(ValueError, match="2 <= m <= 10"):
-        build_field(11)
+        GaloisField(11)
 
 
 def test_field_arithmetic():
-    f = build_field(4)
+    f = GaloisField(4)
     for a in range(1, 16):
         assert f.mul(a, f.inv(a)) == 1
         assert f.mul(a, 0) == 0

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -590,9 +592,26 @@ def test_integer_bandwidths_train_as_floats_and_keep_the_fingerprint(tmp_path):
 
 def test_stage_seeds_distinct_and_stable():
     cfg = tiny_config()
-    seeds = [stage_seed(cfg, s) for s in ("data", "mdh", "ground_truth", "nnd_pre", "nnd_ft", "joint")]
+    seeds = [stage_seed(cfg, s) for s in ("data", "mdh", "nnd_pre", "nnd_ft", "joint")]
     assert len(set(seeds)) == len(seeds)
-    assert seeds == [stage_seed(cfg, s) for s in ("data", "mdh", "ground_truth", "nnd_pre", "nnd_ft", "joint")]
+    assert seeds == [stage_seed(cfg, s) for s in ("data", "mdh", "nnd_pre", "nnd_ft", "joint")]
+
+
+def test_non_finite_floats_refused():
+    # every float field, and the last element of every float tuple, in turn
+    checked = 0
+    for f in dataclasses.fields(ExperimentConfig):
+        for bad in (math.nan, math.inf, -math.inf):
+            if isinstance(f.default, float):
+                value = bad
+            elif isinstance(f.default, tuple) and isinstance(f.default[-1], float):
+                value = (*f.default[:-1], bad)
+            else:
+                continue
+            checked += 1
+            with pytest.raises(ConfigError, match=f"^{f.name}: must be finite"):
+                ExperimentConfig.from_dict({f.name: value})
+    assert checked == 3 * 19  # 16 float fields, 3 float tuples
 
 
 def test_config_round_trip_and_validation(tmp_path):
