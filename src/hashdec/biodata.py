@@ -13,7 +13,9 @@ codec's checksum covers every array, and the meta names the config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,8 +49,11 @@ class SplitSpec:
                                  f"into the next split's ids from {next_start}")
 
     @property
-    def enroll_samples(self):  # per subject; the rest are probes
-        return int(np.ceil(self.enroll_fraction * self.samples_per_subject))
+    def enroll_samples(self):
+        """Per subject, the rest being probes: the ceiling of the exact product
+        of ``samples_per_subject`` and the shortest decimal that reads back as
+        ``enroll_fraction``, so 0.28 of 25 is 7 where float rounding gives 8."""
+        return math.ceil(Fraction(repr(float(self.enroll_fraction))) * self.samples_per_subject)
 
 
 @dataclass
@@ -62,8 +67,12 @@ class DistortionModel:
 
     def __post_init__(self):
         for name in ("sigma_face", "sigma_iris", "gain_jitter", "offset_sigma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}: must be non-negative, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name}: must be finite and non-negative, got {value!r}")
+        if not math.isfinite(2.0 * self.gain_jitter):
+            raise ValueError(f"gain_jitter: the gain's range 2*gain_jitter must be finite, "
+                             f"got {self.gain_jitter!r}")
 
 
 @dataclass
@@ -122,38 +131,65 @@ def verify_disjoint(splits):
 
 
 def generate(spec: SplitSpec, distortion: DistortionModel, dims: DatasetDims, seed):
-    """Generate the three subject-disjoint splits deterministically."""
-    root = np.random.SeedSequence(seed)
-    seeds = root.spawn(3)
+    """Generate the three subject-disjoint splits deterministically.
+
+    The draw order is part of the data's definition: changing it changes every
+    split, and with it every artifact of a run. Split i (train, nnd, test)
+    draws from ``default_rng(SeedSequence(seed).spawn(3)[i])``. For each
+    subject in turn it draws the latent vector ``z`` (``latent`` values) and
+    the face and iris projections (``latent`` x ``face``, then ``latent`` x
+    ``iris``, each scaled by 1/sqrt(latent)); then, for each of its samples
+    and for face before iris, one ``random()`` ``r`` for the gain and one
+    ``standard_normal`` of ``1 + dim`` values, the offset ``e`` and the noise
+    ``n``. With ``j`` = gain_jitter the sample is, in this operation order,
+    ``(1 + (-j + 2j*r)) * (z @ p) + offset_sigma*e + sigma*n``, where
+    ``-j + 2j*r`` is numpy's ``uniform(-j, j)`` bit for bit."""
     names = ("train", "nnd", "test")
     counts = (spec.train_subjects, spec.nnd_subjects, spec.test_subjects)
+    seeds = np.random.SeedSequence(seed).spawn(3)
+    per = spec.samples_per_subject
+    enroll = np.arange(per) < spec.enroll_samples
     splits = []
     for name, count, start, ss in zip(names, counts, ID_STARTS, seeds):
-        rng = np.random.default_rng(ss)
-        n_enroll = spec.enroll_samples
-        subj_col, role_col, idx_col, face_col, iris_col = [], [], [], [], []
-        for s in range(count):
-            subject = start + s
-            z = rng.standard_normal(dims.latent)
-            p_face = rng.standard_normal((dims.latent, dims.face)) / np.sqrt(dims.latent)
-            p_iris = rng.standard_normal((dims.latent, dims.iris)) / np.sqrt(dims.latent)
-            mean_face = z @ p_face
-            mean_iris = z @ p_iris
-            for k in range(spec.samples_per_subject):
-                for mean, sigma, col in (
-                    (mean_face, distortion.sigma_face, face_col),
-                    (mean_iris, distortion.sigma_iris, iris_col),
-                ):
-                    gain = 1.0 + rng.uniform(-distortion.gain_jitter, distortion.gain_jitter)
-                    offset = distortion.offset_sigma * rng.standard_normal()
-                    noise = sigma * rng.standard_normal(mean.shape)
-                    col.append(gain * mean + offset + noise)
-                subj_col.append(subject)
-                role_col.append("enroll" if k < n_enroll else "probe")
-                idx_col.append(k)
-        splits.append(DatasetSplit(name, subj_col, role_col, idx_col, face_col, iris_col))
+        face, iris = _samples(np.random.default_rng(ss), count, per, distortion, dims)
+        splits.append(DatasetSplit(name, np.repeat(np.arange(start, start + count), per),
+                                   np.tile(np.where(enroll, "enroll", "probe"), count),
+                                   np.tile(np.arange(per), count), face, iris))
     verify_disjoint(splits)
     return tuple(splits)
+
+
+def _samples(rng, count, per, distortion, dims):
+    """The face and iris samples of ``count`` subjects with ``per`` samples each,
+    drawn from ``rng`` in ``generate``'s order: two draws per sample and
+    modality into arrays made once, then the arithmetic once per modality."""
+    random, normal = rng.random, rng.standard_normal
+    modalities = ((dims.face, distortion.sigma_face), (dims.iris, distortion.sigma_iris))
+    means = [np.empty((count, dim)) for dim, _ in modalities]
+    draws = [np.empty((count * per, 1 + dim)) for dim, _ in modalities]  # offset, noise
+    face_draws, iris_draws = draws
+    uniforms = []  # face, iris, face, iris, ... in draw order
+    for s in range(count):
+        z = normal(dims.latent)
+        for mean, (dim, _) in zip(means, modalities):
+            mean[s] = z @ (normal((dims.latent, dim)) / np.sqrt(dims.latent))
+        for i in range(s * per, (s + 1) * per):
+            uniforms.append(random())
+            normal(out=face_draws[i])
+            uniforms.append(random())
+            normal(out=iris_draws[i])
+    del face_draws, iris_draws  # so each modality's draws go once its samples are made
+    jitter = distortion.gain_jitter
+    samples = []
+    for mean, r, (_, sigma) in zip(means, np.reshape(uniforms, (-1, 2)).T, modalities):
+        draw = draws.pop(0)
+        x = np.repeat(mean, per, axis=0)
+        x *= 1.0 + (-jitter + 2.0 * jitter * r)[:, None]
+        x += distortion.offset_sigma * draw[:, :1]
+        draw[:, 1:] *= sigma
+        x += draw[:, 1:]
+        samples.append(x)
+    return samples
 
 
 # ---------------------------------------------------------------------------

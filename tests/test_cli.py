@@ -115,7 +115,9 @@ def test_bad_config_is_categorised(tmp_path, capsys):
              {"eps_loss": float("nan")}, {"gain_jitter": float("nan")},
              {"sigma_face": float("nan")}, {"bandwidths": [1, float("nan")]},
              {"nnd_snr_range_db": [float("nan")]}, {"offset_sigma": float("inf")},
-             {"lr": float("inf")}, {"llr_scale": float("inf")}]
+             {"lr": float("inf")}, {"llr_scale": float("inf")},
+             # finite, but the gain's range 2 * gain_jitter is not
+             {"gain_jitter": 1e308}]
     for case in cases:
         bad.write_text(json.dumps({**tiny_config().to_dict(), **case}))
         rc = main(["run-all", "--config", str(bad), "--run-dir", str(tmp_path / "r")])
