@@ -4,9 +4,9 @@ Every field has a default; a config file only needs the fields it overrides.
 The record is the only home of every setting: the training functions of
 ``mdh`` and ``nnd`` read their fields from it, and ``__post_init__`` refuses a
 mistyped, non-finite or out-of-range value, and a code with no BCH design,
-before any stage runs. The fingerprint is a
-stable hash of the complete resolved config; every run-directory record
-names it and is read back only under the same config.
+before any stage runs. The fingerprint is a stable hash of the complete
+resolved config and of ``RETIRED``, the removed fields at their last values;
+every run-directory record names it and is read back only under the same config.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .biodata import SplitSpec, DistortionModel, DatasetDims
 from .checkpoint import write_lines
 
 FUSION_MODES = ("fca", "bla", "face", "iris")
+
+# removed fields at their last values: still hashed, and accepted in a file at these
+RETIRED = {"joint_freeze_mdh": False, "joint_freeze_nnd": False, "score_on": "codeword"}
 
 
 class ConfigError(ValueError):
@@ -99,8 +102,6 @@ class ExperimentConfig:
     joint_steps: int = 150
     joint_step_size: float = 1e-4
     joint_batch_size: int = 32
-    joint_freeze_mdh: bool = False
-    joint_freeze_nnd: bool = False
 
     # synthetic benchmark
     train_subjects: int = 120
@@ -118,7 +119,6 @@ class ExperimentConfig:
 
     # evaluation
     far_targets: tuple = (0.01, 0.001, 0.0001)
-    score_on: str = "codeword"     # "codeword" (all n bits) or "message" (first k)
     gt_max_failure_rate: float = 0.98
 
     # master seed; every stage derives its own stream from it
@@ -136,8 +136,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name}: must be finite, got {value!r}")
         if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"unknown fusion_mode '{self.fusion_mode}'")
-        if self.score_on not in ("codeword", "message"):
-            raise ConfigError(f"score_on must be 'codeword' or 'message', got '{self.score_on}'")
         if not 0.0 < self.gt_max_failure_rate <= 1.0:
             raise ConfigError("gt_max_failure_rate must lie in (0, 1]")
         if not all(0.0 < far < 1.0 for far in self.far_targets):
@@ -155,18 +153,24 @@ class ExperimentConfig:
                     raise ConfigError(f"{name}: {rule}, got {getattr(self, name)!r}")
         if not self.nnd_snr_range_db:
             raise ConfigError("nnd_snr_range_db must be nonempty for AWGN pretraining")
-        if self.joint_freeze_mdh and self.joint_freeze_nnd:
-            raise ConfigError("joint_freeze_mdh and joint_freeze_nnd: joint optimisation "
-                              "with every component frozen is vacuous")
         try:  # constructing these validates their invariants (ranges, overlap)
             spec = self.split_spec()
             self.distortion()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         try:  # cached, so the stages reuse the code built here
-            build_code(self.code_m, self.code_t)
+            code = build_code(self.code_m, self.code_t)
         except ValueError as exc:
             raise ConfigError(f"code_m and code_t: no BCH code: {exc}") from None
+        rate = code.k / code.n
+        for snr in self.nnd_snr_range_db:
+            try:  # nnd.sigma_from_snr_db's noise level
+                ok = 0.0 < math.sqrt(1.0 / (2.0 * rate * 10.0 ** (snr / 10.0))) < math.inf
+            except (OverflowError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"nnd_snr_range_db: {snr!r} dB has no finite, positive noise "
+                                  f"level at rate {code.k}/{code.n}")
         if spec.enroll_samples >= self.samples_per_subject:
             raise ConfigError(f"enroll_fraction and samples_per_subject: all {spec.enroll_samples} "
                               f"samples of a subject enroll, leaving no probe sample")
@@ -192,7 +196,7 @@ class ExperimentConfig:
         return asdict(self)
 
     def fingerprint(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
+        blob = json.dumps({**RETIRED, **self.to_dict()}, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def save(self, path):
@@ -202,11 +206,14 @@ class ExperimentConfig:
     def from_dict(cls, mapping):
         if not isinstance(mapping, dict):
             raise ConfigError(f"a config is a JSON object, not a {type(mapping).__name__!r} value")
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
+        unknown = set(mapping) - {f.name for f in fields(cls)} - set(RETIRED)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**mapping)
+        moved = [f"{k} (retired at {v!r}, got {mapping[k]!r})" for k, v in RETIRED.items()
+                 if k in mapping and (type(mapping[k]), mapping[k]) != (type(v), v)]
+        if moved:
+            raise ConfigError(f"retired fields hold another value: {', '.join(moved)}")
+        return cls(**{k: v for k, v in mapping.items() if k not in RETIRED})
 
     @classmethod
     def load(cls, path):

@@ -307,26 +307,23 @@ def stage_joint_optimize(cfg: ExperimentConfig, run_dir):
     tr_face, tr_iris = enroll.face[train_mask], enroll.iris[train_mask]
     val_batch = ((probe.face[val_mask], probe.iris[val_mask]), va_y)
 
-    params = _tensors(None if cfg.joint_freeze_mdh else mdh, None if cfg.joint_freeze_nnd else nndm)
-    frozen = [t for model, freeze in ((mdh, cfg.joint_freeze_mdh), (nndm, cfg.joint_freeze_nnd))
-              if freeze for t in model.parameters().values()]
+    params = _tensors(mdh, nndm)
     loss = _composed_loss(mdh, nndm, cfg.llr_scale)
 
     def batch_from(rng):
         idx = rng.integers(0, tr_y.shape[0], size=min(cfg.joint_batch_size, tr_y.shape[0]))
         return (tr_face[idx], tr_iris[idx]), tr_y[idx]
 
-    with ad.frozen(frozen):  # no tape runs through the frozen model
-        if cfg.joint_steps and not cfg.joint_freeze_mdh:
-            # the encoders' gradient on the first batch, drawn from a twin stream
-            first = batch_from(np.random.default_rng(stage_seed(cfg, "joint")))
-            ad.GradientTape(loss(*first)).backward()
-            enc_norm = float(np.sqrt(sum(float((t.grad ** 2).sum())
-                                         for n, t in mdh.params.items() if "_enc/" in n)))
-            _log_event(run_dir, f"joint encoder_grad_norm_step1={enc_norm!r}")
-        rng = np.random.default_rng(stage_seed(cfg, "joint"))
-        curve = train_loop(params, loss, lambda step: batch_from(rng), val_batch,
-                           cfg.joint_steps, cfg.joint_step_size, 10)
+    if cfg.joint_steps:
+        # the encoders' gradient on the first batch, drawn from a twin stream
+        first = batch_from(np.random.default_rng(stage_seed(cfg, "joint")))
+        ad.GradientTape(loss(*first)).backward()
+        enc_norm = float(np.sqrt(sum(float((t.grad ** 2).sum())
+                                     for n, t in mdh.params.items() if "_enc/" in n)))
+        _log_event(run_dir, f"joint encoder_grad_norm_step1={enc_norm!r}")
+    rng = np.random.default_rng(stage_seed(cfg, "joint"))
+    curve = train_loop(params, loss, lambda step: batch_from(rng), val_batch,
+                       cfg.joint_steps, cfg.joint_step_size, 10)
     initial_val, best_val = curve[0], min(curve)
     _log_event(run_dir, f"joint val_loss_initial={initial_val!r} val_loss_best={best_val!r}")
 
@@ -362,12 +359,6 @@ def variant_codes(cfg: ExperimentConfig, run_dir, variant, split):
     return decode(_activations(mdh, split))
 
 
-def _scored_bits(cfg, code, codes):
-    if cfg.score_on == "message":
-        return codes[:, : code.k], code.k
-    return codes, code.n
-
-
 def enrollment_templates(codes, subjects, roles):
     """Bitwise-majority template per subject over its enroll-role codes; a
     subject with no enroll row raises ``ValueError``."""
@@ -391,10 +382,10 @@ def stage_evaluate(cfg: ExperimentConfig, run_dir, variant):
               "fusion_mode": cfg.fusion_mode}
 
     split = splits["test"]
-    bits, length = _scored_bits(cfg, code, decode(_activations(mdh, split)))
+    bits = decode(_activations(mdh, split))
     by_subject = {int(s): bits[split.subject == s] for s in split.subject_ids}
     genuine, impostor = score_protocol(by_subject, cfg.test_subjects, cfg.samples_per_subject)
-    roc, eer = roc_and_eer(genuine, impostor, length)
+    roc, eer = roc_and_eer(genuine, impostor, code.n)
     auth = {**header, "mode": "auth", "genuine_count": genuine.size,
             "impostor_count": impostor.size, "eer": float(eer)}
     for target in cfg.far_targets:
@@ -403,7 +394,7 @@ def stage_evaluate(cfg: ExperimentConfig, run_dir, variant):
     write_metrics(os.path.join(run_dir, f"metrics_auth_{variant}.txt"), auth)
 
     split = splits["nnd"]
-    bits, _ = _scored_bits(cfg, code, decode(_activations(mdh, split)))
+    bits = decode(_activations(mdh, split))
     templates, ids = enrollment_templates(bits, split.subject, split.role)
     probe = split.role == "probe"
     accuracy = identification_accuracy(bits[probe], split.subject[probe], templates, ids)

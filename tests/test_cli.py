@@ -102,6 +102,10 @@ def test_bad_config_is_categorised(tmp_path, capsys):
              {"lr": 0}, {"nnd_step_size": -1e-3}, {"joint_step_size": 0},
              {"phase_c_lr_factor": 0}, {"w_cls": 0},
              {"joint_freeze_mdh": True, "joint_freeze_nnd": True},
+             # a retired field other than at its last value, or of another type
+             {"score_on": "message"}, {"joint_freeze_mdh": 0}, {"joint_freeze_nnd": "false"},
+             # Eb/N0 values whose noise level overflows or underflows
+             {"nnd_snr_range_db": [4000.0]}, {"nnd_snr_range_db": [-4000.0]},
              # data shapes the pipeline cannot use
              {"enroll_fraction": 1.5}, {"face_dim": 0}, {"fusion_dim": 0}, {"feature_dim": 0},
              {"encoder_hidden": [0]}, {"latent_dim": 0}, {"samples_per_subject": 1},

@@ -14,10 +14,12 @@ from hashdec import pipeline
 from hashdec.bch import build_code
 from hashdec.biodata import load_dataset, save_dataset
 from hashdec.checkpoint import load_params, save_params
-from hashdec.config import ConfigError, ExperimentConfig
+from hashdec.cli import main
+from hashdec.config import RETIRED, ConfigError, ExperimentConfig
 from hashdec.evaluation import read_metrics, write_metrics
 from hashdec.mdh import MdhModel
-from hashdec.nnd import GroundTruthTable, NndModel, llr_from_activations, sweep_llr_scale
+from hashdec.nnd import (GroundTruthTable, NndModel, llr_from_activations, sigma_from_snr_db,
+                         sweep_llr_scale)
 from hashdec.pipeline import (
     PipelineError,
     load_models,
@@ -435,34 +437,20 @@ def test_joint_zero_steps_is_composition_identity(tmp_path):
     assert np.array_equal(probs_j, probs_0)
 
 
-def test_joint_frozen_everything_rejected():
-    # refused when the config loads, so no stage can start with it
-    with pytest.raises(ConfigError, match="joint_freeze_mdh and joint_freeze_nnd.*vacuous"):
-        tiny_config(joint_freeze_mdh=True, joint_freeze_nnd=True)
-
-
-@pytest.mark.parametrize("frozen", ["mdh", "nnd"])
-def test_joint_freeze_keeps_the_frozen_model_bit_identical(tmp_path, frozen):
-    cfg = tiny_config(**{f"joint_freeze_{frozen}": True})
-    run_dir = str(tmp_path)
-    for stage in (stage_generate_data, stage_train_mdh, stage_ground_truth, stage_train_nnd,
-                  stage_joint_optimize):
-        stage(cfg, run_dir)
+def test_joint_moves_every_parameter_of_both_models(finished_run):
+    # joint optimisation trains the MDH and the NND together: no tensor of
+    # either keeps the value it started the stage with
+    cfg, run_dir, _ = finished_run
     code = build_code(cfg.code_m, cfg.code_t)
     mdh_j, nnd_j = load_models(os.path.join(run_dir, "mdhnd.ckpt"), cfg, code)
     mdh_0, _ = load_models(os.path.join(run_dir, "mdh.ckpt"), cfg, code)
+    mdh_0.discard_head()
     _, nnd_0 = load_models(os.path.join(run_dir, "nnd_finetuned.ckpt"), cfg, code)
-
-    def unchanged(joint, start):
-        before = start.parameters()
-        return {k: np.array_equal(t.data, before[k].data) for k, t in joint.parameters().items()}
-
-    same = {"mdh": unchanged(mdh_j, mdh_0), "nnd": unchanged(nnd_j, nnd_0)}
-    free = "nnd" if frozen == "mdh" else "mdh"
-    assert all(same[frozen].values())
-    assert not any(same[free].values()), same[free]
-    log = Path(run_dir, "experiment.log").read_text()
-    assert ("encoder_grad_norm_step1=" in log) == (frozen == "nnd")
+    for joint, start, count in ((mdh_j, mdh_0, 12), (nnd_j, nnd_0, 7)):
+        before, after = start.parameters(), joint.parameters()
+        assert after.keys() == before.keys() and len(after) == count
+        still = [name for name, t in after.items() if np.array_equal(t.data, before[name].data)]
+        assert not still, still
 
 
 def test_joint_logs_encoder_gradient_norm(finished_run):
@@ -552,15 +540,6 @@ def test_enrollment_templates_refuse_a_subject_without_enroll_rows():
                                       np.array(["enroll", "probe", "probe"]))
 
 
-def test_message_level_scoring(tmp_path):
-    cfg = tiny_config(score_on="message")
-    results = run_all(cfg, str(tmp_path), overwrite=True)
-    assert 0.0 <= results[("auth", "mdh")]["eer"] <= 1.0
-    # thresholds sweep the message length k = 7, not the codeword length 15
-    lines = Path(tmp_path, "roc_auth_mdh.csv").read_text().splitlines()
-    assert len(lines) == 2 + 7 + 1
-
-
 def test_unimodal_run_all(tmp_path):
     cfg = tiny_config(fusion_mode="iris")
     results = run_all(cfg, str(tmp_path), overwrite=True)
@@ -590,6 +569,32 @@ def test_integer_bandwidths_train_as_floats_and_keep_the_fingerprint(tmp_path):
     assert mdh.beta == 2.0
 
 
+# the fields gone from the config, at the last values they could hold
+LAST_VALUES = {"joint_freeze_mdh": False, "joint_freeze_nnd": False, "score_on": "codeword"}
+
+
+def test_retired_fields_load_at_their_last_values_and_keep_the_fingerprint():
+    assert RETIRED == LAST_VALUES
+    assert not set(RETIRED) & {f.name for f in dataclasses.fields(ExperimentConfig)}
+    cfg = ExperimentConfig.from_dict({**ExperimentConfig().to_dict(), **LAST_VALUES})
+    assert cfg.fingerprint() == "6f84bf01455adfae"
+    assert cfg == ExperimentConfig()
+
+
+def test_a_config_file_with_retired_fields_reads_its_records(finished_run):
+    # a config.json of the format that still listed the retired fields
+    # evaluates the records written under it, to the same bytes
+    cfg, run_dir, _ = finished_run
+    path = os.path.join(run_dir, "config.json")
+    with open(path, "w") as fh:
+        json.dump({**cfg.to_dict(), **LAST_VALUES}, fh, indent=2, sort_keys=True)
+    outputs = ("metrics_auth_mdhnd.txt", "roc_auth_mdhnd.csv", "metrics_ident_mdhnd.txt")
+    before = {name: Path(run_dir, name).read_bytes() for name in outputs}
+    assert main(["evaluate", "--config", path, "--run-dir", run_dir, "--variant", "mdhnd"]) == 0
+    assert {name: Path(run_dir, name).read_bytes() for name in outputs} == before
+    cfg.save(path)
+
+
 def test_stage_seeds_distinct_and_stable():
     cfg = tiny_config()
     seeds = [stage_seed(cfg, s) for s in ("data", "mdh", "nnd_pre", "nnd_ft", "joint")]
@@ -612,6 +617,29 @@ def test_non_finite_floats_refused():
             with pytest.raises(ConfigError, match=f"^{f.name}: must be finite"):
                 ExperimentConfig.from_dict({f.name: value})
     assert checked == 3 * 19  # 16 float fields, 3 float tuples
+
+
+def test_config_takes_an_snr_exactly_when_it_has_a_noise_level():
+    # the config's check mirrors sigma_from_snr_db at both edges, where
+    # 10^(snr/10) or the noise variance leaves the float range
+    code = build_code(4, 2)  # tiny_config's
+    rate = code.k / code.n
+    seen = set()
+    for snr in [*np.arange(-3090.0, -3075.0, 0.5), *np.arange(3075.0, 3090.0, 0.5)]:
+        try:
+            sigma = sigma_from_snr_db(float(snr), rate)
+            computable = math.isfinite(sigma) and sigma > 0
+        except (OverflowError, ZeroDivisionError):
+            computable = False
+        try:
+            tiny_config(nnd_snr_range_db=(float(snr),))
+            taken = True
+        except ConfigError as exc:
+            assert str(exc).startswith("nnd_snr_range_db: ")
+            taken = False
+        assert taken == computable, snr
+        seen.add(taken)
+    assert seen == {True, False}
 
 
 def test_config_round_trip_and_validation(tmp_path):
