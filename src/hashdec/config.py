@@ -39,6 +39,14 @@ def _like(value, default):
     return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 
+def _finite(number):
+    """Whether ``number`` is a finite float; an int too large for a float is not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 # (fields, test, rule) of the numeric ranges a config must keep
 _RANGES = (
     (("w_quant", "w_ent", "l2"), lambda v: v >= 0, "loss weights must be non-negative"),
@@ -132,7 +140,8 @@ class ExperimentConfig:
             if isinstance(f.default, tuple):
                 setattr(self, f.name, tuple(value))
             items = value if isinstance(value, (list, tuple)) else (value,)
-            if not all(math.isfinite(v) for v in items if isinstance(v, float)):
+            kind = f.default[0] if isinstance(f.default, tuple) else f.default
+            if isinstance(kind, float) and not all(_finite(v) for v in items):
                 raise ConfigError(f"{f.name}: must be finite, got {value!r}")
         if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"unknown fusion_mode '{self.fusion_mode}'")

@@ -1,44 +1,56 @@
 """Sum-product belief propagation on the Tanner graph of a parity-check matrix.
 
-The message-passing core operates on autodiff tensors shaped (edges, batch)
-with a flooding schedule. One round, ``_bp_round``, sends variable-to-check
-then check-to-variable messages. ``bp_forward`` unrolls it under the
-trainable decoder's weights, one dict whose names and shapes
-``unit_weights`` lays out. Classical BP is those weights at one: a weight of
-one changes no bit, so ``decode_bp_batch``, which runs ``bp_forward`` at unit
-weights over a (B, n) batch, and the decoder take the same bits from the
-posterior by ``hard_decision`` when every weight is one.
+The message-passing core operates on arrays shaped (edges, batch) with a
+flooding schedule, as autodiff primitives when a tape is recorded. One round,
+``_bp_round``, sends variable-to-check then check-to-variable messages.
+``bp_forward`` unrolls it under the trainable decoder's weights, one dict
+whose names and shapes ``unit_weights`` lays out. Classical BP is those
+weights at one: a weight of one changes no bit, so ``decode_bp_batch``, which
+runs ``bp_forward`` at unit weights over a (B, n) batch, and the decoder take
+the same bits from the posterior by ``hard_decision`` when every weight is one.
 
-A round is one primitive. Its numpy forward runs the weighted channel term,
-the per-variable message sum, the gather, the clamps, tanh(x/2), the check's
-leave-one-out product (``_loo``, shared with the ``leave_one_out_prod``
-primitive: prefix/suffix scans, linear in the check degree) and 2 atanh.
+A round's arithmetic is one function, ``_round_forward``, which writes each
+step into a ``_RoundArrays`` set: the weighted channel term, the per-variable
+message sum, the gather, the clamps, tanh(x/2), the check's leave-one-out
+product (``_loo``, shared with the ``leave_one_out_prod`` primitive:
+prefix/suffix scans, linear in the check degree) and 2 atanh.
 The scans run along a slot-major layout. Below ``SCAN_LANES`` (check, word)
 lanes, which takes in one word of any code here, ``np.multiply.accumulate``
 runs one short loop per lane; from there on, one multiply per slot spans
 every lane at once.
-Its backward applies the chain-rule factors of the chain of up to thirteen
-single-op primitives it replaces, one IEEE step each on the same operands in
-the same order, and a clamp passes the gradient exactly where its output lies
-strictly inside the bounds, so outputs and gradients are bitwise the chain's.
-The posterior, ``_marginalize``, is one primitive in the same way.
 
-Under ``ad.no_grad`` ``bp_forward`` runs the words in blocks of
-``DECODE_BLOCK``, so the memory a round holds no longer grows with the batch.
+Recording a tape, a round is one primitive, ``_bp_round``, which runs
+``_round_forward`` on a fresh set. Its backward applies the chain-rule
+factors of the chain of up to thirteen single-op primitives it replaces, one
+IEEE step each on the same operands in the same order, and a clamp passes the
+gradient exactly where its output lies strictly inside the bounds, so outputs
+and gradients are bitwise the chain's. The posterior, ``_marginalize``, is
+one primitive in the same way. The rule of the taped path: a primitive writes
+only arrays it made, and once it returns nothing writes an array that its
+backward closure reads.
+
+Under ``ad.no_grad`` ``bp_forward`` runs ``_decode`` instead. The words go in
+blocks of ``DECODE_BLOCK``, so the memory a round holds does not grow with
+the batch, and every round of every block writes into one set, allocated once
+per call; no backward reads it. Each block's posterior goes into its columns
+of one (n, words) array. Per-call buffers keep decodes in two threads apart.
 
 Gathers by an edge or slot index call ``ndarray.take`` along axis 0, the same
-copy as fancy indexing at less dispatch cost. Steps work in place on
-temporaries their primitive made and finish them before it returns: no write
-reaches an array that a backward closure reads later.
+copy as fancy indexing at less dispatch cost. Into a given array they pass
+``mode="clip"``: numpy buffers the output of the default mode, and every
+index is in range, so the clip never acts.
 
 Conventions: positive LLR means bit 0 is more likely; channel LLRs and
 variable-to-check messages are clamped to +/-30, and the product fed to atanh
 to +/-(1 - 1e-12). Check messages need no clamp: that product bound keeps
-2 atanh under 2 atanh(1 - 1e-12) = 28.3 < 30. Clamps call ``ndarray.clip``,
-which is ``np.clip`` bit for bit without its Python wrapper.
+2 atanh under 2 atanh(1 - 1e-12) = 28.3 < 30. Clamps run ``np.maximum`` then
+``np.minimum``: ``np.clip``'s bits, NaNs included, without the Python wrapper
+of ``ndarray.clip``, which the taped channel clamp ``ad.clip`` calls.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -96,18 +108,77 @@ class TannerGraph:
         first = np.cumsum(degrees) - degrees  # each check's first edge
         slot = np.arange(self.num_edges) - first[self.edge_check]
         self.edge_slot_flat = slot * self.r + self.edge_check
-        # the inverse map: each flat slot's edge, or num_edges for a padding
-        # slot, which gathers the layout from the edges plus one row of ones
+        # the inverse map, shaped (slot, check): each slot's edge, or num_edges
+        # for a padding slot, which gathers the layout from the edges plus one
+        # row of ones
         self.slot_edge = np.full(self.max_check_degree * self.r, self.num_edges)
         self.slot_edge[self.edge_slot_flat] = np.arange(self.num_edges)
+        self.slot_edge = self.slot_edge.reshape(self.max_check_degree, self.r)
 
 
 # ---------------------------------------------------------------------------
-# the leave-one-out product and the BP round, each one primitive
+# the arrays of a round, the leave-one-out product and the BP round
 # ---------------------------------------------------------------------------
 
-def _loo(graph, t):
-    """Leave-one-out products of edge values ``t`` (edges, B), and their VJP.
+class _RoundArrays:
+    """The arrays one round's forward writes, for ``words`` words.
+
+    ``ext`` holds the edge values t = tanh(v/2) (its view ``t``) over one row
+    of ones, from which the padded (slot, check) layout ``dense`` is gathered;
+    ``left`` and ``right`` are its exclusive prefix and suffix products, ``v``
+    the variable-to-check and ``msgs`` the check-to-variable messages and
+    ``prod`` the leave-one-out products at the edges: a taped round's backward
+    reads these. The scratch that none reads is ``loo``, the product of
+    ``left`` and ``right``, ``llr``, the clamped channel LLRs, ``wllr``, the
+    per-variable sums, and ``wc``, the weighted check messages. Each of the two
+    groups is one allocation, ``blocks``, so a round makes two and a tape keeps
+    one. ``index`` is ``_edge_word_index``. Given ``wider``, a set for more
+    words, both groups lie in the leading part of that set's blocks.
+    """
+
+    def __init__(self, graph, words, wider=None):
+        e, d, n, r = graph.num_edges, graph.max_check_degree, graph.n, graph.r
+        padded, edges, variables = (d, r, words), (e, words), (n, words)
+        scratch = (padded, variables, variables, edges)
+        read_back = ((e + 1, words), padded, padded, padded, edges, edges, edges)
+        if wider is None:
+            self.blocks = [np.empty(sum(map(math.prod, shapes))) for shapes in (scratch, read_back)]
+        else:
+            self.blocks = wider.blocks
+        self.loo, self.llr, self.wllr, self.wc = _carve(self.blocks[0], scratch)
+        self.ext, self.dense, self.left, self.right, self.v, self.prod, self.msgs = _carve(
+            self.blocks[1], read_back)
+        self.words = words
+        self.t = self.ext[:e]
+        self.ext[e] = self.left[0] = self.right[-1] = 1.0
+        self.index = _edge_word_index(graph, words)
+
+
+def _carve(block, shapes):
+    """Arrays of ``shapes``, one after another from the start of the flat ``block``."""
+    start = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        yield block[start : start + size].reshape(shape)
+        start += size
+
+
+def _edge_word_index(graph, words):
+    """The flat (edge, word) index by which ``np.bincount`` sums the rows of
+    an (edges, words) array per variable: ``ad.scatter_add``'s, built once."""
+    ev = graph.edge_var
+    return ev if words == 1 else (ev.reshape(-1, 1) * words + np.arange(words)).ravel()
+
+
+def _clamp(x, bound, out):
+    """``x`` clamped to +/-``bound`` into ``out``: ``np.clip``'s bits, NaNs
+    included, without the Python wrapper of ``ndarray.clip``."""
+    np.maximum(x, -bound, out=out)
+    np.minimum(out, bound, out=out)
+
+
+def _loo(graph, s):
+    """Leave-one-out products of the edge values ``s.t`` into ``s.prod``; returns their VJP.
 
     A check's edges sit in a dense (slot, check) layout padded with ones; the
     exclusive prefix and suffix products P and S give P_j S_j. The gradient of
@@ -117,18 +188,18 @@ def _loo(graph, t):
     once in the same order, so they agree bit for bit.
     """
     d = graph.max_check_degree
-    flat_shape = (d * graph.r,) + t.shape[1:]
-    dense = np.concatenate((t, np.full((1,) + t.shape[1:], 1.0))).take(graph.slot_edge, axis=0)
-    dense = dense.reshape((d, graph.r) + t.shape[1:])
-    left, right = np.empty_like(dense), np.empty_like(dense)
-    left[0] = right[-1] = 1.0
-    if dense[0].size < SCAN_LANES:
+    dense, left, right = s.dense, s.left, s.right
+    flat_shape = (d * graph.r, s.words)
+    s.ext.take(graph.slot_edge, axis=0, out=dense, mode="clip")
+    if graph.r * s.words < SCAN_LANES:
         np.multiply.accumulate(dense[:-1], axis=0, out=left[1:])  # np.cumprod, unwrapped
         np.multiply.accumulate(dense[:0:-1], axis=0, out=right[-2::-1])
     else:
         for j in range(1, d):
             np.multiply(left[j - 1], dense[j - 1], out=left[j])
             np.multiply(right[-j], dense[-j], out=right[-j - 1])
+    np.multiply(left, right, out=s.loo)
+    s.loo.reshape(flat_shape).take(graph.edge_slot_flat, axis=0, out=s.prod, mode="clip")
     edges = lambda x: x.reshape(flat_shape).take(graph.edge_slot_flat, axis=0)
 
     def vjp(g):
@@ -148,13 +219,15 @@ def _loo(graph, t):
         a += b
         return edges(a)
 
-    return edges(left * right), vjp
+    return vjp
 
 
 def leave_one_out_prod(graph: TannerGraph, t_edges: Tensor) -> Tensor:
     """For each edge, the product of the other edges on the same check."""
-    out, vjp = _loo(graph, t_edges.data)
-    return make_op(out, (t_edges,), lambda g: (vjp(g),))
+    s = _RoundArrays(graph, t_edges.data.shape[1])
+    s.t[...] = t_edges.data
+    vjp = _loo(graph, s)
+    return make_op(s.prod, (t_edges,), lambda g: (vjp(g),))
 
 
 def _weighted_vjp(g, x, w):
@@ -162,31 +235,53 @@ def _weighted_vjp(g, x, w):
     return g * w.data, _unbroadcast(g * x.data, w.data.shape)
 
 
-def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
-    """One flooding round, variable-to-check then check-to-variable, as one primitive.
+def _weighted_sums(index, llr, w_ch, c_msgs, w_edge, wc, out):
+    """``out`` = w_ch * llr plus each variable's sum of its incoming
+    w_edge * c_msgs, which are left in ``wc``."""
+    np.multiply(w_ch, llr, out=out)
+    np.multiply(w_edge, c_msgs, out=wc)
+    out += np.bincount(index, weights=wc.ravel(), minlength=out.size).reshape(out.shape)
+
+
+def _round_forward(graph, s, llr, w_ch, c_msgs, w_edge):
+    """One round's arithmetic on arrays, into ``s``, ending with the check messages in ``s.msgs``.
 
     A variable sends its weighted channel LLR plus the weighted sum of its
     other incoming check messages (the channel term alone in the first round,
     when ``c_msgs`` is None and ``w_edge`` is unused); a check answers
-    2 atanh(prod tanh(m/2)) over its other edges.
+    2 atanh(prod tanh(m/2)) over its other edges. ``c_msgs`` may be
+    ``s.msgs``: it is read before the new messages are written. Returns the
+    leave-one-out product's VJP.
     """
-    ev = graph.edge_var
-    wllr = w_ch.data * llr.data
+    v, t, prod, msgs = s.v, s.t, s.prod, s.msgs
+    if c_msgs is None:
+        np.multiply(w_ch, llr, out=s.wllr)
+    else:
+        _weighted_sums(s.index, llr, w_ch, c_msgs, w_edge, s.wc, s.wllr)
+    s.wllr.take(graph.edge_var, axis=0, out=v, mode="clip")
+    if c_msgs is not None:
+        v -= s.wc
+    _clamp(v, LLR_CLAMP, v)
+    np.multiply(v, 0.5, out=t)
+    np.tanh(t, out=t)
+    loo_vjp = _loo(graph, s)
+    _clamp(prod, ATANH_CLAMP, prod)
+    np.arctanh(prod, out=msgs)
+    msgs *= 2.0
+    return loo_vjp
+
+
+def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
+    """One flooding round, variable-to-check then check-to-variable, as one
+    primitive over a fresh ``_RoundArrays``, which its backward reads."""
+    s = _RoundArrays(graph, llr.data.shape[1])
     if c_msgs is None:
         inputs = (llr, w_ch)
-        v = wllr.take(ev, axis=0)
+        loo_vjp = _round_forward(graph, s, llr.data, w_ch.data, None, None)
     else:
         inputs = (llr, w_ch, c_msgs, w_edge)
-        wc = w_edge.data * c_msgs.data
-        v = (wllr + ad.scatter_add(ev, wc, graph.n)).take(ev, axis=0)
-        v -= wc
-    v.clip(-LLR_CLAMP, LLR_CLAMP, out=v)
-    t = 0.5 * v
-    np.tanh(t, out=t)
-    prod, loo_vjp = _loo(graph, t)
-    prod.clip(-ATANH_CLAMP, ATANH_CLAMP, out=prod)
-    out = np.arctanh(prod)
-    out *= 2.0
+        loo_vjp = _round_forward(graph, s, llr.data, w_ch.data, c_msgs.data, w_edge.data)
+    ev, v, t, prod = graph.edge_var, s.v, s.t, s.prod
 
     def backward(g):
         # the per-op chain's factors in its order: 2x, atanh, clamp, product,
@@ -206,20 +301,23 @@ def _bp_round(graph, llr, c_msgs, w_edge, w_ch):
             grads += _weighted_vjp(g_wc, c_msgs, w_edge)
         return grads
 
-    return make_op(out, inputs, backward)
+    return make_op(s.msgs, inputs, backward)
 
 
 def _marginalize(graph, c_msgs, llr, w_edge, w_ch):
     """The posterior: weighted channel LLR plus every weighted incoming check
     message, as one primitive whose backward applies the per-op chain's
     factors (``add``, ``segment_sum``, both ``mul``s) in that chain's order."""
-    ev = graph.edge_var
+    ev, words = graph.edge_var, llr.data.shape[1]
+    wc = np.empty(c_msgs.data.shape)
+    post = np.empty((graph.n, words))
+    _weighted_sums(_edge_word_index(graph, words), llr.data, w_ch.data, c_msgs.data, w_edge.data,
+                   wc, post)
 
     def backward(g):
         return _weighted_vjp(g, llr, w_ch) + _weighted_vjp(g.take(ev, axis=0), c_msgs, w_edge)
 
-    return make_op(w_ch.data * llr.data + ad.scatter_add(ev, w_edge.data * c_msgs.data, graph.n),
-                   (llr, w_ch, c_msgs, w_edge), backward)
+    return make_op(post, (llr, w_ch, c_msgs, w_edge), backward)
 
 
 def unit_weights(graph, iterations):
@@ -245,30 +343,53 @@ def bp_forward(graph, llr, iterations, weights):
     """Unrolled flooding BP returning the posterior LLR tensor, shape (n, B).
 
     ``llr`` is a Tensor shaped (n, B) and ``weights`` a dict laid out as
-    ``unit_weights``; ``unit_weights`` itself is classical BP. Under
-    ``ad.no_grad`` words run ``DECODE_BLOCK`` at a time and the posteriors are
-    joined along the word axis: BP treats each word alone, so every bit is the
-    whole batch's. Recording a tape, the batch runs as one pass, since blocks
-    would reorder the batch sums of the weight gradients.
+    ``unit_weights``; ``unit_weights`` itself is classical BP. Recording a
+    tape, the batch runs as one pass of primitives. Under ``ad.no_grad``,
+    ``_decode`` runs the same arithmetic ``DECODE_BLOCK`` words at a time: BP
+    treats each word alone, so every bit is the one pass's. Blocks would
+    reorder the batch sums of the weight gradients, so a tape gets none.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    words = llr.data.shape[1]
-    if words <= DECODE_BLOCK or ad.grad_enabled():
+    if ad.grad_enabled():
         return _unrolled(graph, llr, iterations, weights)
-    return Tensor(np.concatenate(
-        [_unrolled(graph, Tensor(llr.data[:, i : i + DECODE_BLOCK]), iterations, weights).data
-         for i in range(0, words, DECODE_BLOCK)], axis=1))
+    return Tensor(_decode(graph, llr.data, iterations, weights))
 
 
 def _unrolled(graph, llr, iterations, weights):
-    """``bp_forward`` as one pass over every word of ``llr``."""
+    """``bp_forward`` as one pass of primitives over every word of ``llr``."""
     llr = ad.clip(llr, -LLR_CLAMP, LLR_CLAMP)
     c_msgs = None
     for i in range(iterations):
         w_edge = weights[f"layer{i}/edge"] if i else None
         c_msgs = _bp_round(graph, llr, c_msgs, w_edge, weights[f"layer{i}/channel"])
     return _marginalize(graph, c_msgs, llr, weights["out/edge"], weights["out/channel"])
+
+
+def _decode(graph, llr, iterations, weights):
+    """The posterior (n, words) of the array ``llr``, recording no tape.
+
+    One ``_RoundArrays`` for the first block's width serves every round of
+    every block; a narrower last block uses its leading part. Each block's
+    posterior goes straight into its columns of the result.
+    """
+    channel = [weights[f"layer{i}/channel"].data for i in range(iterations)]
+    edge = [None] + [weights[f"layer{i}/edge"].data for i in range(1, iterations)]
+    n, words = llr.shape
+    post = np.empty((n, words))
+    s = None
+    for start in range(0, words, DECODE_BLOCK):
+        block = llr[:, start : start + DECODE_BLOCK]
+        if s is None or s.words != block.shape[1]:
+            s = _RoundArrays(graph, block.shape[1], s)
+        _clamp(block, LLR_CLAMP, s.llr)
+        c_msgs = None
+        for w_ch, w_edge in zip(channel, edge):
+            _round_forward(graph, s, s.llr, w_ch, c_msgs, w_edge)
+            c_msgs = s.msgs
+        _weighted_sums(s.index, s.llr, weights["out/channel"].data, s.msgs,
+                       weights["out/edge"].data, s.wc, post[:, start : start + s.words])
+    return post
 
 
 # ---------------------------------------------------------------------------

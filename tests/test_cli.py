@@ -7,7 +7,7 @@ import pytest
 
 from hashdec.checkpoint import load_params, save_params
 from hashdec.cli import main
-from hashdec.config import ExperimentConfig
+from hashdec.config import ConfigError, ExperimentConfig
 from hashdec.nnd import GroundTruthTable
 
 from test_pipeline import flip_byte, tiny_config
@@ -137,6 +137,24 @@ def test_bad_config_is_categorised(tmp_path, capsys):
         assert rc == 2, blob
         assert err.startswith("error[config]:") and f"not a {name!r} value" in err, err
         assert not (tmp_path / "r").exists()
+
+
+def test_integer_too_large_for_a_float_field_is_categorised(tmp_path, capsys):
+    # an int is a float's type, but not when no float holds it: refused with
+    # the field's name, alone or in a tuple, as a config error (exit 2)
+    bad = tmp_path / "bad.json"
+    for case in ({"lr": 10**400}, {"sigma_face": 10**400}, {"far_targets": [0.01, 10**400]}):
+        with pytest.raises(ConfigError, match=f"{next(iter(case))}: must be finite"):
+            ExperimentConfig.from_dict(case)
+        bad.write_text(json.dumps({**tiny_config().to_dict(), **case}))
+        rc = main(["generate-data", "--config", str(bad), "--run-dir", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2, case
+        assert err.startswith("error[config]:") and all(name in err for name in case), err
+        assert not (tmp_path / "r").exists()
+    # an int a float holds is kept as the int it was, so its fingerprint holds
+    cfg = ExperimentConfig.from_dict({"lr": 1})
+    assert type(cfg.lr) is int and cfg.fingerprint() == "07e97152c6a11d5b"
 
 
 def test_records_of_another_config_refused(tmp_path, capsys):

@@ -91,10 +91,12 @@ def test_untrained_model_equals_bp_on_llr_grid(hamming74):
     assert np.array_equal(model.decode(grid), hard_bp)
 
 
-def _check_major_loo(graph, t):
-    """The leave-one-out product and its VJP on a (check, slot) layout, one
-    accumulate per lane and one running sum per slot: the kernel the
-    slot-major scans replaced, kept to pin them bit for bit."""
+def _check_major_loo(graph, arrays):
+    """The leave-one-out product of ``arrays.t`` into ``arrays.prod`` and its
+    VJP on a (check, slot) layout, one accumulate per lane and one running sum
+    per slot: the kernel the slot-major scans replaced, kept to pin them bit
+    for bit."""
+    t = arrays.t
     d = graph.max_check_degree
     degrees = np.bincount(graph.edge_check, minlength=graph.r)
     slot = np.arange(graph.num_edges) - (np.cumsum(degrees) - degrees)[graph.edge_check]
@@ -123,7 +125,8 @@ def _check_major_loo(graph, t):
             acc = acc * dense[:, j] + g_dense[:, j] * right[:, j]
         return edges(grad)
 
-    return edges(left * right), vjp
+    arrays.prod[...] = edges(left * right)
+    return vjp
 
 
 @pytest.mark.parametrize("batch", [1, 64, 512])
@@ -192,16 +195,16 @@ def test_decode_in_chunks_equals_row_by_row(bch63, monkeypatch):
     rng = np.random.default_rng(11)
     model = _jittered(NndModel(bch63, iterations=5), rng)
     llrs = rng.normal(0.0, 3.0, (1100, 63))
-    # full blocks and a partial one, each one pass of the unrolled rounds
-    # within one ``bp_forward`` call, as a tracer wrapping it counts
+    # full blocks and a partial one, each running the five rounds, within
+    # one ``bp_forward`` call, as a tracer wrapping it counts
     calls, sizes = [], []
-    forward, unrolled = nnd.bp_forward, tanner._unrolled
+    forward, round_forward = nnd.bp_forward, tanner._round_forward
     monkeypatch.setattr(nnd, "bp_forward", lambda *a: calls.append(1) or forward(*a))
-    monkeypatch.setattr(tanner, "_unrolled",
-                        lambda g, llr, *a: sizes.append(llr.data.shape[1]) or unrolled(g, llr, *a))
+    monkeypatch.setattr(tanner, "_round_forward", lambda g, s, llr, *a: sizes.append(
+        llr.shape[1]) or round_forward(g, s, llr, *a))
     bits = model.decode(llrs)
     full, rest = divmod(1100, tanner.DECODE_BLOCK)
-    assert rest and sizes == [tanner.DECODE_BLOCK] * full + [rest]
+    assert rest and sizes == [tanner.DECODE_BLOCK] * (5 * full) + [rest] * 5
     assert calls == [1]
     monkeypatch.undo()
     assert bits.shape == (1100, 63) and bits.dtype == np.uint8

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hashdec import autodiff as ad
 from hashdec import tanner
 from hashdec.autodiff import GradientTape, Tensor, gradient_check
 from hashdec.bch import build_code, encode
+from hashdec.nnd import NndModel
 from hashdec.tanner import (
     ATANH_CLAMP,
     LLR_CLAMP,
@@ -154,8 +157,10 @@ def test_scan_forms_are_bitwise_equal(monkeypatch, batch):
     results = []
     for lanes in (0, math.inf):
         monkeypatch.setattr(tanner, "SCAN_LANES", lanes)
-        out, vjp = tanner._loo(g, t)
-        results.append((out.tobytes(), vjp(upstream).tobytes()))
+        arrays = tanner._RoundArrays(g, batch)
+        arrays.t[...] = t
+        vjp = tanner._loo(g, arrays)
+        results.append((arrays.prod.tobytes(), vjp(upstream).tobytes()))
     assert results[0] == results[1]
 
 
@@ -476,6 +481,84 @@ def test_no_grad_blocks_are_bitwise_one_pass(m, t):
         assert hard.shape == soft.shape == (words, graph.n), words
         assert soft.tobytes() == unit_pass.T.tobytes(), words
         assert np.array_equal(hard, hard_decision(unit_pass.T)), words
+
+
+def _jittered_weights(graph, rng):
+    weights = unit_weights(graph, 5)
+    for w in weights.values():
+        w.data = w.data * (1.0 + 0.05 * rng.standard_normal(w.data.shape))
+    return weights
+
+
+@pytest.mark.parametrize("m, t", [(6, 3), (8, 9)], ids=["n63", "n255"])
+def test_successive_decodes_of_any_width_are_each_one_pass(m, t):
+    # a decode writes every round into one buffer set per call; nothing of one
+    # call's widths or values may reach the next
+    graph = TannerGraph(build_code(m, t).parity_check_matrix)
+    rng = np.random.default_rng(20 + m)
+    weights = _jittered_weights(graph, rng)
+    # a one-pass reference at n = 255 and 1,400 words would hold ~300 MiB of
+    # padded arrays; words decode alone, so it runs 350 words at a time there
+    piece = 1400 if graph.n == 63 else 350
+    for words in (1, 63, 64, 65, 1400, 65, 1):
+        x = rng.normal(1.0, 4.0, (graph.n, words)) * rng.choice([1.0, 10.0], (graph.n, words))
+        with ad.no_grad():
+            post = bp_forward(graph, Tensor(x), 5, weights).data
+            one_pass = np.concatenate(
+                [tanner._unrolled(graph, Tensor(x[:, i : i + piece]), 5, weights).data
+                 for i in range(0, words, piece)], axis=1)
+        assert post.shape == (graph.n, words) and post.tobytes() == one_pass.tobytes(), words
+
+
+def test_taped_pass_after_a_decode_matches_a_fresh_model():
+    code = build_code(6, 3)
+    x = np.random.default_rng(30).normal(1.0, 3.0, (32, code.n))
+    targets = Tensor(np.zeros((32, code.n)))
+    runs = []
+    for decode_first in (True, False):
+        model = NndModel(code, 5)
+        model.params = _jittered_weights(model.graph, np.random.default_rng(31))
+        if decode_first:
+            model.decode(np.random.default_rng(32).normal(1.0, 3.0, (130, code.n)))
+        probs = model.forward(x)
+        GradientTape(ad.binary_cross_entropy(probs, targets)).backward()
+        runs.append([probs.data.tobytes()] + [w.grad.tobytes() for w in model.params.values()])
+    assert runs[0] == runs[1]
+
+
+def test_concurrent_decodes_give_the_sequential_bits():
+    # each call allocates its own buffers, so threads decoding at once, more
+    # of them than cores and switching often, get the bits of one thread
+    # decoding alone
+    code = build_code(6, 3)
+    model = NndModel(code, 5)
+    model.params = _jittered_weights(model.graph, np.random.default_rng(40))
+    rng = np.random.default_rng(41)
+    inputs = [rng.normal(1.0, 3.0, (words, code.n)) for words in (1, 65, 200)]
+    expected = [model.decode(x).tobytes() for x in inputs]
+    threads = 4
+    barrier = threading.Barrier(threads)
+    seen = [[] for _ in range(threads)]
+
+    def work(slot):
+        barrier.wait()
+        order = inputs if slot % 2 else inputs[::-1]
+        for _ in range(10):
+            seen[slot] += [model.decode(x).tobytes() for x in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(slot,)) for slot in range(threads)]
+        for th in workers:
+            th.start()
+        for th in workers:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in workers)
+    for slot in range(threads):
+        assert seen[slot] == (expected if slot % 2 else expected[::-1]) * 10, slot
 
 
 def test_coded_ber_beats_uncoded_at_moderate_noise(hamming74, hamming_graph):
